@@ -30,9 +30,7 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import SolverConfig, ba_capacity, _check_input_dist
-
-_TINY = 1e-300
+from .solver import _TINY, SolverConfig, _check_input_dist, _wlogw_rows, ba_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +298,6 @@ def _frank_wolfe(value_grad, polytope: _StationaryPolytope, tol: float,
 def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
                          tail_eps: float) -> DiscreteChannel:
     return build_block_channel(BlockChannelSpec(spec, grid, r=1, tail_eps=tail_eps))
-
-
-def _wlogw_rows(W: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(W > 0, W * np.log(np.maximum(W, _TINY)), 0.0).sum(axis=1)
 
 
 def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,

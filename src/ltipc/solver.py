@@ -1,8 +1,22 @@
-"""Blahut-Arimoto capacity and capacity-cost solvers for finite channels.
+"""Blahut-Arimoto capacity and capacity-cost solver for finite channels.
 
-All information quantities are in nats.  The constrained solver wraps the
-standard iteration in an outer bisection on the cost multiplier, which is
-safe because the capacity-cost function is concave in the budget.
+All information quantities are in nats.  One loop serves both problems.
+Each iteration computes the row divergences D_x = D(W_x || pW) and moves to
+
+    p' ∝ p·exp(D − s·c),
+
+where s ≥ 0 is the smallest multiplier whose update meets the budget
+E_{p'}[c] ≤ alpha: s = 0 without a budget or when it is slack, otherwise a
+safeguarded Newton root warm-started from the previous s.  This is Blahut's
+capacity-cost iteration (Blahut 1972; Arimoto 1972).  It is an alternating
+maximization, so every iterate meets the budget and I(p_t) never decreases.
+
+The loop stops on the dual gap
+
+    max_x (D_x − s·c_x) + s·alpha − I(p),
+
+whose first two terms bound the optimum from above for any p and any s ≥ 0,
+so ``value + gap`` certifies the grid capacity-cost value.
 """
 from __future__ import annotations
 
@@ -13,32 +27,30 @@ import numpy as np
 from .channel import DiscreteChannel
 from .errors import ConvergenceError
 
-_TINY = 1e-300
-_WEIGHT_FLOOR = 1e-300  # BA weights below this are clamped to zero
+_TINY = 1e-300  # floor for logarithms; relative BA weights below it become zero
+_COST_WINDOW = 1e-14  # width of the accepted budget window, relative to max |cost|
+_ROOT_STEPS = 200  # multiplier-search steps; doubling alone reaches s = 2**199
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9             # duality-gap stopping threshold, nats
     max_iters: int = 200_000
-    lagrange_bisect_tol: float = 1e-6  # relative tolerance on |E[cost] - alpha|
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.lagrange_bisect_tol <= 0:
-            raise ValueError("lagrange_bisect_tol must be positive")
 
 
 @dataclass(frozen=True)
 class CapacityResult:
     """Solver output: optimal value plus diagnostics.
 
-    history holds the running objective (mutual information for
-    unconstrained runs, the cost-tilted objective otherwise), one entry per
-    iteration; it is non-decreasing for the standard iteration.
+    gap is the final dual gap, so value + gap is an upper bound on the
+    optimum.  history holds I(p_t), one entry per iteration; it is
+    non-decreasing, with or without a budget.
     """
 
     value: float
@@ -66,6 +78,12 @@ def _check_input_dist(channel: DiscreteChannel, input_dist) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _wlogw_rows(W: np.ndarray) -> np.ndarray:
+    """sum_y W_xy log W_xy for every row x, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(W > 0, W * np.log(np.maximum(W, _TINY)), 0.0).sum(axis=1)
+
+
 def _mi(W: np.ndarray, p: np.ndarray) -> float:
     """I(X;Y) in nats for channel W and input p; 0*log0 terms are dropped."""
     q = p @ W
@@ -81,57 +99,83 @@ def mutual_information(channel: DiscreteChannel, input_dist) -> float:
     return _mi(channel.transition, p)
 
 
-def _row_relents(W: np.ndarray, wlogw: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(W(.|x) || q) for every row x."""
-    logq = np.log(np.maximum(q, _TINY))
-    return wlogw - W @ logq
+def _tilt(a: np.ndarray, cost: np.ndarray, s: float) -> np.ndarray:
+    """The law proportional to exp(a − s·c)."""
+    b = a - s * cost if s else a
+    w = np.exp(b - b.max())
+    w[w < _TINY] = 0.0
+    w /= w.sum()
+    return w
 
 
-def _ba(W: np.ndarray, cost: np.ndarray, s: float, tol: float, max_iters: int):
-    """Blahut-Arimoto for max_p [I(p) - s * E_p[cost]], uniform start.
+def _budget_tilt(a: np.ndarray, cost: np.ndarray, alpha: float | None, s: float):
+    """Smallest t >= 0 whose tilt exp(a − t·c) has mean cost <= alpha, and
+    that tilt.
 
-    Stops on the duality gap max_x(D_x - s c_x) - E_p[D_x - s c_x] <= tol,
-    which certifies the tilted objective to within tol.  Returns
-    (p, iterations, gap, history of the running objective).
+    The mean cost m(t) decreases with slope −Var_t(c).  Newton steps from
+    the warm start s aim at the middle of the window [alpha − w, alpha] and
+    are kept inside the bracket [lo, hi] (bisection, or doubling while no t
+    is known to meet the budget).  The returned law is the one at hi, so its
+    mean cost, as computed, is at most alpha.
     """
-    n = W.shape[0]
-    p = np.full(n, 1.0 / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wlogw = np.where(W > 0, W * np.log(np.maximum(W, _TINY)), 0.0).sum(axis=1)
-    tilt = s * cost if s != 0 else 0.0
+    w = _tilt(a, cost, 0.0)
+    if alpha is None:
+        return 0.0, w
+    m = float(w @ cost)
+    if m <= alpha:
+        return 0.0, w
+    window = _COST_WINDOW * float(np.max(np.abs(cost)))
+    lo, hi, w_hi, t = 0.0, np.inf, None, 0.0
+    if s > 0:
+        t = s
+        w = _tilt(a, cost, t)
+        m = float(w @ cost)
+    for _ in range(_ROOT_STEPS):
+        if m > alpha:
+            lo = t
+        else:
+            hi, w_hi = t, w
+            if m >= alpha - window or hi - lo <= 4e-16 * hi:
+                return hi, w_hi
+        var = float(w @ (cost - m) ** 2)
+        t = t + (m - alpha + 0.5 * window) / var if var > 0 else np.inf
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi) if np.isfinite(hi) else max(2.0 * lo, 1.0)
+        w = _tilt(a, cost, t)
+        m = float(w @ cost)
+    if w_hi is None:
+        raise ConvergenceError(
+            f"no cost multiplier meets the budget alpha={alpha} "
+            f"(mean cost {m:.6g} at s={t:.3e})", gap=np.inf, iterations=0)
+    return hi, w_hi
+
+
+def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
+            tol: float, max_iters: int):
+    """Blahut-Arimoto with an optional budget, from the feasible tilt of the
+    uniform law.  Returns (p, iterations, dual gap, history of I(p_t))."""
+    wlogw = _wlogw_rows(W)
+    s, p = _budget_tilt(np.zeros(W.shape[0]), cost, alpha, 0.0)
     history = []
     gap = np.inf
-    for it in range(1, max_iters + 1):
-        q = p @ W
-        d = _row_relents(W, wlogw, q)
-        obj = d - tilt
-        f = float(p @ obj)
-        history.append(f)
-        gap = float(np.max(obj) - f)
-        if gap <= tol:
-            return p, it, gap, history
-        w = p * np.exp(obj - np.max(obj))
-        w[w < _WEIGHT_FLOOR] = 0.0
-        p = w / w.sum()
+    with np.errstate(divide="ignore"):  # log p is -inf off the support
+        for it in range(1, max_iters + 1):
+            d = wlogw - W @ np.log(np.maximum(p @ W, _TINY))
+            f = float(p @ d)
+            history.append(f)
+            s, p_next = _budget_tilt(np.log(p) + d, cost, alpha, s)
+            gap = float(np.max(d - s * cost)) + s * alpha - f if s else float(d.max()) - f
+            if gap <= tol:
+                return p, it, gap, history
+            p = p_next
     raise ConvergenceError(
         f"Blahut-Arimoto did not reach gap {tol} in {max_iters} iterations "
-        f"(last gap {gap:.3e})", gap=gap, iterations=max_iters)
+        f"(last gap {gap:.3e}, cost multiplier {s:.3e})", gap=gap, iterations=max_iters)
 
 
-def _result(channel: DiscreteChannel, p: np.ndarray, iterations: int, gap: float,
-            history) -> CapacityResult:
-    return CapacityResult(
-        value=_mi(channel.transition, p),
-        input_dist=p,
-        achieved_cost=float(p @ channel.cost),
-        iterations=iterations,
-        gap=gap,
-        history=tuple(history),
-    )
-
-
-def _duplicate_row_reps(channel: DiscreteChannel):
-    """Representative indices for groups of bit-identical transition rows.
+def _duplicate_row_reps(W: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Mask of one representative, the cheapest member, of each group of
+    bit-identical transition rows.
 
     Identical rows (windows filtering to the same intensity, or inputs the
     filter ignores) create flat optimal faces that stall the iteration.  The
@@ -139,109 +183,50 @@ def _duplicate_row_reps(channel: DiscreteChannel):
     the mutual information and can only lower the cost, so some optimizer of
     the original problem lives on the representatives.
     """
-    _, inverse = np.unique(np.ascontiguousarray(channel.transition), axis=0,
-                           return_inverse=True)
-    if inverse.max() + 1 == channel.n_inputs:
-        return None
-    reps = np.empty(inverse.max() + 1, dtype=np.int64)
-    for g in range(reps.size):
-        members = np.flatnonzero(inverse == g)
-        reps[g] = members[np.argmin(channel.cost[members])]
-    return np.sort(reps), inverse
+    groups = {}
+    for x, row in enumerate(W):
+        groups.setdefault(row.tobytes(), []).append(x)
+    reps = np.zeros(W.shape[0], dtype=bool)
+    for members in groups.values():
+        reps[min(members, key=cost.__getitem__)] = True
+    return reps
 
 
 def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
                 config: SolverConfig = SolverConfig()) -> CapacityResult:
     """Capacity (alpha=None) or capacity-cost value at average budget alpha.
 
-    The constrained path first tries the unconstrained optimum; if its cost
-    exceeds alpha it bisects the Lagrange multiplier until the achieved cost
-    matches alpha within the configured relative tolerance, blending the two
-    bracketing solutions when the cost jumps across a support change.
+    Duplicate rows are merged onto their cheapest member and a budget at the
+    cheapest input cost restricts the solve to the cheapest inputs; then one
+    Blahut-Arimoto loop with the cost multiplier found inside each iteration
+    runs on the remaining rows.  The returned law meets the budget as
+    computed (achieved_cost <= alpha), and value + gap is a certified upper
+    bound on the optimum.
     """
-    merged = _duplicate_row_reps(channel)
-    if merged is not None:
-        reps, _ = merged
-        reduced = DiscreteChannel(
-            transition=channel.transition[reps], cost=channel.cost[reps],
-            input_labels=tuple(channel.input_labels[i] for i in reps),
-            output_labels=channel.output_labels)
-        res = ba_capacity(reduced, alpha=alpha, config=config)
-        p_full = np.zeros(channel.n_inputs)
-        p_full[reps] = res.input_dist
-        return CapacityResult(
-            value=res.value, input_dist=p_full,
-            achieved_cost=res.achieved_cost, iterations=res.iterations,
-            gap=res.gap, history=res.history)
-
-    W = channel.transition
-    cost = channel.cost
-
-    if alpha is None:
-        p0, it0, gap0, hist0 = _ba(W, cost, 0.0, config.tol, config.max_iters)
-        return _result(channel, p0, it0, gap0, hist0)
-
-    # Probe the unconstrained cost at loose tolerance; the full-accuracy
-    # unconstrained solve is only needed when the constraint may be inactive.
-    probe_tol = max(config.tol, 1e-5)
-    p0, it0, gap0, hist0 = _ba(W, cost, 0.0, probe_tol, config.max_iters)
-    cost0 = float(p0 @ cost)
-    if cost0 <= 1.05 * alpha + 1e-2:
-        p0, it0, gap0, hist0 = _ba(W, cost, 0.0, config.tol, config.max_iters)
-        res0 = _result(channel, p0, it0, gap0, hist0)
-        if res0.achieved_cost <= alpha + 1e-12:
-            return res0
-
-    min_cost = float(np.min(cost))
-    if alpha < min_cost - 1e-12:
-        raise ValueError(f"alpha={alpha} below the cheapest input cost {min_cost}")
-    if alpha <= min_cost + 1e-12:
-        # Only the cheapest inputs are feasible; solve on that subchannel.
-        idx = np.flatnonzero(cost <= min_cost + 1e-12)
-        sub = W[idx]
-        ps, its, gaps, hists = _ba(sub, cost[idx], 0.0, config.tol, config.max_iters)
-        p = np.zeros(channel.n_inputs)
-        p[idx] = ps
-        return _result(channel, p, it0 + its, gaps, hists)
-
-    rel = config.lagrange_bisect_tol
-    iters_total = it0
-
-    # Bracket: cost at s=0 is above alpha; double s until it drops below.
-    s_lo, p_lo, cost_lo = 0.0, p0, float(p0 @ cost)
-    s_hi = 1.0
-    for _ in range(200):
-        p_hi, it, gap_hi, hist_hi = _ba(W, cost, s_hi, config.tol, config.max_iters)
-        iters_total += it
-        cost_hi = float(p_hi @ cost)
-        if cost_hi <= alpha:
-            break
-        s_lo, p_lo, cost_lo = s_hi, p_hi, cost_hi
-        s_hi *= 2.0
-    else:
-        raise ConvergenceError(
-            f"could not bracket the cost constraint at alpha={alpha}",
-            gap=np.inf, iterations=iters_total)
-
-    last = (p_hi, gap_hi, hist_hi)
-    while True:
-        if alpha - cost_hi <= rel * alpha:
-            return _result(channel, p_hi, iters_total, last[1], last[2])
-        if s_hi - s_lo < 1e-13 * (1.0 + s_hi):
-            # Optimal support changes at this multiplier; the maximizer set is
-            # convex, so blend the bracketing solutions to land on alpha.
-            theta = (alpha - cost_hi) / max(cost_lo - cost_hi, _TINY)
-            p = theta * p_lo + (1.0 - theta) * p_hi
-            return _result(channel, p, iters_total, last[1], last[2])
-        s_mid = 0.5 * (s_lo + s_hi)
-        p_mid, it, gap_mid, hist_mid = _ba(W, cost, s_mid, config.tol, config.max_iters)
-        iters_total += it
-        cost_mid = float(p_mid @ cost)
-        if cost_mid > alpha:
-            s_lo, p_lo, cost_lo = s_mid, p_mid, cost_mid
-        else:
-            s_hi, p_hi, cost_hi = s_mid, p_mid, cost_mid
-            last = (p_mid, gap_mid, hist_mid)
+    W, cost = channel.transition, channel.cost
+    keep = np.ones(channel.n_inputs, dtype=bool)
+    if alpha is not None:
+        min_cost = float(np.min(cost))
+        if alpha < min_cost - 1e-12:
+            raise ValueError(f"alpha={alpha} below the cheapest input cost {min_cost}")
+        if alpha <= min_cost + 1e-12:
+            # Only the cheapest inputs are feasible and they cost the same.
+            keep = cost <= min_cost + 1e-12
+            alpha = None
+    keep &= _duplicate_row_reps(W, cost)
+    if not keep.all():
+        W, cost = W[keep], cost[keep]
+    p, iterations, gap, history = _blahut(W, cost, alpha, config.tol, config.max_iters)
+    p_full = np.zeros(channel.n_inputs)
+    p_full[keep] = p
+    return CapacityResult(
+        value=_mi(W, p),
+        input_dist=p_full,
+        achieved_cost=float(p @ cost),
+        iterations=iterations,
+        gap=gap,
+        history=tuple(history),
+    )
 
 
 def capacity_cost_curve(channel: DiscreteChannel, alphas,

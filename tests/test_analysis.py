@@ -90,6 +90,17 @@ class TestOrderingCheck:
         assert verdict.status == "consistent"
         assert verdict.bound_p.upper >= verdict.bound_p_prime.upper - 1e-6
 
+    def test_self_convolved_pair_converges(self):
+        """The zero-padded p side is a slow constrained solve; both sides must
+        certify their gap within the default iteration cap."""
+        p = lp.ImpulseResponse((0.7, 0.3))
+        p_prime = lp.ImpulseResponse(tuple(np.convolve((0.7, 0.3), (0.7, 0.3))))
+        verdict = lp.capacity_ordering_check(p, p_prime, 5.0, 30.0, 9.0,
+                                             lp.InputGrid.uniform(30.0, 3))
+        assert verdict.status == "consistent"
+        assert verdict.bound_p.gap <= 1e-9
+        assert verdict.bound_p_prime.gap <= 1e-9
+
     def test_not_applicable_without_factorization(self):
         p = lp.ImpulseResponse((0.7, 0.3))
         p_prime = lp.ImpulseResponse((0.5, 0.5))

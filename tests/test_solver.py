@@ -94,6 +94,31 @@ class TestBaCapacity:
         res = lp.ba_capacity(poisson9, alpha=0.0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.input_dist[0] == pytest.approx(1.0)
+        assert res.iterations <= 1  # the cheapest input alone needs no search
+
+    def test_constrained_law_meets_budget_exactly(self, poisson9):
+        for alpha in (2.0, 5.0, 11.0):
+            res = lp.ba_capacity(poisson9, alpha=alpha)
+            assert res.achieved_cost <= alpha
+            assert res.achieved_cost == float(res.input_dist @ poisson9.cost)
+
+    def test_constrained_running_objective_monotone(self, poisson9):
+        for alpha in (2.0, 5.0, 11.0):
+            res = lp.ba_capacity(poisson9, alpha=alpha)
+            hist = np.asarray(res.history)
+            assert hist.size == res.iterations
+            assert hist[-1] == pytest.approx(res.value, abs=1e-12)
+            assert np.all(np.diff(hist) >= -1e-12)
+
+    def test_duplicate_rows_merge_onto_cheapest(self):
+        base = bsc(0.11)
+        W = np.vstack([base.transition, base.transition[0]])
+        ch = lp.DiscreteChannel(W, np.array([0.5, 1.0, 0.0]), (0, 1, 2), (0, 1))
+        res = lp.ba_capacity(ch, alpha=0.5)
+        cap = lp.ba_capacity(base).value
+        assert res.input_dist[0] == 0.0
+        assert res.value == pytest.approx(cap, abs=1e-9)
+        assert res.achieved_cost <= 0.5
 
 
 class TestBruteForceOracle:
@@ -111,6 +136,20 @@ class TestBruteForceOracle:
             oracle = grid_search_capacity(ch.transition, step=1e-3,
                                           cost=ch.cost, alpha=alpha)
             assert abs(ba - oracle) < 2e-3
+
+    def test_dual_gap_certifies_upper_bound(self):
+        """value + gap bounds the grid-search optimum from above, budget or
+        not, and the returned law meets the budget with no slack."""
+        for ch in small_corpus():
+            alpha = float(np.mean(ch.cost))
+            for budget in (None, alpha):
+                res = lp.ba_capacity(ch, alpha=budget,
+                                     config=lp.SolverConfig(tol=1e-10))
+                oracle = grid_search_capacity(ch.transition, step=1e-3,
+                                              cost=ch.cost, alpha=budget)
+                assert res.value + res.gap >= oracle - 2e-3
+                if budget is not None:
+                    assert res.achieved_cost <= budget
 
 
 class TestCapacityCostCurve:
