@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .bounds import SandwichBound, block_sandwich_bounds
-from .channel import BlockChannelSpec, ChannelSpec, ImpulseResponse, InputGrid
+from .channel import DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse, InputGrid
 from .solver import SolverConfig
 
 _DUST = 1e-10  # negative recovery values above this are float noise
@@ -94,7 +94,8 @@ def capacity_ordering_check(p: ImpulseResponse, p_prime: ImpulseResponse,
                             lambda0: float, amax: float, alpha: float,
                             grid: InputGrid, r: int = 1,
                             config: SolverConfig = SolverConfig(),
-                            tol: float = 1e-6) -> OrderingVerdict:
+                            tol: float = 1e-6,
+                            tail_eps: float = DEFAULT_TAIL_EPS) -> OrderingVerdict:
     """Check that the solved C_r values respect the degradedness order.
 
     Both responses are compared at a common memory order (p is zero-padded
@@ -116,8 +117,10 @@ def capacity_ordering_check(p: ImpulseResponse, p_prime: ImpulseResponse,
     pp_pad = ImpulseResponse(tuple(pp_taps + [0.0] * (width - len(pp_taps))))
     spec_p = ChannelSpec(impulse=p_pad, lambda0=lambda0, amax=amax, alpha=alpha)
     spec_pp = ChannelSpec(impulse=pp_pad, lambda0=lambda0, amax=amax, alpha=alpha)
-    b_p = block_sandwich_bounds(BlockChannelSpec(spec_p, grid, r=r), config)
-    b_pp = block_sandwich_bounds(BlockChannelSpec(spec_pp, grid, r=r), config)
+    b_p = block_sandwich_bounds(
+        BlockChannelSpec(spec_p, grid, r=r, tail_eps=tail_eps), config)
+    b_pp = block_sandwich_bounds(
+        BlockChannelSpec(spec_pp, grid, r=r, tail_eps=tail_eps), config)
     ok = (b_p.lower <= b_p.upper) and (b_p.upper >= b_pp.upper - tol)
     return OrderingVerdict(status="consistent" if ok else "flagged",
                            bound_p=b_p, bound_p_prime=b_pp)

@@ -30,7 +30,7 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import _TINY, SolverConfig, _check_input_dist, _wlogw_rows, ba_capacity
+from .solver import _TINY, SolverConfig, _check_input_dist, _log0, _wlogw_rows, ba_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +113,7 @@ def _cmi_value_grad(Wr: np.ndarray, wlogw_rows: np.ndarray, p: np.ndarray):
     P = p.reshape(n_pref, m)
     A = np.einsum("uv,uvy->uy", P, Wr)
     pu = P.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = float(
-            p @ wlogw_rows
-            - np.sum(np.where(A > 0, A * np.log(np.maximum(A, _TINY)), 0.0))
-            + np.sum(np.where(pu > 0, pu * np.log(np.maximum(pu, _TINY)), 0.0))
-        )
+    f = float(p @ wlogw_rows - np.sum(A * _log0(A)) + np.sum(pu * _log0(pu)))
     q = np.empty_like(A)
     alive = pu > 0
     q[alive] = A[alive] / pu[alive, None]
@@ -413,8 +408,7 @@ def sym_kl_generic(channel: DiscreteChannel, input_dist) -> float:
     live_rows = p > 0
     if np.any((W[live_rows] == 0) & (q[None, :] > 0)):
         return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logW = np.where(W > 0, np.log(np.maximum(W, _TINY)), 0.0)
+    logW = _log0(W)
     d = (W * logW).sum(axis=1)
     return float(p @ d - p @ (logW @ q))
 
@@ -435,9 +429,8 @@ def sym_kl_reference_bound(channel: DiscreteChannel, input_dist, ref_out) -> flo
     live = p > 0
     if np.any((W[live] > 0) & (r[None, :] == 0)) or np.any((W[live] == 0) & (r[None, :] > 0)):
         return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logW = np.where(W > 0, np.log(np.maximum(W, _TINY)), 0.0)
-        logr = np.where(r > 0, np.log(np.maximum(r, _TINY)), 0.0)
+    logW = _log0(W)
+    logr = _log0(r)
     fwd = (W * (logW - logr[None, :])).sum(axis=1)       # D(W(.|x) || r)
     rev = (r[None, :] * (logr[None, :] - logW)).sum(axis=1)  # D(r || W(.|x))
     return float(p @ (fwd + rev))
@@ -543,8 +536,7 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     if alpha is not None and alpha < float(np.min(cost)) - 1e-12:
         raise ValueError("alpha below the cheapest input cost")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logW = np.where(W > 0, np.log(np.maximum(W, _TINY)), 0.0)
+    logW = _log0(W)
     d = (W * logW).sum(axis=1)
     G = logW @ W.T  # G[x, xt] = sum_y W[xt, y] log W[x, y]
 

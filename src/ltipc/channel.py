@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import BudgetExceededError
 
@@ -238,7 +238,7 @@ def truncation_point(lam: float, tail_eps: float) -> int:
     """Smallest ymax with Poisson(lam) tail mass P(Y > ymax) < tail_eps."""
     if lam == 0:
         return 0
-    k = max(0, int(stats.poisson.isf(tail_eps, lam)))
+    k = max(0, int(special.pdtrik(1.0 - tail_eps, lam)))
     while special.pdtrc(k, lam) >= tail_eps:
         k += 1
     while k > 0 and special.pdtrc(k - 1, lam) < tail_eps:
@@ -300,24 +300,16 @@ def build_memoryless_channel(spec: ChannelSpec, grid: InputGrid,
                              tail_eps: float = DEFAULT_TAIL_EPS) -> DiscreteChannel:
     """Discretize a memoryless instance (single-tap impulse).
 
-    Row for grid point x is the truncated Poisson(lambda0 + p0*x) pmf; all
-    rows share the widest support so the matrix is rectangular.  Cost of
-    input x is x itself.
+    The k=0, r=1 block channel of the trimmed impulse: row for grid point x
+    is the truncated Poisson(lambda0 + p0*x) pmf on the widest support, and
+    the cost of input x is x itself.  Inputs are labelled by the grid points.
     """
     imp = spec.impulse.trimmed()
     if imp.order != 0:
         raise ValueError("memoryless construction requires a single-tap impulse")
-    _check_grid(spec, grid)
-    pts = grid.as_array()
-    lams = spec.lambda0 + imp.taps[0] * pts
-    ymax = max(truncation_point(l, tail_eps) for l in lams)
-    rows = np.stack([_pmf_on_support(l, ymax) for l in lams])
-    return DiscreteChannel(
-        transition=rows,
-        cost=pts.copy(),
-        input_labels=tuple(pts),
-        output_labels=tuple(range(ymax + 1)),
-    )
+    block = build_block_channel(
+        BlockChannelSpec(replace(spec, impulse=imp), grid, r=1, tail_eps=tail_eps))
+    return replace(block, input_labels=grid.points)
 
 
 def _slot_intensities(tuples: np.ndarray, taps: np.ndarray, lambda0: float, r: int) -> np.ndarray:
@@ -367,22 +359,14 @@ def build_block_channel(bspec: BlockChannelSpec,
     tuples = np.array(list(itertools.product(pts, repeat=k + r)))
     lam = _slot_intensities(tuples, taps, spec.lambda0, r)
 
-    # Per-slot pmfs on the shared support; distinct intensities are few, so
-    # cache by value.
-    cache = {}
-    slot_pmfs = np.empty((n_inputs, r, ymax + 1))
-    for t in range(n_inputs):
-        for s in range(r):
-            key = lam[t, s]
-            pmf = cache.get(key)
-            if pmf is None:
-                pmf = _pmf_on_support(key, ymax)
-                cache[key] = pmf
-            slot_pmfs[t, s] = pmf
-
-    rows = slot_pmfs[:, 0, :]
+    # One pmf per distinct intensity on the shared support, then per slot a
+    # lookup into that table.
+    values, index = np.unique(lam, return_inverse=True)
+    index = index.reshape(lam.shape)
+    table = np.stack([_pmf_on_support(v, ymax) for v in values])
+    rows = table[index[:, 0]]
     for s in range(1, r):
-        rows = (rows[:, :, None] * slot_pmfs[:, s, None, :]).reshape(n_inputs, -1)
+        rows = (rows[:, :, None] * table[index[:, s]][:, None, :]).reshape(n_inputs, -1)
 
     cost = tuples.mean(axis=1)
     if r == 1:

@@ -17,8 +17,7 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .channel import (
     ImpulseResponse,
     InputGrid,
     build_block_channel,
-    load_instance,
+    parse_instance,
 )
 from .errors import BudgetExceededError, ConvergenceError
 from .report import (
@@ -54,29 +53,9 @@ from .report import (
 from .simulate import SimConfig, simulate_p2p
 from .solver import SolverConfig
 
-COMMANDS = ("capacity", "bounds", "symkl", "sweep", "simulate", "degrade-check")
-
 _SIM_TRIALS = 200
 _SIM_SLOTS = 32
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    instance: str
-    out: str
-    grid: int | None = None
-    r: tuple = ()
-    tol: float | None = None
-    seed: int = 0
-    axis: str | None = None
-    values: tuple = ()
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not os.path.exists(self.instance):
-            raise ValueError(f"instance file not found: {self.instance}")
+_SWEEP_AXES = ("alpha", "amax", "lambda0")
 
 
 class _UsageError(ValueError):
@@ -113,177 +92,145 @@ def _parse_values(raw: str) -> tuple:
     return tuple(out)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("LTIPC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+@dataclass(frozen=True)
+class Loaded:
+    """An instance file with the command-line overrides applied."""
+
+    spec: ChannelSpec
+    grid_points: int
+    tail_eps: float
+    config: SolverConfig
+    rs: tuple
+    values: tuple
+    seed: int
+    axis: str | None
+    out: str
+    inst_id: str
+    inst_hash: str
+    config_desc: str
+
+    def grid(self, spec: ChannelSpec) -> InputGrid:
+        return InputGrid.uniform(spec.amax, self.grid_points)
+
+    def block(self, spec: ChannelSpec, r: int) -> BlockChannelSpec:
+        return BlockChannelSpec(spec, self.grid(spec), r=r, tail_eps=self.tail_eps)
 
 
-def _map(fn, items):
-    cap = thread_cap()
-    if cap == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
-def _load(manifest: RunManifest):
-    spec, grid_points, tail_eps = load_instance(manifest.instance)
-    if manifest.grid is not None:
-        if manifest.grid < 2:
+def _load(args) -> Loaded:
+    with open(args.instance, "rb") as fh:
+        raw = fh.read()
+    spec, grid_points, tail_eps = parse_instance(raw.decode("utf-8"))
+    if args.grid is not None:
+        if args.grid < 2:
             raise ValueError("--grid must be >= 2")
-        grid_points = manifest.grid
-    config = SolverConfig() if manifest.tol is None else SolverConfig(tol=manifest.tol)
-    with open(manifest.instance, "rb") as fh:
-        inst_hash = instance_hash(fh.read())
-    inst_id = os.path.splitext(os.path.basename(manifest.instance))[0]
-    return spec, grid_points, tail_eps, config, inst_hash, inst_id
-
-
-def _config_desc(manifest: RunManifest, grid_points: int, tol: float) -> str:
-    rs = ";".join(str(r) for r in manifest.r) or "1"
-    vals = ";".join(fmt(float(v)) for v in manifest.values)
-    return (f"config: cmd={manifest.command} grid={grid_points} r={rs} "
-            f"tol={fmt(tol)} seed={manifest.seed} axis={manifest.axis or '-'} "
-            f"values={vals or '-'}")
-
-
-def _r_list(manifest: RunManifest) -> tuple:
-    rs = manifest.r or (1,)
+        grid_points = args.grid
+    rs = tuple(args.r or (1,))
     if any(r < 1 for r in rs):
         raise ValueError("--r must be >= 1")
-    return tuple(rs)
+    config = SolverConfig() if args.tol is None else SolverConfig(tol=args.tol)
+    values = _parse_values(args.values) if args.values else ()
+    config_desc = (
+        f"config: cmd={args.command} grid={grid_points} r={';'.join(map(str, rs))} "
+        f"tol={fmt(config.tol)} seed={args.seed} axis={args.axis or '-'} "
+        f"values={';'.join(fmt(v) for v in values) or '-'}")
+    return Loaded(spec=spec, grid_points=grid_points, tail_eps=tail_eps,
+                  config=config, rs=rs, values=values, seed=args.seed,
+                  axis=args.axis, out=args.out,
+                  inst_id=os.path.splitext(os.path.basename(args.instance))[0],
+                  inst_hash=instance_hash(raw), config_desc=config_desc)
 
 
-def _cmd_capacity(manifest: RunManifest) -> int:
-    spec, m, tail_eps, config, inst_hash, inst_id = _load(manifest)
-    r = _r_list(manifest)[0]
-    grid = InputGrid.uniform(spec.amax, m)
+def _timed(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its wall time in whole milliseconds."""
     t0 = time.perf_counter()
-    bound = block_sandwich_bounds(BlockChannelSpec(spec, grid, r=r, tail_eps=tail_eps),
-                                  config)
-    ms = int((time.perf_counter() - t0) * 1000)
-    k = spec.impulse.order
-    name = "capacity" if k == 0 else GRID_UPPER_LABEL
-    rows = [BoundRow(inst_id, name, r, bound.upper, gap=bound.gap,
+    result = fn(*args, **kwargs)
+    return result, int((time.perf_counter() - t0) * 1000)
+
+
+def _cmd_capacity(run: Loaded) -> list:
+    r = run.rs[0]
+    bound, ms = _timed(block_sandwich_bounds, run.block(run.spec, r), run.config)
+    name = "capacity" if run.spec.impulse.order == 0 else GRID_UPPER_LABEL
+    return [BoundRow(run.inst_id, name, r, bound.upper, gap=bound.gap,
                      iterations=bound.iterations, wallclock_ms=ms)]
-    write_bound_report(manifest.out, rows, inst_hash,
-                       _config_desc(manifest, m, config.tol))
-    return 0
 
 
-def _cmd_bounds(manifest: RunManifest) -> int:
-    spec, m, tail_eps, config, inst_hash, inst_id = _load(manifest)
-    grid = InputGrid.uniform(spec.amax, m)
+def _cmd_bounds(run: Loaded) -> list:
     rows = []
-    for r in _r_list(manifest):
-        t0 = time.perf_counter()
-        bound = block_sandwich_bounds(
-            BlockChannelSpec(spec, grid, r=r, tail_eps=tail_eps), config)
-        ms = int((time.perf_counter() - t0) * 1000)
-        rows.extend(sandwich_rows(inst_id, bound, wallclock_ms=ms))
-    write_bound_report(manifest.out, rows, inst_hash,
-                       _config_desc(manifest, m, config.tol))
-    return 0
+    for r in run.rs:
+        bound, ms = _timed(block_sandwich_bounds, run.block(run.spec, r), run.config)
+        rows.extend(sandwich_rows(run.inst_id, bound, wallclock_ms=ms))
+    return rows
 
 
-def _cmd_symkl(manifest: RunManifest) -> int:
-    spec, m, tail_eps, config, inst_hash, inst_id = _load(manifest)
-    grid = InputGrid.uniform(spec.amax, m)
-    channel = build_block_channel(BlockChannelSpec(spec, grid, r=1, tail_eps=tail_eps))
-    t0 = time.perf_counter()
-    res = sym_kl_max(channel, alpha=spec.alpha, config=config, seed=manifest.seed)
-    ms = int((time.perf_counter() - t0) * 1000)
-    rows = [BoundRow(inst_id, "sym-kl upper bound", 1, res.value, wallclock_ms=ms)]
+def _cmd_symkl(run: Loaded) -> list:
+    spec = run.spec
+    channel = build_block_channel(run.block(spec, 1))
+    res, ms = _timed(sym_kl_max, channel, alpha=spec.alpha, config=run.config,
+                     seed=run.seed)
+    rows = [BoundRow(run.inst_id, "sym-kl upper bound", 1, res.value, wallclock_ms=ms)]
     if spec.impulse.order == 0 and spec.lambda0 > 0:
         closed = poisson_sym_bound_closed_form(spec.amax, spec.alpha, spec.lambda0)
-        rows.append(BoundRow(inst_id, "sym-kl closed form", 0, closed))
-    write_bound_report(manifest.out, rows, inst_hash,
-                       _config_desc(manifest, m, config.tol))
-    return 0
+        rows.append(BoundRow(run.inst_id, "sym-kl closed form", 0, closed))
+    return rows
 
 
-def _sweep_spec(spec: ChannelSpec, axis: str, v: float) -> ChannelSpec:
-    lam0, amax, alpha = spec.lambda0, spec.amax, spec.alpha
-    if axis == "alpha":
-        alpha = v
-    elif axis == "amax":
-        amax = v
-    elif axis == "lambda0":
-        lam0 = v
-    else:
-        raise ValueError(f"--axis must be one of alpha, amax, lambda0, got {axis!r}")
-    return ChannelSpec(impulse=spec.impulse, lambda0=lam0, amax=amax, alpha=alpha)
+def _cmd_degrade_check(run: Loaded) -> list:
+    if not run.values:
+        raise ValueError("degrade-check requires --values with the taps of p'")
+    spec = run.spec
+    verdict, ms = _timed(
+        capacity_ordering_check, spec.impulse.normalize(),
+        ImpulseResponse(run.values).normalize(), spec.lambda0, spec.amax,
+        spec.alpha, run.grid(spec), r=run.rs[0], config=run.config,
+        tail_eps=run.tail_eps)
+    rows = verdict_rows(run.inst_id, verdict)
+    if verdict.status != "not-applicable":
+        rows.extend(sandwich_rows(f"{run.inst_id}|p", verdict.bound_p, wallclock_ms=ms))
+        rows.extend(sandwich_rows(f"{run.inst_id}|p'", verdict.bound_p_prime))
+    return rows
 
 
-def _cmd_sweep(manifest: RunManifest) -> int:
-    spec, m, tail_eps, config, inst_hash, inst_id = _load(manifest)
-    if manifest.axis is None:
+def _cmd_sweep(run: Loaded) -> None:
+    if run.axis is None:
         raise ValueError("sweep requires --axis")
-    if not manifest.values:
+    if not run.values:
         raise ValueError("sweep requires --values")
-    values = manifest.values
-    rs = _r_list(manifest)
-
-    def solve(v: float) -> dict:
-        svspec = _sweep_spec(spec, manifest.axis, v)
-        grid = InputGrid.uniform(svspec.amax, m)
+    if run.axis not in _SWEEP_AXES:
+        raise ValueError(f"--axis must be one of {', '.join(_SWEEP_AXES)}, "
+                         f"got {run.axis!r}")
+    solved = []
+    for v in run.values:
+        spec = replace(run.spec, **{run.axis: v})
         out = {}
-        for r in rs:
-            bound = block_sandwich_bounds(
-                BlockChannelSpec(svspec, grid, r=r, tail_eps=tail_eps), config)
+        for r in run.rs:
+            bound = block_sandwich_bounds(run.block(spec, r), run.config)
             out[f"lower_r{r}"] = bound.lower
             out[f"upper_r{r}"] = bound.upper
+        grid = run.grid(spec)
         out["stationary_lower"] = stationary_lower_bound(
-            svspec, grid, config, tail_eps).lower
+            spec, grid, run.config, run.tail_eps).lower
         out["stationary_upper"] = stationary_upper_bound(
-            svspec, grid, config, tail_eps).upper
-        return out
-
-    solved = _map(solve, list(values))
+            spec, grid, run.config, run.tail_eps).upper
+        solved.append(out)
     columns = {name: [row[name] for row in solved] for name in solved[0]}
-    write_sweep_report(manifest.out, manifest.axis, values, columns, inst_hash,
-                       _config_desc(manifest, m, config.tol))
-    return 0
+    write_sweep_report(run.out, run.axis, run.values, columns, run.inst_hash,
+                       run.config_desc)
 
 
-def _cmd_simulate(manifest: RunManifest) -> int:
-    spec, m, tail_eps, config, inst_hash, inst_id = _load(manifest)
-    if manifest.values:
-        inputs = np.asarray(manifest.values, dtype=np.float64)
+def _cmd_simulate(run: Loaded) -> None:
+    if run.values:
+        inputs = np.asarray(run.values, dtype=np.float64)
     else:
-        inputs = np.full(_SIM_SLOTS, spec.alpha)
-    sim = SimConfig(seed=manifest.seed, n_slots=inputs.size, n_trials=_SIM_TRIALS)
-    trace = simulate_p2p(spec, inputs, sim)
-    write_trace(manifest.out, trace, inst_hash,
-                _config_desc(manifest, m, config.tol))
-    return 0
+        inputs = np.full(_SIM_SLOTS, run.spec.alpha)
+    sim = SimConfig(seed=run.seed, n_slots=inputs.size, n_trials=_SIM_TRIALS)
+    write_trace(run.out, simulate_p2p(run.spec, inputs, sim), run.inst_hash,
+                run.config_desc)
 
 
-def _cmd_degrade_check(manifest: RunManifest) -> int:
-    spec, m, tail_eps, config, inst_hash, inst_id = _load(manifest)
-    if not manifest.values:
-        raise ValueError("degrade-check requires --values with the taps of p'")
-    p = spec.impulse.normalize()
-    p_prime = ImpulseResponse(tuple(manifest.values)).normalize()
-    grid = InputGrid.uniform(spec.amax, m)
-    r = _r_list(manifest)[0]
-    t0 = time.perf_counter()
-    verdict = capacity_ordering_check(
-        p, p_prime, spec.lambda0, spec.amax, spec.alpha, grid, r=r, config=config)
-    ms = int((time.perf_counter() - t0) * 1000)
-    rows = verdict_rows(inst_id, verdict)
-    if verdict.status != "not-applicable":
-        rows.extend(sandwich_rows(f"{inst_id}|p", verdict.bound_p, wallclock_ms=ms))
-        rows.extend(sandwich_rows(f"{inst_id}|p'", verdict.bound_p_prime))
-    write_bound_report(manifest.out, rows, inst_hash,
-                       _config_desc(manifest, m, config.tol))
-    return 0
-
-
-_DISPATCH = {
+# Commands returning rows get one bound report from ``main``; the others
+# write their own reports.
+COMMANDS = {
     "capacity": _cmd_capacity,
     "bounds": _cmd_bounds,
     "symkl": _cmd_symkl,
@@ -293,16 +240,11 @@ _DISPATCH = {
 }
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; artifacts land at manifest.out."""
-    return _DISPATCH[manifest.command](manifest)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ltipc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"ltipc {__version__}")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--instance", required=True, help="JSON problem file")
     parser.add_argument("--out", required=True, help="output CSV path (or prefix for simulate)")
     parser.add_argument("--grid", type=int, default=None, help="input grid points")
@@ -319,18 +261,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        manifest = RunManifest(
-            command=args.command,
-            instance=args.instance,
-            out=args.out,
-            grid=args.grid,
-            r=tuple(args.r) if args.r else (),
-            tol=args.tol,
-            seed=args.seed,
-            axis=args.axis,
-            values=_parse_values(args.values) if args.values else (),
-        )
-        return run(manifest)
+        run = _load(args)
+        rows = COMMANDS[args.command](run)
+        if rows is not None:
+            write_bound_report(args.out, rows, run.inst_hash, run.config_desc)
+        return 0
     except ConvergenceError as e:
         print(f"LTIPC-ERROR non-convergence: {e}", file=sys.stderr)
         return 2

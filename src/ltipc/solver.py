@@ -78,10 +78,14 @@ def _check_input_dist(channel: DiscreteChannel, input_dist) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _log0(a: np.ndarray) -> np.ndarray:
+    """log a where a > 0, and 0 where a = 0."""
+    return np.where(a > 0, np.log(np.maximum(a, _TINY)), 0.0)
+
+
 def _wlogw_rows(W: np.ndarray) -> np.ndarray:
     """sum_y W_xy log W_xy for every row x, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(W > 0, W * np.log(np.maximum(W, _TINY)), 0.0).sum(axis=1)
+    return (W * _log0(W)).sum(axis=1)
 
 
 def _mi(W: np.ndarray, p: np.ndarray) -> float:

@@ -32,7 +32,9 @@ class TestPoissonPmf:
 
     def test_truncation_point_is_smallest(self):
         from scipy.special import pdtrc
-        for lam, eps in ((5.0, 1e-10), (45.0, 1e-12), (0.7, 1e-6)):
+        for lam, eps in ((5.0, 1e-10), (45.0, 1e-12), (0.7, 1e-6),
+                         (1e-6, 1e-3), (1e-6, 1e-15), (1e3, 1e-3),
+                         (1e3, 1e-15), (1e6, 1e-3), (1e6, 1e-15)):
             y = truncation_point(lam, eps)
             assert pdtrc(y, lam) < eps
             if y > 0:
@@ -198,6 +200,19 @@ class TestBlockChannel:
                     np.testing.assert_allclose(first[a], first[b], atol=1e-12)
                 if labels[a][1:] == labels[b][1:]:
                     np.testing.assert_allclose(second[a], second[b], atol=1e-12)
+
+    def test_rows_are_products_of_slot_pmfs(self):
+        """Reference loop: every row is the product of the per-slot pmfs of
+        its window intensities."""
+        from ltipc.channel import _pmf_on_support
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.6, 0.3, 0.1)), 3.0, 20.0, 5.0)
+        block = lp.build_block_channel(
+            lp.BlockChannelSpec(spec, lp.InputGrid.uniform(20.0, 3), r=2))
+        ymax = int(round(block.n_outputs ** 0.5)) - 1
+        for t, x in enumerate(block.input_labels):
+            lam = [3.0 + 0.6 * x[s + 2] + 0.3 * x[s + 1] + 0.1 * x[s] for s in range(2)]
+            ref = np.kron(*[_pmf_on_support(l, ymax) for l in lam])
+            np.testing.assert_allclose(block.transition[t], ref, rtol=1e-13, atol=0)
 
     def test_budget_guard(self):
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 5.0)

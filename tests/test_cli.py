@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import ltipc.cli as cli
-from ltipc.cli import RunManifest, _parse_values, main
+from ltipc.cli import _parse_values, main
 from ltipc.errors import ConvergenceError
-from ltipc.report import BOUND_COLUMNS
+from ltipc.report import BOUND_COLUMNS, GRID_UPPER_LABEL
 
 
 @pytest.fixture()
@@ -175,6 +175,24 @@ class TestDegradeCheckCommand:
         assert float(ordering[0]["value_nats"]) >= -1e-6
         assert len(rows) == 5  # ordering + two sandwich pairs
 
+    def test_uses_instance_tail_eps(self, tmp_path):
+        """The |p rows are the bounds of the zero-padded p at the instance's
+        tail_eps, not at the package default."""
+        doc = {"lambda0": 2.0, "amax": 10.0, "alpha": 3.0, "grid_points": 3,
+               "tail_eps": 1e-3}
+        inst, padded = tmp_path / "inst.json", tmp_path / "padded.json"
+        inst.write_text(json.dumps(dict(doc, impulse=[0.7, 0.3])))
+        padded.write_text(json.dumps(dict(doc, impulse=[0.7, 0.3, 0.0])))
+        deg, bounds = str(tmp_path / "deg.csv"), str(tmp_path / "bounds.csv")
+        assert main(["degrade-check", "--instance", str(inst), "--out", deg,
+                     "--values", "0.49,0.42,0.09"]) == 0
+        assert main(["bounds", "--instance", str(padded), "--out", bounds]) == 0
+        upper = {r["instance_id"]: r["value_nats"] for r in read_report(deg)[1]
+                 if r["bound_name"] == GRID_UPPER_LABEL}
+        [expected] = [r["value_nats"] for r in read_report(bounds)[1]
+                      if r["bound_name"] == GRID_UPPER_LABEL]
+        assert upper["inst|p"] == expected
+
     def test_not_applicable_pair(self, isi_instance, tmp_path):
         out = str(tmp_path / "deg.csv")
         rc = main(["degrade-check", "--instance", isi_instance, "--out", out,
@@ -224,31 +242,29 @@ class TestErrorPaths:
         assert "LTIPC-ERROR non-convergence:" in capsys.readouterr().err
 
 
-class TestRunManifest:
-    def test_rejects_unknown_command(self, memoryless_instance):
-        with pytest.raises(ValueError):
-            RunManifest(command="fix-it", instance=memoryless_instance, out="x")
-
-    def test_rejects_missing_file(self):
-        with pytest.raises(ValueError):
-            RunManifest(command="capacity", instance="/does/not/exist", out="x")
-
-
-class TestThreadCap:
-    def test_env_variable_respected(self, monkeypatch):
-        monkeypatch.setenv("LTIPC_THREADS", "4")
-        assert cli.thread_cap() == 4
-        monkeypatch.setenv("LTIPC_THREADS", "junk")
-        assert cli.thread_cap() == 1
-
-    def test_parallel_sweep_matches_serial(self, isi_instance, tmp_path,
-                                           monkeypatch):
-        out_serial = str(tmp_path / "serial.csv")
-        out_par = str(tmp_path / "par.csv")
-        argv = ["sweep", "--instance", isi_instance, "--axis", "alpha",
-                "--values", "2,6", "--tol", "1e-7"]
-        monkeypatch.setenv("LTIPC_THREADS", "1")
-        assert main(argv + ["--out", out_serial]) == 0
-        monkeypatch.setenv("LTIPC_THREADS", "2")
-        assert main(argv + ["--out", out_par]) == 0
-        assert open(out_serial).read() == open(out_par).read()
+@pytest.mark.parametrize("argv, writer, n_rows", [
+    (["capacity"], "write_bound_report", 1),
+    (["bounds", "--r", "1", "--r", "2"], "write_bound_report", 4),
+    (["symkl"], "write_bound_report", 1),
+    (["sweep", "--axis", "alpha", "--values", "2,6", "--tol", "1e-7"],
+     "write_sweep_report", 2),
+    (["simulate", "--values", "1,5,0,10"], "write_trace", 200 * 4),
+    (["degrade-check", "--values", "0.49,0.42,0.09"], "write_bound_report", 5),
+])
+def test_each_command_reaches_its_writer(argv, writer, n_rows, isi_instance,
+                                         tmp_path, monkeypatch):
+    """Every command hands its rows to one writer, looked up on ltipc.cli
+    when the command runs, so that wrapping the attribute sees the call."""
+    calls = []
+    monkeypatch.setattr(cli, "write_bound_report",
+                        lambda path, rows, *rest: calls.append(
+                            ("write_bound_report", len(rows))))
+    monkeypatch.setattr(cli, "write_sweep_report",
+                        lambda path, axis, values, *rest: calls.append(
+                            ("write_sweep_report", len(values))))
+    monkeypatch.setattr(cli, "write_trace",
+                        lambda prefix, trace, *rest: calls.append(
+                            ("write_trace", trace.outputs.size)))
+    out = str(tmp_path / "out")
+    assert main(argv + ["--instance", isi_instance, "--out", out]) == 0
+    assert calls == [(writer, n_rows)]
