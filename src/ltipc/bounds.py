@@ -30,7 +30,8 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import _TINY, SolverConfig, _check_input_dist, _log0, _wlogw_rows, ba_capacity
+from .solver import (_COST_WINDOW, _ROOT_STEPS, _TINY, SolverConfig, _check_input_dist,
+                     _log0, _wlogw_rows, ba_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +386,28 @@ class SymKLResult:
     n_starts: int
 
 
-def _support_mismatch_pair(W: np.ndarray):
-    """Indices (x, xt) witnessing rows with different supports, or None."""
-    supp = W > 0
-    base = supp[0]
-    for x in range(1, W.shape[0]):
-        if not np.array_equal(supp[x], base):
-            return 0, x
-    return None
+def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
+    """D[x, x'] = D(W_x || W_x') + D(W_x' || W_x), the symmetrized KL
+    divergence between two rows; inf where the rows have different supports."""
+    G = _log0(W) @ W.T  # G[x, x'] = sum_y W[x', y] log W[x, y]
+    d = np.diag(G)
+    D = d[:, None] + d[None, :] - G - G.T
+    supp = (W > 0).astype(np.float64)
+    n_supp = supp.sum(axis=1)
+    D[n_supp[:, None] + n_supp[None, :] - 2.0 * supp @ supp.T > 0] = np.inf
+    return D
 
 
 def sym_kl_generic(channel: DiscreteChannel, input_dist) -> float:
     """Symmetrized KL divergence between the joint law and the product of its
-    marginals: sum over (x, y) of [p(x,y) - p(x)q(y)] log W(y|x).
+    marginals: F(p) = (1/2) p'Dp with D the row-pair matrix of _sym_kl_matrix.
 
-    Returns math.inf when some W(y|x) = 0 carries positive product mass
-    (the reverse KL diverges).
+    Returns math.inf when two inputs of positive mass have rows with
+    different supports (the reverse KL diverges).
     """
     p = _check_input_dist(channel, input_dist)
-    W = channel.transition
-    q = p @ W
-    live_rows = p > 0
-    if np.any((W[live_rows] == 0) & (q[None, :] > 0)):
-        return math.inf
-    logW = _log0(W)
-    d = (W * logW).sum(axis=1)
-    return float(p @ d - p @ (logW @ q))
+    live = p > 0
+    return float(0.5 * p[live] @ _sym_kl_matrix(channel.transition[live]) @ p[live])
 
 
 def sym_kl_reference_bound(channel: DiscreteChannel, input_dist, ref_out) -> float:
@@ -447,149 +444,117 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _project_feasible(v: np.ndarray, cost: np.ndarray, alpha) -> np.ndarray:
-    """Projection onto the simplex intersected with cost.p <= alpha."""
+    """Euclidean projection onto the simplex intersected with cost.p <= alpha
+    (alpha >= min cost): the simplex projection p(mu) of v − mu·c at the
+    smallest mu >= 0 that meets the budget.  On a fixed support S the cost of
+    p(mu) is linear in mu with slope −|S|·Var_S(c), so Newton steps kept in a
+    bracket, as in solver._budget_tilt, find mu.  The returned law is the one
+    at the bracket's feasible end, so its cost, as computed, is at most alpha.
+    """
     p = _project_simplex(v)
-    if alpha is None or float(cost @ p) <= alpha:
+    m = float(cost @ p)
+    if m <= alpha:
         return p
-    # Shift against the cost direction until the budget is met; the achieved
-    # cost is non-increasing in the shift, so bisect.
-    mu_lo, mu_hi = 0.0, 1.0
-    for _ in range(200):
-        if float(cost @ _project_simplex(v - mu_hi * cost)) <= alpha:
-            break
-        mu_hi *= 2.0
-    for _ in range(100):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if float(cost @ _project_simplex(v - mu * cost)) <= alpha:
-            mu_hi = mu
+    window = _COST_WINDOW * float(np.max(np.abs(cost)))
+    lo, hi, p_hi, mu = 0.0, np.inf, None, 0.0
+    for _ in range(_ROOT_STEPS):
+        if m > alpha:
+            lo = mu
         else:
-            mu_lo = mu
-    return _project_simplex(v - mu_hi * cost)
-
-
-def _two_point_best(d, G, cost, alpha):
-    """Exact maximization of the quadratic over all laws supported on at most
-    two inputs, respecting the budget."""
-    n = d.size
-    best = (-np.inf, None, None)
-    feasible_single = [i for i in range(n) if alpha is None or cost[i] <= alpha + 1e-12]
-    for i in feasible_single:
-        if 0.0 > best[0]:
-            best = (0.0, (i,), (1.0,))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # mass t on i, 1-t on j
-            if alpha is None:
-                lo, hi = 0.0, 1.0
-            else:
-                ci, cj = cost[i], cost[j]
-                if ci == cj:
-                    if ci > alpha + 1e-12:
-                        continue
-                    lo, hi = 0.0, 1.0
-                elif ci > cj:
-                    tau = (alpha - cj) / (ci - cj)
-                    if tau < 0:
-                        continue
-                    lo, hi = 0.0, min(1.0, tau)
-                else:
-                    tau = (alpha - cj) / (ci - cj)
-                    if tau > 1:
-                        continue
-                    lo, hi = max(0.0, tau), 1.0
-            a = -(G[i, i] - G[i, j] - G[j, i] + G[j, j])
-            b = (d[i] - d[j]) - (G[i, j] + G[j, i] - 2.0 * G[j, j])
-            cands = [lo, hi]
-            if a < 0:
-                t_vert = -b / (2.0 * a)
-                if lo < t_vert < hi:
-                    cands.append(t_vert)
-            for t in cands:
-                val = a * t * t + b * t
-                if val > best[0]:
-                    best = (val, (i, j), (t, 1.0 - t))
-    return best
+            hi, p_hi = mu, p
+            if m >= alpha - window or hi - lo <= 4e-16 * hi:
+                break
+        c_s = cost[p > 0]
+        slope = c_s.size * float(np.var(c_s))
+        mu = mu + (m - alpha + 0.5 * window) / slope if slope > 0 else np.inf
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi) if np.isfinite(hi) else max(2.0 * lo, 1.0)
+        p = _project_simplex(v - mu * cost)
+        m = float(cost @ p)
+    return p_hi
 
 
 def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
                config: SolverConfig = SolverConfig(), n_starts: int = 16,
                seed: int = 0) -> SymKLResult:
-    """Maximize the symmetrized-KL functional over budgeted input laws.
+    """Maximize the symmetrized-KL functional F(p) = (1/2) p'Dp over budgeted
+    input laws, with D from _sym_kl_matrix.
 
-    The objective is quadratic in p: F(p) = p.d - p' G p with
-    d_x = sum_y W(y|x) log W(y|x) and g(x, xt) = sum_y W(y|xt) log W(y|x).
-    Strategy: exact search over one- and two-point supports, then projected
-    gradient ascent from multiple starts.  The result is the best law found;
-    global optimality is only guaranteed when two-point supports suffice.
+    A budget at the cheapest input cost keeps only the cheapest inputs.  Exact
+    search over one- and two-point laws (on a pair, F = t(1 − t)·D_ij) comes
+    first; F is infinite once two rows with different supports both carry
+    mass, and the result is then such a two-point law within the budget.
+    Otherwise projected gradient ascent follows, from 2 + n_starts starts,
+    each for at most config.max_iters steps; config.tol is not read.
+    The result is the best law found; global optimality is only guaranteed
+    when two-point supports suffice.
     """
-    W = channel.transition
     cost = channel.cost
-    witness = _support_mismatch_pair(W)
-    if witness is not None:
-        i, j = witness
+    idx = np.arange(channel.n_inputs)
+    if alpha is not None:
+        min_cost = float(np.min(cost))
+        if alpha < min_cost - 1e-12:
+            raise ValueError("alpha below the cheapest input cost")
+        if alpha <= min_cost + 1e-12:
+            # Only the cheapest inputs are feasible and they cost the same.
+            idx = np.flatnonzero(cost <= min_cost + 1e-12)
+            alpha = None
+    budget = math.inf if alpha is None else alpha
+    cost = cost[idx]
+    n = idx.size
+    D = _sym_kl_matrix(channel.transition[idx])
+
+    def result(value, p, n_run):
+        keep = np.flatnonzero(p > 1e-12)
         return SymKLResult(
-            value=math.inf,
-            support=(channel.input_labels[i], channel.input_labels[j]),
-            masses=(0.5, 0.5), n_starts=0)
-    if alpha is not None and alpha < float(np.min(cost)) - 1e-12:
-        raise ValueError("alpha below the cheapest input cost")
+            value=value, support=tuple(channel.input_labels[idx[x]] for x in keep),
+            masses=tuple(p[keep] / p[keep].sum()), n_starts=n_run)
 
-    logW = _log0(W)
-    d = (W * logW).sum(axis=1)
-    G = logW @ W.T  # G[x, xt] = sum_y W[xt, y] log W[x, y]
+    # Mass t on the costlier input i of a pair, 1 − t on j: F = t(1 − t)·D_ij
+    # peaks at t = 1/2 unless the budget caps t.  The diagonal (D_ii = 0)
+    # stands for the single inputs; t = −1 marks infeasible pairs.
+    dc = cost[:, None] - cost[None, :]
+    slack = budget - cost[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.minimum(0.5, np.where(dc > 0, slack / dc, np.inf))
+    t[(dc < 0) | (slack < 0)] = -1.0
+    # A row can share its support with at most one row of a mismatched pair,
+    # so F = inf is reached, if at all, on a pair with the cheapest input k,
+    # where the budget leaves t > 0.
+    k = int(np.argmin(cost))
+    mismatched = np.flatnonzero(np.isinf(D[k]))
+    if mismatched.size:
+        i, j, pair_best = mismatched[0], k, math.inf
+    else:
+        pair_val = np.where(t >= 0, t * (1.0 - t) * D, -np.inf)
+        i, j = np.unravel_index(np.argmax(pair_val), pair_val.shape)
+        pair_best = float(pair_val[i, j])
+    two_point = np.bincount([i, j], weights=[t[i, j], 1.0 - t[i, j]], minlength=n)
+    if math.isinf(pair_best):
+        return result(pair_best, two_point, 0)
 
-    best_val, support_idx, masses = _two_point_best(d, G, cost, alpha)
-    two_point = (best_val, support_idx, masses)
-
-    Gs = 0.5 * (G + G.T)
-    lip = 2.0 * float(np.linalg.norm(Gs, 2))
-    step = 1.0 / max(lip, 1e-12)
-
-    def F(p):
-        return float(p @ d - p @ (G @ p))
-
-    def gradF(p):
-        return d - (G + G.T) @ p
-
+    # Gradient D·p.  Step 1/||PDP||, the curvature on the simplex's tangent
+    # space, with P = I − 11'/n the centring matrix.
+    P = np.eye(n) - 1.0 / n
+    step = 1.0 / max(float(np.linalg.norm(P @ D @ P, 2)), 1e-12)
     rng = np.random.default_rng(seed)
-    starts = [np.full(W.shape[0], 1.0 / W.shape[0])]
-    tp = np.zeros(W.shape[0])
-    for i, t in zip(support_idx, masses):
-        tp[i] += t
-    starts.append(tp)
-    for _ in range(n_starts):
-        starts.append(rng.dirichlet(np.ones(W.shape[0])))
-
-    best_pgd = (-np.inf, None)
+    starts = [np.full(n, 1.0 / n), two_point]
+    starts += [rng.dirichlet(np.ones(n)) for _ in range(n_starts)]
+    best_val, best_p = -np.inf, None
     for p in starts:
-        p = _project_feasible(p, cost, alpha)
+        p = _project_feasible(p, cost, budget)
         for _ in range(config.max_iters):
-            p_next = _project_feasible(p + step * gradF(p), cost, alpha)
-            if np.abs(p_next - p).sum() < 1e-13:
-                p = p_next
+            p, p_prev = _project_feasible(p + step * (D @ p), cost, budget), p
+            if np.abs(p - p_prev).sum() < 1e-13:
                 break
-            p = p_next
-        val = F(p)
-        if val > best_pgd[0]:
-            best_pgd = (val, p)
+        val = 0.5 * float(p @ D @ p)
+        if val > best_val:
+            best_val, best_p = val, p
 
     # Prefer the exact two-point law unless gradient ascent is strictly better.
-    if best_pgd[0] > two_point[0] + 1e-10:
-        p = best_pgd[1]
-        keep = np.flatnonzero(p > 1e-12)
-        masses_arr = p[keep] / p[keep].sum()
-        return SymKLResult(
-            value=best_pgd[0],
-            support=tuple(channel.input_labels[i] for i in keep),
-            masses=tuple(masses_arr), n_starts=len(starts))
-    val, support_idx, masses = two_point
-    keep = [(i, t) for i, t in zip(support_idx, masses) if t > 1e-15]
-    return SymKLResult(
-        value=val,
-        support=tuple(channel.input_labels[i] for i, _ in keep),
-        masses=tuple(t for _, t in keep), n_starts=len(starts))
+    if best_val > pair_best + 1e-10:
+        return result(best_val, best_p, len(starts))
+    return result(pair_best, two_point, len(starts))
 
 
 def poisson_sym_bound_closed_form(amax: float, alpha: float, lambda0: float) -> float:

@@ -1,4 +1,5 @@
 """Bound families: sandwich, stationary, symmetrized-KL."""
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ import ltipc as lp
 from ltipc.bounds import (
     _cmi_value_grad,
     _mi_value_grad,
+    _project_feasible,
     _single_slot_channel,
     _StationaryPolytope,
     _wlogw_rows,
 )
 
-from helpers import bsc, random_channel
+from helpers import bsc, grid_search_symkl, random_channel
 
 CFG = lp.SolverConfig(tol=1e-8)
 FW_CFG = lp.SolverConfig(tol=1e-7, max_iters=20000)
@@ -244,6 +246,43 @@ class TestSymKlMax:
         res = lp.sym_kl_max(ch)
         assert math.isinf(res.value)
 
+    # Rows 0 and 1 share a support; row 2 has a zero where they do not.
+    MISMATCH_W = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+
+    def test_budget_at_cheapest_cost_drops_costlier_rows(self):
+        """alpha = 0 keeps inputs 0 and 1 only; F = D_01 / 4 at (1/2, 1/2)."""
+        ch = lp.DiscreteChannel(self.MISMATCH_W, np.array([0.0, 0.0, 5.0]),
+                                (0, 1, 2), (0, 1, 2))
+        res = lp.sym_kl_max(ch, alpha=0.0)
+        assert res.value == pytest.approx(0.15 * math.log(2.5), abs=1e-12)
+        assert set(res.support) == {0, 1}
+
+    @pytest.mark.parametrize("cost", [(0.0, 1.0, 5.0), (5.0, 5.0, 0.0)])
+    def test_infinite_witness_meets_budget(self, cost):
+        """The witness of F = inf meets the budget; the half/half law on a
+        mismatched pair would cost 2.5 > alpha."""
+        ch = lp.DiscreteChannel(self.MISMATCH_W, np.array(cost), (0, 1, 2), (0, 1, 2))
+        res = lp.sym_kl_max(ch, alpha=1.0)
+        law = np.zeros(3)
+        law[list(res.support)] = res.masses
+        assert math.isinf(res.value)
+        assert ch.cost @ law <= 1.0 + 1e-12
+        assert math.isinf(lp.sym_kl_generic(ch, law))
+
+    def test_reported_law_attains_value_within_budget(self):
+        rng = np.random.default_rng(11)
+        for trial in range(8):
+            n = int(rng.integers(2, 4))
+            cost = rng.integers(0, 4, n).astype(np.float64)
+            ch = random_channel(rng, n, int(rng.integers(2, 5)), cost=cost)
+            alpha = float(rng.choice(cost) if trial % 2 else rng.uniform(cost.min(), cost.max()))
+            res = lp.sym_kl_max(ch, alpha=alpha)
+            law = np.zeros(n)
+            law[list(res.support)] = res.masses
+            assert abs(lp.sym_kl_generic(ch, law) - res.value) < 1e-9
+            assert cost @ law <= alpha + 1e-12
+            assert res.value >= grid_search_symkl(ch.transition, 1e-2, cost, alpha) - 1e-9
+
     def test_convex_in_channel_for_fixed_input(self):
         rng = np.random.default_rng(6)
         W1 = random_channel(rng, 3, 4).transition
@@ -266,6 +305,30 @@ class TestSymKlMax:
             q = p @ ch.transition
             lhs = -float(q @ (p @ np.log(ch.transition)))
             assert lhs >= -float(q @ np.log(q)) - 1e-12
+
+
+class TestProjectFeasible:
+    def test_projection_is_exact(self):
+        """Feasible, and (v - p).(z - p) <= 0 at every vertex z of the simplex
+        cut by cost.p <= alpha: the feasible single inputs and the
+        budget-tight pairs.  Costs tie and alpha sits on a cost value."""
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            cost = rng.integers(0, 4, n).astype(np.float64)
+            alpha = float(rng.choice(cost))
+            v = 3.0 * rng.normal(size=n)
+            p = _project_feasible(v, cost, alpha)
+            assert p.min() >= 0 and abs(p.sum() - 1.0) < 1e-12
+            assert cost @ p <= alpha + 1e-12
+            eye = np.eye(n)
+            vertices = [eye[i] for i in range(n) if cost[i] <= alpha]
+            for i, j in itertools.product(range(n), repeat=2):
+                if cost[i] > alpha > cost[j]:
+                    t = (alpha - cost[j]) / (cost[i] - cost[j])
+                    vertices.append(t * eye[i] + (1.0 - t) * eye[j])
+            for z in vertices:
+                assert (v - p) @ (z - p) <= 1e-12
 
 
 class TestPoissonClosedForms:
