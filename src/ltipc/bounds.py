@@ -80,7 +80,12 @@ def block_sandwich_bounds(bspec: BlockChannelSpec,
 
 @dataclass(frozen=True)
 class StationaryBound:
-    """Single-letter stationary bounds; sides not computed are None."""
+    """Single-letter stationary bounds; sides not computed are None.
+
+    fw_gap is the Frank-Wolfe gap of the returned law, only as exact as the
+    HiGHS LP oracle behind it: at its default tolerances a gap near 1e-9
+    can be off by about as much (a negative gap is reported as 0).
+    """
 
     upper: float | None
     lower: float | None
@@ -90,17 +95,10 @@ class StationaryBound:
     iterations: int
 
 
-def _mi_value_grad(W: np.ndarray, wlogw_rows: np.ndarray, p: np.ndarray):
-    """Mutual information and its gradient, defined for any nonnegative p.
-
-    f(p) = p.d - sum_y q_y log q_y with q = p W; grad_t = d_t - sum_y W_ty
-    log q_y - 1.  Restricted to the simplex f is I(X;Y).
-    """
-    q = p @ W
-    logq = np.log(np.maximum(q, _TINY))
-    f = float(p @ wlogw_rows - q @ logq)
-    grad = wlogw_rows - W @ logq - 1.0
-    return f, grad
+def _group_sums(Wr: np.ndarray, p: np.ndarray):
+    """Per prefix group u: A[u] = sum_v p_uv Wr[u, v] and pu[u] = sum_v p_uv."""
+    P = p.reshape(Wr.shape[:2])
+    return np.einsum("uv,uvy->uy", P, Wr), P.sum(axis=1)
 
 
 def _cmi_value_grad(Wr: np.ndarray, wlogw_rows: np.ndarray, p: np.ndarray):
@@ -108,12 +106,10 @@ def _cmi_value_grad(Wr: np.ndarray, wlogw_rows: np.ndarray, p: np.ndarray):
 
     Wr has shape (n_prefix, m, n_out); p is flattened (n_prefix*m,).  For
     empty prefix groups the gradient uses the uniform-mixture limit, a valid
-    supergradient of this concave function.
+    supergradient of this concave function.  With one prefix group,
+    Wr = W[None], this is I(X; Y) for the laws on W's rows.
     """
-    n_pref, m, n_out = Wr.shape
-    P = p.reshape(n_pref, m)
-    A = np.einsum("uv,uvy->uy", P, Wr)
-    pu = P.sum(axis=1)
+    A, pu = _group_sums(Wr, p)
     f = float(p @ wlogw_rows - np.sum(A * _log0(A)) + np.sum(pu * _log0(pu)))
     q = np.empty_like(A)
     alive = pu > 0
@@ -121,23 +117,15 @@ def _cmi_value_grad(Wr: np.ndarray, wlogw_rows: np.ndarray, p: np.ndarray):
     if not np.all(alive):
         q[~alive] = Wr[~alive].mean(axis=1)
     logq = np.log(np.maximum(q, _TINY))
-    grad = (wlogw_rows.reshape(n_pref, m)
+    grad = (wlogw_rows.reshape(Wr.shape[:2])
             - np.einsum("uvy,uy->uv", Wr, logq)).reshape(-1)
     return f, grad
 
 
 def _stationarity_matrix(m: int, k: int) -> np.ndarray:
     """Rows enforce equality of the first-k and last-k marginals."""
-    n = m ** (k + 1)
-    npref = m ** k
-    A = np.zeros((npref, n))
-    t = np.arange(n)
-    prefix = t // m
-    suffix = t % npref
-    for j in range(npref):
-        A[j, prefix == j] += 1.0
-        A[j, suffix == j] -= 1.0
-    return A
+    t, j = np.arange(m ** (k + 1)), np.arange(m ** k)[:, None]
+    return (t // m == j).astype(float) - (t % m ** k == j)
 
 
 class _StationaryPolytope:
@@ -198,97 +186,94 @@ class _StationaryPolytope:
         return theta * p + (1.0 - theta) * delta
 
 
-def _line_search(value_grad, p, d, gamma_max):
-    """Exact line search for a concave objective: the directional derivative
-    is non-increasing in gamma, so bisect it to zero on [0, gamma_max]."""
-    _, g_hi = value_grad(p + gamma_max * d)
-    if float(g_hi @ d) >= 0:
-        return gamma_max
-    lo, hi = 0.0, gamma_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        _, g_mid = value_grad(p + mid * d)
-        if float(g_mid @ d) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _line_search(Wr, wlogw_rows, p0, p1):
+    """argmax over t in [0, 1] of _cmi_value_grad's objective at
+    (1 - t) p0 + t p1, a concave function of t.
+
+    The group sums A and pu are affine in t, so with d = p1 - p0,
+    phi'(t) = d.w - sum dA log A(t) + sum dpu log pu(t) and
+    phi''(t) = -sum dA^2/A(t) + sum dpu^2/pu(t) cost O(n_prefix*|Y|) once
+    the sums at both ends are known.  Newton steps on the non-increasing phi'
+    are kept inside the bracket [lo, hi] (bisection otherwise), as in
+    solver._budget_tilt.
+    """
+    (A0, pu0), (A1, pu1) = _group_sums(Wr, p0), _group_sums(Wr, p1)
+    dA, dpu = A1 - A0, pu1 - pu0
+    slope0 = float((p1 - p0) @ wlogw_rows)
+
+    def derivs(t):
+        # phi' = d.w - sum dA log q with q = A/pu, finite where pu is 0.
+        A, pu = (1.0 - t) * A0 + t * A1, (1.0 - t) * pu0 + t * pu1
+        logq = np.log(np.maximum(A / np.maximum(pu, _TINY)[:, None], _TINY))
+        live = pu > 0
+        curv = (np.sum(dpu[live] ** 2 / pu[live])
+                - np.sum(dA[live] ** 2 / np.maximum(A[live], _TINY)))
+        return slope0 - float(np.sum(dA * logq)), curv
+
+    if derivs(1.0)[0] >= 0:
+        return 1.0
+    lo, hi, t = 0.0, 1.0, 0.0
+    for _ in range(_ROOT_STEPS):
+        slope, curv = derivs(t)
+        lo, hi = (t, hi) if slope > 0 else (lo, t)
+        nxt = t - slope / curv if curv < 0 else np.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 4e-16:
+            break
+        t = nxt
+    return t
 
 
 def _vertex_key(v: np.ndarray):
     return tuple(np.round(v, 12))
 
 
-_STALL_WINDOW = 80
-_STALL_TOL = 1e-12
-_GROUP_KILL_THRESHOLD = 1e-9
+def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
+                 config: SolverConfig, stall_window: int | None = None):
+    """Maximize _cmi_value_grad's objective over the polytope by pairwise
+    Frank-Wolfe (Lacoste-Julien & Jaggi 2015) with exact line search.
 
+    The iterate is a convex combination of vertices, starting from the
+    feasible interior point as a pseudo-vertex.  Each step moves weight from
+    the active vertex worst for the gradient g to the LP vertex s, so only
+    those two weights change.  The linearization gap g.(s - p) certifies
+    f* <= f + gap at every iterate; the loop stops once it is at most
+    config.tol and raises ConvergenceError at config.max_iters.
 
-def _frank_wolfe(value_grad, polytope: _StationaryPolytope, tol: float,
-                 max_iters: int):
-    """Maximize a concave function over the polytope by conditional gradient
-    with away steps and exact line search.
-
-    Away steps (dropping weight from the worst active vertex) avoid the
-    zigzag stall of the plain iteration when the optimum sits on a face; the
-    linearization gap g.(s - p) certifies f* <= f + gap at every iterate,
-    and the loop stops once it falls below tol.
-
-    Returns (p, f, gap, iterations, converged).  converged=False means the
-    objective stopped improving while the gap stayed high, which happens for
-    objectives whose gradient blows up where coordinates group to zero mass;
-    the caller may restrict the support and retry.
+    Returns (p, f, gap, iterations, converged).  converged=False is only
+    returned when stall_window is given and f has not risen by _STALL_TOL
+    in that many iterations.
     """
-    start = polytope.interior_start()
-    # The feasible start enters the decomposition as a pseudo-vertex; away
-    # steps shed it as real LP vertices accumulate.
-    vertices = {_vertex_key(start): (start, 1.0)}
-    p = start.copy()
-    f, g = value_grad(p)
-    gap = np.inf
-    best_f = f
-    last_progress = 0
-    for it in range(1, max_iters + 1):
+    p = polytope.interior_start()
+    vertices = {_vertex_key(p): (p, 1.0)}
+    best_f, last_progress = -np.inf, 0
+    for it in range(1, config.max_iters + 1):
+        f, g = _cmi_value_grad(Wr, wlogw_rows, p)
         s = polytope.lp_max(g)
         gap = float(g @ (s - p))
-        if gap <= tol:
+        if gap <= config.tol:
             return p, f, gap, it, True
         if f > best_f + _STALL_TOL:
-            best_f = f
-            last_progress = it
-        elif it - last_progress >= _STALL_WINDOW:
+            best_f, last_progress = f, it
+        elif stall_window and it - last_progress >= stall_window:
             return p, f, gap, it, False
-        away_key = min(vertices, key=lambda key: float(g @ vertices[key][0]))
-        v_away, w_away = vertices[away_key]
-        away_gap = float(g @ (p - v_away))
-        if gap >= away_gap or w_away >= 1.0 - 1e-15:
-            d = s - p
-            gamma = _line_search(value_grad, p, d, 1.0)
-            if gamma >= 1.0 - 1e-15:
-                vertices = {_vertex_key(s): (s, 1.0)}
-            else:
-                vertices = {k: (v, w * (1.0 - gamma)) for k, (v, w) in vertices.items()}
-                key = _vertex_key(s)
-                prev = vertices.get(key)
-                vertices[key] = (s, gamma + (prev[1] if prev else 0.0))
-        else:
-            d = p - v_away
-            gamma_max = w_away / (1.0 - w_away)
-            gamma = _line_search(value_grad, p, d, gamma_max)
-            vertices = {k: (v, w * (1.0 + gamma)) for k, (v, w) in vertices.items()}
-            v, w = vertices[away_key]
-            w -= gamma
-            if w <= 1e-15:
-                del vertices[away_key]
-            else:
-                vertices[away_key] = (v, w)
-        p = np.zeros_like(p)
-        for v, w in vertices.values():
-            p += w * v
-        f, g = value_grad(p)
+        away = min(vertices, key=lambda key: float(g @ vertices[key][0]))
+        v_away, w_away = vertices.pop(away)
+        key = _vertex_key(s)
+        w_s = vertices.pop(key, (s, 0.0))[1]
+        # The far end is a sum of vertices, so coordinates that the step
+        # empties are exactly zero there; p + w_away (s - v_away) would leave
+        # rounding noise, and with it a noisy q = A/pu in emptied groups.
+        rest = sum((w * v for v, w in vertices.values()), np.zeros_like(p))
+        t = _line_search(Wr, wlogw_rows, p, rest + (w_s + w_away) * s)
+        for k, v, w in ((away, v_away, (1.0 - t) * w_away), (key, s, w_s + t * w_away)):
+            if w > 0:  # adds, in case s and v_away round to the same key
+                vertices[k] = (v, w + vertices.get(k, (v, 0.0))[1])
+        p = sum(w * v for v, w in vertices.values())
     raise ConvergenceError(
-        f"Frank-Wolfe did not reach gap {tol} in {max_iters} iterations "
-        f"(last gap {gap:.3e})", gap=gap, iterations=max_iters)
+        f"Frank-Wolfe did not reach gap {config.tol} in {config.max_iters} "
+        f"iterations (last gap {gap:.3e})", gap=gap, iterations=config.max_iters)
 
 
 def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
@@ -300,19 +285,26 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
                            config: SolverConfig = SolverConfig(),
                            tail_eps: float = 1e-10) -> StationaryBound:
     """max I(all k+1 inputs; current output) over shift-consistent joint laws
-    with average intensity at most alpha."""
-    k = spec.impulse.order
-    channel = _single_slot_channel(spec, grid, tail_eps)
-    W = channel.transition
-    d = _wlogw_rows(W)
-    poly = _StationaryPolytope(grid, k, spec.alpha)
-    p, f, gap, it, converged = _frank_wolfe(
-        lambda x: _mi_value_grad(W, d, x), poly, config.tol, config.max_iters)
-    if not converged:
-        raise ConvergenceError(
-            f"stationary upper bound stalled at gap {gap:.3e}", gap=gap, iterations=it)
+    with average intensity at most alpha.  The objective is smooth and
+    concave, so Frank-Wolfe runs until its gap reaches config.tol."""
+    W = _single_slot_channel(spec, grid, tail_eps).transition
+    poly = _StationaryPolytope(grid, spec.impulse.order, spec.alpha)
+    p, f, gap, it, _ = _frank_wolfe(W[None], _wlogw_rows(W), poly, config)
     return StationaryBound(upper=f, lower=None, upper_dist=p, lower_dist=None,
                            fw_gap=max(gap, 0.0), iterations=it)
+
+
+# The lower bound's objective is not differentiable where a prefix group
+# loses all mass, and its maximizer often kills whole grid values.  There
+# the value stops rising while the gap stays high: on the full support,
+# taps (0.7, 0.3), lambda0 5, amax 40, alpha 15, grid 5 is still at gap
+# 6.4e-4 after 10,000 iterations.
+# So a lower-bound run that has not gained _STALL_TOL in _STALL_WINDOW
+# iterations drops the prefix groups with mass at most _GROUP_KILL_THRESHOLD
+# and restarts on the smaller polytope, where the objective is smooth.
+_STALL_WINDOW = 80
+_STALL_TOL = 1e-12
+_GROUP_KILL_THRESHOLD = 1e-9
 
 
 def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
@@ -321,28 +313,22 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     """max I(current input; current output | k previous inputs) over the same
     polytope; any feasible law here yields a valid lower bound on capacity.
 
-    The conditional objective is not differentiable where a prefix group
-    loses all mass, and the maximizer often kills whole grid values; when the
-    loop stalls on such a boundary the support is restricted to the surviving
-    groups (where the objective is smooth) and re-solved, so the reported
-    fw_gap certifies optimality over the final support.
+    When the loop stalls where prefix groups die, the support is restricted
+    to the surviving groups and re-solved, so the reported fw_gap certifies
+    optimality over the final support.
     """
     k = spec.impulse.order
-    channel = _single_slot_channel(spec, grid, tail_eps)
     m = grid.as_array().size
-    W = channel.transition
-    Wr = W.reshape(m ** k, m, W.shape[1])
-    d = _wlogw_rows(W)
-    vg = lambda x: _cmi_value_grad(Wr, d, x)
-
     npref = m ** k
+    W = _single_slot_channel(spec, grid, tail_eps).transition
+    Wr, wlogw = W.reshape(npref, m, W.shape[1]), _wlogw_rows(W)
     t = np.arange(m ** (k + 1))
     prefix, suffix = t // m, t % npref
-    active = np.ones(m ** (k + 1), dtype=bool)
+    active = np.ones(t.size, dtype=bool)
     total_it = 0
     for _ in range(1 + npref):
         poly = _StationaryPolytope(grid, k, spec.alpha, active=active)
-        p, f, gap, it, converged = _frank_wolfe(vg, poly, config.tol, config.max_iters)
+        p, f, gap, it, converged = _frank_wolfe(Wr, wlogw, poly, config, _STALL_WINDOW)
         total_it += it
         if converged:
             return StationaryBound(upper=None, lower=f, upper_dist=None,

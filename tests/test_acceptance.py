@@ -8,7 +8,6 @@ import pytest
 import ltipc as lp
 from ltipc.bounds import (
     _cmi_value_grad,
-    _mi_value_grad,
     _single_slot_channel,
     _wlogw_rows,
 )
@@ -121,9 +120,10 @@ def test_a05_stationary_bounds_consistency(isi_instance, c_bounds):
 
 
 def test_a06_gradient_finite_differences(isi_instance):
-    """Analytic gradients of both stationary objectives vs central finite
-    differences (h=1e-6) at 20 random interior polytope points, max relative
-    error below 1e-4."""
+    """Analytic gradients of the stationary objective, with one prefix group
+    (I(X; Y), the upper bound) and with m groups (the lower bound), vs
+    central finite differences (h=1e-6) at 20 random interior polytope
+    points, max relative error below 1e-4."""
     spec, grid = isi_instance
     ch = _single_slot_channel(spec, grid, 1e-10)
     m = 5
@@ -137,7 +137,7 @@ def test_a06_gradient_finite_differences(isi_instance):
         M = rng.random((m, m)) + 0.05
         P = (M + M.T) / 2
         p = (P / P.sum()).reshape(-1)
-        for value_grad in (lambda x: _mi_value_grad(W, d, x),
+        for value_grad in (lambda x: _cmi_value_grad(W[None], d, x),
                            lambda x: _cmi_value_grad(Wr, d, x)):
             _, g = value_grad(p)
             for i in range(p.size):

@@ -8,7 +8,7 @@ import pytest
 import ltipc as lp
 from ltipc.bounds import (
     _cmi_value_grad,
-    _mi_value_grad,
+    _line_search,
     _project_feasible,
     _single_slot_channel,
     _StationaryPolytope,
@@ -61,6 +61,12 @@ class TestSandwichBounds:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+@pytest.fixture(scope="module")
+def small_isi_bounds():
+    """Both stationary bounds of the small-ISI instance on grid 3."""
+    return lp.stationary_bounds(small_isi_spec(), lp.InputGrid.uniform(10.0, 3), FW_CFG)
+
+
 class TestStationaryBounds:
     def test_k0_reduces_to_ba(self):
         spec = lp.ChannelSpec(lp.ImpulseResponse((1.0,)), 2.0, 10.0, 3.0)
@@ -79,11 +85,8 @@ class TestStationaryBounds:
         c1 = lp.block_sandwich_bounds(lp.BlockChannelSpec(spec, grid, r=1), CFG)
         assert up.upper <= c1.upper + 1e-6
 
-    def test_lower_below_upper(self):
-        spec = small_isi_spec()
-        grid = lp.InputGrid.uniform(10.0, 3)
-        b = lp.stationary_bounds(spec, grid, FW_CFG)
-        assert b.lower <= b.upper + 1e-6
+    def test_lower_below_upper(self, small_isi_bounds):
+        assert small_isi_bounds.lower <= small_isi_bounds.upper + 1e-6
 
     def test_feasible_point_below_maximum(self):
         """Any equal-marginal product law is feasible, so its objective
@@ -97,12 +100,10 @@ class TestStationaryBounds:
         val = lp.mutual_information(ch, joint)
         assert val <= up.upper + 1e-6
 
-    def test_certificates_satisfy_constraints(self):
+    def test_certificates_satisfy_constraints(self, small_isi_bounds):
         spec = small_isi_spec()
-        grid = lp.InputGrid.uniform(10.0, 3)
-        b = lp.stationary_bounds(spec, grid, FW_CFG)
-        poly = _StationaryPolytope(grid, 1, spec.alpha)
-        for dist in (b.upper_dist, b.lower_dist):
+        poly = _StationaryPolytope(lp.InputGrid.uniform(10.0, 3), 1, spec.alpha)
+        for dist in (small_isi_bounds.upper_dist, small_isi_bounds.lower_dist):
             P = dist.reshape(3, 3)
             np.testing.assert_allclose(P.sum(axis=1), P.sum(axis=0), atol=1e-8)
             assert dist @ poly.cost <= spec.alpha + 1e-8
@@ -115,6 +116,16 @@ class TestStationaryBounds:
             lp.stationary_upper_bound(spec, grid,
                                       lp.SolverConfig(tol=1e-12, max_iters=3))
 
+    def test_grid4_upper_converges(self):
+        """The upper bound has no stall exit: on grid 4 at alpha 10 it runs
+        to the default gap tolerance and stays below C_1."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 10.0)
+        grid = lp.InputGrid.uniform(40.0, 4)
+        up = lp.stationary_upper_bound(spec, grid)
+        c1 = lp.block_sandwich_bounds(lp.BlockChannelSpec(spec, grid, r=1), CFG)
+        assert up.fw_gap <= 1e-9
+        assert up.upper <= c1.upper + 1e-6
+
 
 class TestObjectiveGradients:
     def _random_polytope_interior(self, rng, m):
@@ -123,21 +134,22 @@ class TestObjectiveGradients:
         return (P / P.sum()).reshape(-1)
 
     def test_mi_gradient_finite_difference(self):
+        """One prefix group: the objective is I(X; Y)."""
         spec = small_isi_spec(alpha=10.0)
         grid = lp.InputGrid.uniform(10.0, 3)
         ch = _single_slot_channel(spec, grid, 1e-10)
-        W = ch.transition
-        d = _wlogw_rows(W)
+        W = ch.transition[None]
+        d = _wlogw_rows(ch.transition)
         rng = np.random.default_rng(0)
         h = 1e-6
         for _ in range(5):
             p = self._random_polytope_interior(rng, 3)
-            _, g = _mi_value_grad(W, d, p)
+            _, g = _cmi_value_grad(W, d, p)
             for i in range(p.size):
                 e = np.zeros_like(p)
                 e[i] = h
-                fd = (_mi_value_grad(W, d, p + e)[0]
-                      - _mi_value_grad(W, d, p - e)[0]) / (2 * h)
+                fd = (_cmi_value_grad(W, d, p + e)[0]
+                      - _cmi_value_grad(W, d, p - e)[0]) / (2 * h)
                 assert abs(fd - g[i]) / max(abs(fd), 1e-9) < 1e-4
 
     def test_cmi_gradient_finite_difference(self):
@@ -157,6 +169,44 @@ class TestObjectiveGradients:
                 fd = (_cmi_value_grad(Wr, d, p + e)[0]
                       - _cmi_value_grad(Wr, d, p - e)[0]) / (2 * h)
                 assert abs(fd - g[i]) / max(abs(fd), 1e-9) < 1e-4
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("n_groups", [1, 3])
+    def test_beats_dense_grid(self, n_groups):
+        """Pairwise directions d = s - v from p = (1 - w) r + w v, so that
+        p + gamma d stays nonnegative up to gamma_max = w.  The search
+        returns t on the segment from p to p + gamma_max d; gamma = t
+        gamma_max lies in [0, gamma_max] and its value is at least the best
+        of 1,001 evenly spaced gammas, minus 1e-12."""
+        spec = small_isi_spec(alpha=10.0)
+        ch = _single_slot_channel(spec, lp.InputGrid.uniform(10.0, 3), 1e-10)
+        Wr = ch.transition.reshape(n_groups, 9 // n_groups, ch.n_outputs)
+        w = _wlogw_rows(ch.transition)
+        f = lambda x: _cmi_value_grad(Wr, w, x)[0]
+        rng = np.random.default_rng(5)
+        for trial in range(24):
+            r = rng.random(9) + 0.05
+            s, v = rng.dirichlet(np.ones(9), size=2)
+            if trial % 2 and n_groups == 1:
+                s, v = np.eye(9)[rng.integers(9, size=2)]
+            elif trial % 2:
+                # r leaves group u empty, and one of s, v is a law inside it,
+                # the other a vertex outside: the step revives or empties u.
+                u = rng.integers(3)
+                r[3 * u:3 * u + 3] = 0.0
+                s, v = np.zeros(9), np.eye(9)[(3 * u + 3 + rng.integers(6)) % 9]
+                s[3 * u:3 * u + 3] = rng.dirichlet(np.ones(3))
+                if trial % 4 == 3:
+                    s, v = v, s
+            r /= r.sum()
+            gamma_max = rng.uniform(0.05, 1.0)
+            p = (1.0 - gamma_max) * r + gamma_max * v
+            d = s - v
+            gamma = gamma_max * _line_search(Wr, w, p, p + gamma_max * d)
+            assert 0.0 <= gamma <= gamma_max
+            best = max(f(p + x * d) for x in np.linspace(0.0, gamma_max, 1001))
+            assert f(p + gamma * d) >= best - 1e-12
 
 
 class TestSymKlGeneric:
