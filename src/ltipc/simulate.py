@@ -4,9 +4,12 @@ multi-terminal network law, plus a plug-in mutual-information estimator.
 Reproducibility contract: all randomness flows through Philox (a counter
 based generator) keyed by (seed, stream), and Poisson variates are drawn by
 a fixed, documented algorithm: inversion by sequential search below
-intensity 30, Atkinson's logistic-envelope accept-reject above.  Trial
-number and a purpose tag select the stream, so traces are independent of
-execution order and identical across platforms for a given seed.
+intensity 30, Atkinson's logistic-envelope accept-reject above.  Each trial
+(and each receiver within it) draws all its slots in one `poisson_draw`
+call, which takes the draws per distinct intensity in ascending order,
+slots in index order within each.  Trial number and a purpose tag select
+the stream, so traces are independent of execution order and identical
+across platforms for a given seed.
 """
 from __future__ import annotations
 
@@ -19,6 +22,16 @@ from scipy.special import gammaln
 from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, convolve
 
 _INVERSION_CUTOFF = 30.0
+_ROUND = 16  # fewest proposals in an Atkinson round
+# Atkinson groups of at most _SMALL slots have their first rounds evaluated
+# ahead, up to _BATCH groups at once.  The sampler accepts about 65% of its
+# proposals at intensity 30, and more above, so a first round of 16 fills a
+# group of 8 with probability above 0.93, one of 12 below 0.31.  A pass is
+# redone from the first group it does not fill, so _BATCH bounds the wasted
+# work and the memory of a pass.
+_SMALL = 8
+_BATCH = 64
+_TABLE_ENTRIES = 1 << 15  # cap on the inversion cdf table of one block
 
 # Stream tags keep the trial substreams of different operations disjoint.
 _STREAM_P2P = 1
@@ -85,65 +98,178 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _poisson_inversion(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """Inversion by sequential search; one uniform per variate."""
-    u = gen.random(size)
-    counts = np.zeros(size, dtype=np.int64)
-    pmf = math.exp(-lam)
-    cdf = np.full(size, pmf)
-    k = 0
+class _Uniforms:
+    """The generator's uniforms, readable ahead: `peek` draws the next n
+    without using them, `take` uses them."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.ahead = np.empty(0)
+
+    def peek(self, n: int) -> np.ndarray:
+        if self.ahead.size < n:
+            self.ahead = np.concatenate([self.ahead, self.gen.random(n - self.ahead.size)])
+        return self.ahead[:n]
+
+    def take(self, n: int) -> np.ndarray:
+        out = self.peek(n)
+        self.ahead = self.ahead[n:]
+        return out
+
+
+def _inversion(lam: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson counts by inversion, one uniform per variate: u[i] draws with
+    intensity lam[row[i]], where lam holds distinct intensities in (0, 30)
+    and row is ascending.  The count is the smallest k <= kmax with
+    u <= F(k), F summing p_k = p_{k-1} * lam / k from p_0 = exp(-lam) in
+    order, so it matches a sequential search."""
     # Search depth is bounded: the cdf reaches 1 - 1e-15 well before this cap.
-    kmax = int(lam + 40.0 * math.sqrt(lam + 1.0) + 50)
-    pending = u > cdf
-    while pending.any() and k < kmax:
-        k += 1
-        pmf *= lam / k
-        cdf[pending] += pmf
-        counts[pending] = k
-        pending = u > cdf
+    kmax = (lam + 40.0 * np.sqrt(lam + 1.0) + 50).astype(np.int64)
+    depth = int(kmax.max()) + 1
+    counts = np.empty(u.size, dtype=np.int64)
+    # The cdf table is built for a block of intensities at a time, so it
+    # stays small however many distinct intensities a call has.
+    step = max(1, _TABLE_ENTRIES // depth)
+    for lo in range(0, lam.size, step):
+        block = lam[lo: lo + step]
+        cdf = np.empty((block.size, depth))
+        cdf[:, 0] = [math.exp(-x) for x in block.tolist()]
+        np.divide(block[:, None], np.arange(1, depth), out=cdf[:, 1:])
+        np.multiply.accumulate(cdf, axis=1, out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        # Complex numbers order by real part, then imaginary part, so one
+        # search over (row, F) keys finds each u in its own row's cdf.
+        keys = np.empty(cdf.shape, dtype=np.complex128)
+        keys.real = np.arange(block.size)[:, None]
+        keys.imag = cdf
+        a, b = np.searchsorted(row, [lo, lo + step])
+        local = row[a:b] - lo
+        query = np.empty(b - a, dtype=np.complex128)
+        query.real = local
+        query.imag = u[a:b]
+        k = np.searchsorted(keys.ravel(), query, side="left") - local * depth
+        counts[a:b] = np.minimum(k, kmax[row[a:b]])
     return counts
 
 
-def _poisson_atkinson(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """Atkinson's logistic-envelope accept-reject for large intensities.
+def _atkinson_constants(lam: np.ndarray) -> tuple:
+    """Arrays (alpha, beta, k, log lam) of Atkinson's logistic envelope.
+    Logarithms are taken with `math`: NumPy's vectorized log can differ
+    from it in the last bit, which would move draws."""
+    beta = math.pi / np.sqrt(3.0 * lam)
+    log_c = [math.log(c) for c in (0.767 - 3.36 / lam).tolist()]
+    log_beta = [math.log(x) for x in beta.tolist()]
+    log_lam = [math.log(x) for x in lam.tolist()]
+    return beta * lam, beta, np.subtract(log_c, lam) - log_beta, np.array(log_lam)
 
-    Proposals are drawn in deterministic rounds so the uniform consumption
-    order, and hence the output, is fixed by the generator state alone.
-    """
-    beta = math.pi / math.sqrt(3.0 * lam)
-    alpha = beta * lam
-    c = 0.767 - 3.36 / lam
-    k = math.log(c) - lam - math.log(beta)
+
+def _atkinson_proposals(u, v, alpha, beta, k, log_lam):
+    """Proposed counts for uniform pairs (u, v) and whether each is accepted;
+    the constants may be scalars or arrays broadcasting against u."""
+    ok_u = (u > 0.0) & (u < 1.0)
+    x = np.where(ok_u, (alpha - np.log((1.0 - u) / np.where(ok_u, u, 0.5))) / beta, -1.0)
+    n = np.floor(x + 0.5)
+    valid = ok_u & (n >= 0)
+    y = alpha - beta * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = y + np.log(v) - 2.0 * np.logaddexp(0.0, y)
+        rhs = k + n * log_lam - gammaln(n + 1.0)
+    return n, valid & (lhs <= rhs)
+
+
+def _atkinson(stream: _Uniforms, size: int, consts: tuple) -> np.ndarray:
+    """size Poisson variates by Atkinson's accept-reject, in rounds of
+    max(still needed, _ROUND) proposals: the u of a round, then its v."""
     out = np.empty(size, dtype=np.int64)
     filled = 0
     while filled < size:
-        n_draw = max(size - filled, 16)
-        u = gen.random(n_draw)
-        v = gen.random(n_draw)
-        ok_u = (u > 0.0) & (u < 1.0)
-        x = np.where(ok_u, (alpha - np.log((1.0 - u) / np.where(ok_u, u, 0.5))) / beta, -1.0)
-        n = np.floor(x + 0.5)
-        valid = ok_u & (n >= 0)
-        y = alpha - beta * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = y + np.log(v) - 2.0 * np.logaddexp(0.0, y)
-            rhs = k + n * math.log(lam) - gammaln(n + 1.0)
-        accept = valid & (lhs <= rhs)
+        n_draw = max(size - filled, _ROUND)
+        uv = stream.take(2 * n_draw)
+        n, accept = _atkinson_proposals(uv[:n_draw], uv[n_draw:], *consts)
         picked = np.flatnonzero(accept)[: size - filled]
-        out[filled: filled + picked.size] = n[picked].astype(np.int64)
+        out[filled: filled + picked.size] = n[picked]
         filled += picked.size
     return out
 
 
-def poisson_draw(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """size iid Poisson(lam) variates from the given generator."""
-    if lam < 0 or not np.isfinite(lam):
-        raise ValueError(f"intensity must be finite and >= 0, got {lam}")
-    if lam == 0:
-        return np.zeros(size, dtype=np.int64)
-    if lam < _INVERSION_CUTOFF:
-        return _poisson_inversion(gen, lam, size)
-    return _poisson_atkinson(gen, lam, size)
+def _atkinson_first_rounds(stream: _Uniforms, sizes: np.ndarray, consts: tuple) -> tuple:
+    """Atkinson groups of size <= _SMALL, drawn in turn while each group's
+    first round fills it; all those rounds are evaluated in one pass over
+    uniforms read ahead.  Returns how many groups were filled, which stops
+    at the first group whose first round falls short, and their draws.
+
+    Every group still to be drawn uses at least one round, 2 * _ROUND
+    uniforms, and no more than that is read ahead per group; so all that is
+    read ahead gets used, and the generator ends where drawing each group in
+    turn leaves it.
+    """
+    m = sizes.size
+    uv = stream.peek(2 * _ROUND * m).reshape(m, 2, _ROUND)
+    n, accept = _atkinson_proposals(np.ascontiguousarray(uv[:, 0]),
+                                    np.ascontiguousarray(uv[:, 1]),
+                                    *(c[:, None] for c in consts))
+    rank = np.cumsum(accept, axis=1)
+    short = rank[:, -1] < sizes
+    filled = int(np.argmax(short)) if short.any() else m
+    stream.take(2 * _ROUND * filled)
+    keep = accept[:filled] & (rank[:filled] <= sizes[:filled, None])
+    return filled, n[:filled][keep]
+
+
+def poisson_draw(gen: np.random.Generator, lam, size: int | None = None) -> np.ndarray:
+    """Poisson variates with per-slot intensities lam, or size iid
+    Poisson(lam) variates when size is given.
+
+    The draws for the slots of each distinct intensity are taken in turn,
+    intensities in ascending order and slots in index order within each:
+    inversion by sequential search below intensity 30 (one uniform per
+    variate), Atkinson's logistic-envelope accept-reject at or above it.
+    The output, and the generator state it leaves, depend only on the
+    intensities and the state it is given.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    bad = ~(np.isfinite(lam) & (lam >= 0))
+    if bad.any():
+        raise ValueError(f"intensity must be finite and >= 0, got {lam[bad].flat[0]}")
+    if size is not None:
+        lam = np.full(size, lam)
+    # Sort slots by intensity, stably, so each distinct intensity's slots
+    # form one run in index order: zeros, then inversion, then Atkinson.
+    order = np.argsort(lam, axis=None, kind="stable")
+    lam_sorted = lam.ravel()[order]
+    new_run = np.diff(lam_sorted, prepend=-1.0) != 0
+    starts = np.flatnonzero(new_run)
+    values = lam_sorted[starts]
+    n_zero = int(np.searchsorted(lam_sorted, 0.0, side="right"))
+    n_low = int(np.searchsorted(lam_sorted, _INVERSION_CUTOFF, side="left"))
+    counts = np.zeros(lam_sorted.size, dtype=np.int64)
+    stream = _Uniforms(gen)
+    if n_low > n_zero:
+        row = np.cumsum(new_run[n_zero:n_low]) - 1
+        low = values[(values > 0) & (values < _INVERSION_CUTOFF)]
+        counts[n_zero:n_low] = _inversion(low, row, stream.take(n_low - n_zero))
+    high = starts >= n_low
+    sizes = np.diff(np.append(starts, lam_sorted.size))[high]
+    consts = _atkinson_constants(values[high])
+    at, i = n_low, 0
+    while i < sizes.size:
+        if sizes[i] <= _SMALL:  # a run of small groups: first rounds at once
+            run = i + int(np.argmax(np.append(sizes[i: i + _BATCH] > _SMALL, True)))
+            filled, drawn = _atkinson_first_rounds(
+                stream, sizes[i:run], tuple(c[i:run] for c in consts))
+            counts[at: at + drawn.size] = drawn
+            at += drawn.size
+            i += filled
+            if i == run:
+                continue
+        # A large group, or the small one whose first round fell short.
+        size_i = int(sizes[i])
+        counts[at: at + size_i] = _atkinson(stream, size_i, tuple(float(c[i]) for c in consts))
+        at += size_i
+        i += 1
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out.reshape(lam.shape)
 
 
 def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
@@ -160,14 +286,9 @@ def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
         raise ValueError("inputs must lie in [0, amax]")
     lam = spec.lambda0 + convolve(x, spec.impulse)
     outputs = np.empty((sim.n_trials, 1, sim.n_slots), dtype=np.int64)
-    # Slots sharing an intensity are drawn in one batch; the grouping is a
-    # pure function of the inputs, so traces stay reproducible.
-    uniq, inv = np.unique(lam, return_inverse=True)
-    groups = [np.flatnonzero(inv == gi) for gi in range(uniq.size)]
     for trial in range(sim.n_trials):
         gen = substream(sim.seed, (_STREAM_P2P << 32) + trial)
-        for lam_val, slots in zip(uniq, groups):
-            outputs[trial, 0, slots] = poisson_draw(gen, lam_val, slots.size)
+        outputs[trial, 0] = poisson_draw(gen, lam)
     return Trace(inputs=x[None, :], outputs=outputs)
 
 
@@ -186,16 +307,10 @@ def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
             taps = net.impulses[l, j]
             lam[j] += np.convolve(x[l], taps)[: sim.n_slots]
     outputs = np.empty((sim.n_trials, net.n_rx, sim.n_slots), dtype=np.int64)
-    per_rx = []
-    for j in range(net.n_rx):
-        uniq, inv = np.unique(lam[j], return_inverse=True)
-        per_rx.append((uniq, [np.flatnonzero(inv == gi) for gi in range(uniq.size)]))
     for trial in range(sim.n_trials):
         gen = substream(sim.seed, (_STREAM_NETWORK << 32) + trial)
         for j in range(net.n_rx):
-            uniq, groups = per_rx[j]
-            for lam_val, slots in zip(uniq, groups):
-                outputs[trial, j, slots] = poisson_draw(gen, lam_val, slots.size)
+            outputs[trial, j] = poisson_draw(gen, lam[j])
     return Trace(inputs=x, outputs=outputs)
 
 

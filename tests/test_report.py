@@ -8,11 +8,13 @@ import ltipc as lp
 from ltipc.report import (
     BOUND_COLUMNS,
     BoundRow,
+    fmt,
     instance_hash,
     provenance_line,
     sandwich_rows,
     verdict_rows,
     write_bound_report,
+    write_trace,
 )
 
 
@@ -87,3 +89,28 @@ class TestSandwichRows:
         assert rows[1].bound_name == "grid upper bound of the discretized problem"
         assert rows[0].value_nats <= rows[1].value_nats + 1e-12
         assert rows[0].r == rows[1].r == 1
+
+
+class TestWriteTrace:
+    def test_rows_match_trace_row_streams(self, tmp_path):
+        """The data rows written are the trace's own row streams, for a
+        network with more receivers than transmitters."""
+        impulses = np.zeros((2, 3, 2))
+        impulses[0, 0] = (0.6, 0.4)
+        impulses[1, 1] = (1.0, 0.0)
+        impulses[0, 2] = (0.2, 0.1)
+        net = lp.NetworkSpec(impulses=impulses, lambda0=2.0, amax=np.array([60.0, 60.0]),
+                             alpha=np.array([10.0, 10.0]))
+        x = np.vstack([np.resize([0.0, 60.0, 0.1], 7), np.resize([60.0, 1.0 / 3.0], 7)])
+        trace = lp.simulate_network(net, x, lp.SimConfig(seed=4, n_slots=7, n_trials=3))
+        paths = write_trace(tmp_path / "t", trace, "abc123", "config: test")
+        expected = (
+            [f"{t},{s},{n},{fmt(float(v))}" for t, s, n, v in trace.input_rows()],
+            [f"{t},{s},{n},{y}" for t, s, n, y in trace.output_rows()],
+        )
+        for path, header, rows in zip(paths, ("trial,slot,tx_id,x", "trial,slot,rx_id,y"),
+                                      expected):
+            lines = open(path, encoding="utf-8").read().split("\n")
+            assert lines[0] == provenance_line("abc123", "config: test")
+            assert lines[1] == header
+            assert lines[2:] == rows + [""]

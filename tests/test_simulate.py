@@ -1,13 +1,16 @@
 """Monte Carlo simulator: reproducibility, distributional correctness,
 thinning consistency, plug-in mutual-information estimates."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import ltipc as lp
-from ltipc.simulate import poisson_draw, substream
+from ltipc.simulate import _inversion, poisson_draw, substream
 
 from helpers import poisson_pmf_recurrence
 
@@ -48,6 +51,123 @@ class TestPoissonSampler:
     def test_rejects_bad_intensity(self):
         with pytest.raises(ValueError):
             poisson_draw(substream(0, 0), -1.0, 5)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_bad_intensity_in_array(self, bad):
+        with pytest.raises(ValueError):
+            poisson_draw(substream(0, 0), np.array([3.0, bad, 40.0]))
+
+
+def draw_per_intensity(gen, lam):
+    """One scalar draw per distinct intensity, ascending, scattered back to
+    that intensity's slots: the contract of the array form."""
+    out = np.empty(lam.size, dtype=np.int64)
+    for value in np.unique(lam):
+        slots = np.flatnonzero(lam == value)
+        out[slots] = poisson_draw(gen, value, slots.size)
+    return out
+
+
+def assert_array_form_matches(lam, seed):
+    """Same draws, and the generator left in the same state."""
+    gen_a, gen_b = substream(seed, 5), substream(seed, 5)
+    np.testing.assert_array_equal(poisson_draw(gen_a, lam), draw_per_intensity(gen_b, lam))
+    np.testing.assert_array_equal(gen_a.random(8), gen_b.random(8))
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("lam", [
+        [0.0, 0.0, 0.0],
+        [0.0, 2.5, 0.0, 2.5, 7.0],
+        [29.999999, 30.0, 30.000001, 29.999999, 30.0],
+        [45.0, 3.0, 45.0, 0.0, 31.0, 3.0, 120.0, 45.0],
+        [55.0] * 40 + [31.0] * 17 + [12.0] * 5,          # Atkinson groups > 16
+        list(np.resize([30.5, 33.0, 64.0, 90.0, 0.5], 80)),  # groups of exactly 16
+        [60.0] * 3 + [75.0] * 600,                       # many rounds
+        list(np.linspace(29.99, 0.01, 400)),             # several inversion cdf blocks
+        list(np.resize(np.linspace(30.0, 31.0, 70), 560)),  # first rounds falling short
+    ])
+    def test_matches_per_intensity_loop(self, lam):
+        for seed in range(4):
+            assert_array_form_matches(np.array(lam), seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.3, 4.0, 17.5, 29.5, 30.0, 33.3, 58.0, 95.0, 240.0])
+                    | st.floats(0.0, 150.0), min_size=1, max_size=120),
+           st.integers(0, 2 ** 32))
+    def test_random_mix(self, lam, seed):
+        assert_array_form_matches(np.array(lam), seed)
+
+    @pytest.mark.parametrize("lam, size, digest", [
+        (np.resize([30.5, 33.0, 64.0, 90.0, 0.5], 80), None,
+         "7a48a6d6c4c644035144ae49276fa295f28e980e39072404b6a1d390aa9de9af"),
+        (np.array([45.0, 3.0, 45.0, 0.0, 31.0, 3.0, 120.0, 45.0] * 3), None,
+         "ed7c48300d9d01b582ff76207183bbd64a3bf8c98bfd16259114c32c9a07ca36"),
+        (np.resize(np.linspace(30.0, 31.0, 70), 560), None,
+         "ccd64b98de4df1309178fe08ba6932bc21cb272b6d3a55891664cdc4cbb86c3b"),
+        (45.0, 16, "14bc9d561b50b3d1d62a3ecbc52377f765c9e84d257f4d946fc446d824ecf2e2"),
+        (120.0, 5, "4a97158a87955ba632a93dde3e3444337b5b401de8462f987e0aff7e5b229862"),
+        (6.0, 1000, "2afa5840fbfd6188277703220484f37254ee938e79b15fa13572d32bfc637b65"),
+        (75.0, 600, "d10548127fc85231e8fe8103f89459acff9e7f31e517da653acc3bd3e01f39c5"),
+    ])
+    def test_draws_and_next_uniforms_pinned(self, lam, size, digest):
+        """Digest of the draws and the next 8 uniforms, recorded with the
+        per-intensity scalar sampler before the array form existed: the
+        generator must end where drawing group by group left it."""
+        gen = substream(11, 3)
+        draws = poisson_draw(gen, lam, size)
+        assert hashlib.sha256(draws.astype(np.int64).tobytes()
+                              + gen.random(8).tobytes()).hexdigest() == digest
+
+    def test_inversion_takes_smallest_k_with_u_at_most_cdf(self):
+        lam = 2.0
+        f0 = math.exp(-lam)
+        f1 = f0 + f0 * (lam / 1)
+        u = np.array([0.0, f0, np.nextafter(f0, 1.0), f1, np.nextafter(f1, 1.0)])
+        np.testing.assert_array_equal(_inversion(np.array([lam]), np.zeros(5, dtype=int), u),
+                                      [0, 0, 1, 1, 2])
+
+    def test_keeps_shape(self):
+        lam = np.array([[1.0, 40.0, 0.0], [40.0, 1.0, 5.0]])
+        y = poisson_draw(substream(3, 1), lam)
+        assert y.shape == lam.shape and y.dtype == np.int64
+        np.testing.assert_array_equal(
+            y.ravel(), poisson_draw(substream(3, 1), lam.ravel()))
+
+
+def outputs_digest(trace):
+    return hashlib.sha256(trace.outputs.astype(np.int64).tobytes()).hexdigest()
+
+
+class TestGoldenTraces:
+    """Output digests recorded before the per-trial draw was vectorized;
+    a change to the sampler that moves any count shows here."""
+
+    P2P_SPEC = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.3, 0.2)), 5.0, 80.0, 40.0)
+
+    @pytest.mark.parametrize("x, digest", [
+        (np.resize(np.linspace(0, 80, 9), 45),
+         "dee5aaf80b2edd57135256b678476b327405704a8d94571a04b718093b27306f"),
+        (np.resize([0.0, 80.0], 64),
+         "ceb71d6f9a8da601339f994d3cac00ef313004866e391ffc449e3c1babaefb5b"),
+        (np.random.default_rng(20141014).permutation(np.resize(np.linspace(0, 80, 9), 128)),
+         "500c2af16263f679867a6966293039e8069b4053ba6683df006147fe3fc7e976"),
+    ])
+    def test_p2p(self, x, digest):
+        sim = lp.SimConfig(seed=7, n_slots=x.size, n_trials=50)
+        assert outputs_digest(lp.simulate_p2p(self.P2P_SPEC, x, sim)) == digest
+
+    def test_network(self):
+        impulses = np.zeros((2, 2, 2))
+        impulses[0, 0] = (0.6, 0.4)
+        impulses[1, 1] = (1.0, 0.0)
+        impulses[0, 1] = (0.2, 0.1)
+        net = lp.NetworkSpec(impulses=impulses, lambda0=2.0, amax=np.array([60.0, 60.0]),
+                             alpha=np.array([10.0, 10.0]))
+        x = np.vstack([np.resize([0, 60, 30], 24), np.resize([60, 0], 24)])
+        trace = lp.simulate_network(net, x, lp.SimConfig(seed=9, n_slots=24, n_trials=40))
+        assert outputs_digest(trace) == \
+            "0c164f7d52ba50c8c3de48ce3f6fd25b6a13732fb1ff099399f81ba82c7ecebf"
 
 
 class TestSimulateP2P:
