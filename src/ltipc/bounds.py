@@ -15,7 +15,6 @@ accordingly.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,8 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import (_COST_WINDOW, _ROOT_STEPS, _TINY, SolverConfig, _check_input_dist,
-                     _log0, _wlogw_rows, ba_capacity)
+from .solver import (_ROOT_STEPS, _TINY, SolverConfig, _budget_search, _check_pmf,
+                     _cheapest_inputs, _log0, _wlogw_rows, ba_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +129,13 @@ def _stationarity_matrix(m: int, k: int) -> np.ndarray:
 
 class _StationaryPolytope:
     """The feasible set of joint laws on grid^(k+1): simplex, equal shifted
-    marginals, average intensity at most alpha.  An optional active mask
-    pins the remaining coordinates to zero."""
+    marginals, average intensity at most alpha.  cost is the single-slot
+    channel's cost vector, one entry per window in build_block_channel's
+    order on an m-point grid."""
 
-    def __init__(self, grid: InputGrid, k: int, alpha: float, active=None):
-        pts = grid.as_array()
-        m = pts.size
-        self.m = m
-        self.k = k
-        self.n = m ** (k + 1)
-        tuples = np.array(list(itertools.product(pts, repeat=k + 1)))
-        self.cost = tuples.mean(axis=1)
+    def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
+        self.cost = cost
+        self.n = cost.size
         rows = [np.ones((1, self.n))]
         if k > 0:
             rows.append(_stationarity_matrix(m, k))
@@ -148,8 +143,11 @@ class _StationaryPolytope:
         self.b_eq = np.zeros(self.A_eq.shape[0])
         self.b_eq[0] = 1.0
         self.alpha = alpha
-        self.active = np.ones(self.n, dtype=bool) if active is None else active
-        self.bounds = [(0, None) if a else (0, 0) for a in self.active]
+        self.bounds = None
+
+    def restrict(self, active: np.ndarray):
+        """Pin the coordinates outside the active mask to zero."""
+        self.bounds = [(0, None) if a else (0, 0) for a in active]
 
     def lp_max(self, g: np.ndarray) -> np.ndarray:
         res = linprog(
@@ -161,29 +159,19 @@ class _StationaryPolytope:
         return np.maximum(res.x, 0.0)
 
     def interior_start(self) -> np.ndarray:
-        """Feasible point positive on the active set: uniform blended toward
-        the cheapest constant tuple until the cost constraint has slack.
+        """Feasible point of full support: the uniform law, blended toward
+        tuple 0 until the cost constraint has slack.
 
-        Constant tuples (v, ..., v) are stationary, so the blend stays in
-        the polytope."""
-        p = np.where(self.active, 1.0, 0.0)
-        p /= p.sum()
+        Tuple 0 is the all-zero window: stationary, and of cost 0 <= alpha,
+        so the blend stays in the polytope."""
+        p = np.full(self.n, 1.0 / self.n)
         c = float(self.cost @ p)
-        if c <= 0.95 * self.alpha or c == 0:
+        if c <= 0.95 * self.alpha:
             return p
-        const_idx = np.array([v * (self.n - 1) // (self.m - 1) for v in range(self.m)]) \
-            if self.m > 1 else np.array([0])
-        const_idx = const_idx[self.active[const_idx]]
-        if const_idx.size == 0:
-            raise ValueError("no constant tuple is active; cannot build a start")
-        anchor = const_idx[np.argmin(self.cost[const_idx])]
-        c_anchor = self.cost[anchor]
-        if c_anchor > self.alpha:
-            raise ValueError("cheapest active constant tuple violates the budget")
-        theta = min(1.0, 0.95 * (self.alpha - c_anchor) / max(c - c_anchor, 1e-300))
-        delta = np.zeros(self.n)
-        delta[anchor] = 1.0
-        return theta * p + (1.0 - theta) * delta
+        theta = 0.95 * self.alpha / c
+        p *= theta
+        p[0] += 1.0 - theta
+        return p
 
 
 def _line_search(Wr, wlogw_rows, p0, p1):
@@ -195,7 +183,7 @@ def _line_search(Wr, wlogw_rows, p0, p1):
     phi''(t) = -sum dA^2/A(t) + sum dpu^2/pu(t) cost O(n_prefix*|Y|) once
     the sums at both ends are known.  Newton steps on the non-increasing phi'
     are kept inside the bracket [lo, hi] (bisection otherwise), as in
-    solver._budget_tilt.
+    solver._budget_search.
     """
     (A0, pu0), (A1, pu1) = _group_sums(Wr, p0), _group_sums(Wr, p1)
     dA, dpu = A1 - A0, pu1 - pu0
@@ -230,34 +218,41 @@ def _vertex_key(v: np.ndarray):
 
 
 def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
-                 config: SolverConfig, stall_window: int | None = None):
+                 config: SolverConfig, vertices: dict | None = None,
+                 stall_window: int | None = None):
     """Maximize _cmi_value_grad's objective over the polytope by pairwise
     Frank-Wolfe (Lacoste-Julien & Jaggi 2015) with exact line search.
 
-    The iterate is a convex combination of vertices, starting from the
-    feasible interior point as a pseudo-vertex.  Each step moves weight from
+    The iterate is a convex combination of vertices, given as a map from
+    _vertex_key to (vertex, weight) or, by default, the feasible interior
+    point as a single pseudo-vertex.  Each step moves weight from
     the active vertex worst for the gradient g to the LP vertex s, so only
     those two weights change.  The linearization gap g.(s - p) certifies
     f* <= f + gap at every iterate; the loop stops once it is at most
     config.tol and raises ConvergenceError at config.max_iters.
 
-    Returns (p, f, gap, iterations, converged).  converged=False is only
-    returned when stall_window is given and f has not risen by _STALL_TOL
-    in that many iterations.
+    Returns (p, f, gap, iterations, vertices), vertices being p's
+    decomposition.  A gap above config.tol is only returned when
+    stall_window is given and f has not risen by _STALL_TOL in that many
+    iterations.
     """
-    p = polytope.interior_start()
-    vertices = {_vertex_key(p): (p, 1.0)}
+    if vertices is None:
+        p = polytope.interior_start()
+        vertices = {_vertex_key(p): (p, 1.0)}
+    else:
+        vertices = dict(vertices)
+        p = sum(w * v for v, w in vertices.values())
     best_f, last_progress = -np.inf, 0
     for it in range(1, config.max_iters + 1):
         f, g = _cmi_value_grad(Wr, wlogw_rows, p)
         s = polytope.lp_max(g)
         gap = float(g @ (s - p))
         if gap <= config.tol:
-            return p, f, gap, it, True
+            return p, f, gap, it, vertices
         if f > best_f + _STALL_TOL:
             best_f, last_progress = f, it
         elif stall_window and it - last_progress >= stall_window:
-            return p, f, gap, it, False
+            return p, f, gap, it, vertices
         away = min(vertices, key=lambda key: float(g @ vertices[key][0]))
         v_away, w_away = vertices.pop(away)
         key = _vertex_key(s)
@@ -287,8 +282,9 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
     """max I(all k+1 inputs; current output) over shift-consistent joint laws
     with average intensity at most alpha.  The objective is smooth and
     concave, so Frank-Wolfe runs until its gap reaches config.tol."""
-    W = _single_slot_channel(spec, grid, tail_eps).transition
-    poly = _StationaryPolytope(grid, spec.impulse.order, spec.alpha)
+    ch = _single_slot_channel(spec, grid, tail_eps)
+    poly = _StationaryPolytope(ch.cost, len(grid.points), spec.impulse.order, spec.alpha)
+    W = ch.transition
     p, f, gap, it, _ = _frank_wolfe(W[None], _wlogw_rows(W), poly, config)
     return StationaryBound(upper=f, lower=None, upper_dist=p, lower_dist=None,
                            fw_gap=max(gap, 0.0), iterations=it)
@@ -301,7 +297,7 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
 # 6.4e-4 after 10,000 iterations.
 # So a lower-bound run that has not gained _STALL_TOL in _STALL_WINDOW
 # iterations drops the prefix groups with mass at most _GROUP_KILL_THRESHOLD
-# and restarts on the smaller polytope, where the objective is smooth.
+# and resumes on the smaller polytope, where the objective is smooth.
 _STALL_WINDOW = 80
 _STALL_TOL = 1e-12
 _GROUP_KILL_THRESHOLD = 1e-9
@@ -314,32 +310,40 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     polytope; any feasible law here yields a valid lower bound on capacity.
 
     When the loop stalls where prefix groups die, the support is restricted
-    to the surviving groups and re-solved, so the reported fw_gap certifies
-    optimality over the final support.
+    to the surviving groups and the loop resumes from the Frank-Wolfe
+    vertices that live there, reweighted to sum to 1.  Each is a feasible
+    LP vertex, so every iterate stays shift-consistent and within budget,
+    and the reported fw_gap certifies optimality over the final support.
     """
     k = spec.impulse.order
-    m = grid.as_array().size
+    m = len(grid.points)
     npref = m ** k
-    W = _single_slot_channel(spec, grid, tail_eps).transition
+    ch = _single_slot_channel(spec, grid, tail_eps)
+    poly = _StationaryPolytope(ch.cost, m, k, spec.alpha)
+    W = ch.transition
     Wr, wlogw = W.reshape(npref, m, W.shape[1]), _wlogw_rows(W)
-    t = np.arange(m ** (k + 1))
+    t = np.arange(poly.n)
     prefix, suffix = t // m, t % npref
-    active = np.ones(t.size, dtype=bool)
-    total_it = 0
+    active = np.ones(poly.n, dtype=bool)
+    vertices, total_it = None, 0
     for _ in range(1 + npref):
-        poly = _StationaryPolytope(grid, k, spec.alpha, active=active)
-        p, f, gap, it, converged = _frank_wolfe(Wr, wlogw, poly, config, _STALL_WINDOW)
+        p, f, gap, it, vertices = _frank_wolfe(Wr, wlogw, poly, config, vertices,
+                                               _STALL_WINDOW)
         total_it += it
-        if converged:
+        if gap <= config.tol:
             return StationaryBound(upper=None, lower=f, upper_dist=None,
                                    lower_dist=p, fw_gap=max(gap, 0.0),
                                    iterations=total_it)
         group_mass = np.bincount(prefix, weights=p, minlength=npref)
         dead = group_mass <= _GROUP_KILL_THRESHOLD
         shrunk = active & ~(dead[prefix] | dead[suffix])
-        if not shrunk.any() or shrunk.sum() == active.sum():
+        vertices = {key: vw for key, vw in vertices.items() if not vw[0][~shrunk].any()}
+        if not vertices or shrunk.sum() == active.sum():
             break
+        total = sum(w for _, w in vertices.values())
+        vertices = {key: (v, w / total) for key, (v, w) in vertices.items()}
         active = shrunk
+        poly.restrict(active)
     raise ConvergenceError(
         f"stationary lower bound stalled at gap {gap:.3e}", gap=gap,
         iterations=total_it)
@@ -391,7 +395,7 @@ def sym_kl_generic(channel: DiscreteChannel, input_dist) -> float:
     Returns math.inf when two inputs of positive mass have rows with
     different supports (the reverse KL diverges).
     """
-    p = _check_input_dist(channel, input_dist)
+    p = _check_pmf(input_dist, channel.n_inputs)
     live = p > 0
     return float(0.5 * p[live] @ _sym_kl_matrix(channel.transition[live]) @ p[live])
 
@@ -401,13 +405,8 @@ def sym_kl_reference_bound(channel: DiscreteChannel, input_dist, ref_out) -> flo
     arbitrary reference output law r(y); with r equal to the true output
     marginal this is sym_kl_generic.  Any valid r yields an upper bound on
     mutual information."""
-    p = _check_input_dist(channel, input_dist)
-    r = np.asarray(ref_out, dtype=np.float64)
-    if r.shape != (channel.n_outputs,):
-        raise ValueError("reference output law has the wrong length")
-    if np.any(r < -1e-12) or abs(r.sum() - 1.0) > 1e-9:
-        raise ValueError("reference output law must be a pmf")
-    r = np.maximum(r, 0.0)
+    p = _check_pmf(input_dist, channel.n_inputs)
+    r = _check_pmf(ref_out, channel.n_outputs, "reference output law")
     W = channel.transition
     live = p > 0
     if np.any((W[live] > 0) & (r[None, :] == 0)) or np.any((W[live] == 0) & (r[None, :] > 0)):
@@ -419,8 +418,10 @@ def sym_kl_reference_bound(channel: DiscreteChannel, input_dist, ref_out) -> flo
     return float(p @ (fwd + rev))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+def _project_simplex(v: np.ndarray, cost: np.ndarray, mu: float) -> np.ndarray:
+    """Euclidean projection of v − mu·c onto the probability simplex."""
+    if mu:
+        v = v - mu * cost
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -432,32 +433,16 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _project_feasible(v: np.ndarray, cost: np.ndarray, alpha) -> np.ndarray:
     """Euclidean projection onto the simplex intersected with cost.p <= alpha
     (alpha >= min cost): the simplex projection p(mu) of v − mu·c at the
-    smallest mu >= 0 that meets the budget.  On a fixed support S the cost of
-    p(mu) is linear in mu with slope −|S|·Var_S(c), so Newton steps kept in a
-    bracket, as in solver._budget_tilt, find mu.  The returned law is the one
-    at the bracket's feasible end, so its cost, as computed, is at most alpha.
+    smallest mu >= 0 that meets the budget, found by solver._budget_search.
     """
-    p = _project_simplex(v)
-    m = float(cost @ p)
-    if m <= alpha:
-        return p
-    window = _COST_WINDOW * float(np.max(np.abs(cost)))
-    lo, hi, p_hi, mu = 0.0, np.inf, None, 0.0
-    for _ in range(_ROOT_STEPS):
-        if m > alpha:
-            lo = mu
-        else:
-            hi, p_hi = mu, p
-            if m >= alpha - window or hi - lo <= 4e-16 * hi:
-                break
-        c_s = cost[p > 0]
-        slope = c_s.size * float(np.var(c_s))
-        mu = mu + (m - alpha + 0.5 * window) / slope if slope > 0 else np.inf
-        if not lo < mu < hi:
-            mu = 0.5 * (lo + hi) if np.isfinite(hi) else max(2.0 * lo, 1.0)
-        p = _project_simplex(v - mu * cost)
-        m = float(cost @ p)
-    return p_hi
+    return _budget_search(_project_simplex, _projection_slope, v, cost, alpha)[1]
+
+
+def _projection_slope(p: np.ndarray, cost: np.ndarray, m: float) -> float:
+    """On a fixed support S the cost of the projection of v − mu·c is linear
+    in mu with slope −|S|·Var_S(c)."""
+    c_s = cost[p > 0]
+    return c_s.size * float(np.var(c_s))
 
 
 def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
@@ -475,18 +460,10 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     The result is the best law found; global optimality is only guaranteed
     when two-point supports suffice.
     """
-    cost = channel.cost
-    idx = np.arange(channel.n_inputs)
-    if alpha is not None:
-        min_cost = float(np.min(cost))
-        if alpha < min_cost - 1e-12:
-            raise ValueError("alpha below the cheapest input cost")
-        if alpha <= min_cost + 1e-12:
-            # Only the cheapest inputs are feasible and they cost the same.
-            idx = np.flatnonzero(cost <= min_cost + 1e-12)
-            alpha = None
+    keep, alpha = _cheapest_inputs(channel.cost, alpha)
+    idx = np.flatnonzero(keep)
     budget = math.inf if alpha is None else alpha
-    cost = cost[idx]
+    cost = channel.cost[idx]
     n = idx.size
     D = _sym_kl_matrix(channel.transition[idx])
 
@@ -563,17 +540,20 @@ def poisson_sym_bound_closed_form(amax: float, alpha: float, lambda0: float) -> 
     return (amax / 4.0) * span
 
 
+def _support_law(support, masses):
+    """A 1-D support and its masses, checked to be a pmf of the same length."""
+    x = np.asarray(support, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("support must be 1-D")
+    return x, _check_pmf(masses, x.size, "masses")
+
+
 def cov_bound_poisson(support, masses, lambda0: float) -> float:
     """Symmetrized-KL bound of a given input law on the memoryless Poisson
     channel: Cov(X + lambda0, log(X + lambda0))."""
-    x = np.asarray(support, dtype=np.float64)
-    p = np.asarray(masses, dtype=np.float64)
-    if x.shape != p.shape or x.ndim != 1:
-        raise ValueError("support and masses must be 1-D and equal length")
+    x, p = _support_law(support, masses)
     if np.any(x < 0):
         raise ValueError("support must be nonnegative")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("masses must form a pmf")
     if not (np.isfinite(lambda0) and lambda0 > 0):
         raise ValueError("lambda0 must be positive")
     shifted = x + lambda0
@@ -584,12 +564,7 @@ def cov_bound_poisson(support, masses, lambda0: float) -> float:
 def gaussian_sym_bound(support, masses, sigma: float, mu: float = 0.0) -> float:
     """Symmetrized-KL bound for the additive Gaussian channel: Var(X)/sigma^2,
     independent of the noise mean."""
-    x = np.asarray(support, dtype=np.float64)
-    p = np.asarray(masses, dtype=np.float64)
-    if x.shape != p.shape or x.ndim != 1:
-        raise ValueError("support and masses must be 1-D and equal length")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("masses must form a pmf")
+    x, p = _support_law(support, masses)
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive")
     mean = float(p @ x)

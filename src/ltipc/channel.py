@@ -404,6 +404,14 @@ _INSTANCE_FIELDS = {"impulse", "lambda0", "amax", "alpha", "grid_points", "tail_
 _REQUIRED_FIELDS = {"impulse", "lambda0", "amax", "alpha"}
 
 
+def _number(value, name: str) -> float:
+    """A JSON field as a float; null, lists and other non-numbers are a ValueError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def parse_instance(text: str):
     """Parse a JSON problem file into (ChannelSpec, grid_points, tail_eps).
 
@@ -426,18 +434,18 @@ def parse_instance(text: str):
     if not isinstance(raw["impulse"], (list, tuple)):
         raise ValueError("impulse must be a list of taps")
     spec = ChannelSpec(
-        impulse=ImpulseResponse(tuple(raw["impulse"])),
-        lambda0=float(raw["lambda0"]),
-        amax=float(raw["amax"]),
-        alpha=float(raw["alpha"]),
+        impulse=ImpulseResponse(tuple(_number(t, "impulse tap") for t in raw["impulse"])),
+        lambda0=_number(raw["lambda0"], "lambda0"),
+        amax=_number(raw["amax"], "amax"),
+        alpha=_number(raw["alpha"], "alpha"),
     )
-    grid_points = int(raw.get("grid_points", DEFAULT_GRID_POINTS))
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    tail_eps = float(raw.get("tail_eps", DEFAULT_TAIL_EPS))
+    grid_points = _number(raw.get("grid_points", DEFAULT_GRID_POINTS), "grid_points")
+    if not (grid_points.is_integer() and grid_points >= 2):
+        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points}")
+    tail_eps = _number(raw.get("tail_eps", DEFAULT_TAIL_EPS), "tail_eps")
     if not (0 < tail_eps <= 1e-3):
         raise ValueError("tail_eps must lie in (0, 1e-3]")
-    return spec, grid_points, tail_eps
+    return spec, int(grid_points), tail_eps
 
 
 def load_instance(path):

@@ -8,8 +8,11 @@ intensity 30, Atkinson's logistic-envelope accept-reject above.  Each trial
 (and each receiver within it) draws all its slots in one `poisson_draw`
 call, which takes the draws per distinct intensity in ascending order,
 slots in index order within each.  Trial number and a purpose tag select
-the stream, so traces are independent of execution order and identical
-across platforms for a given seed.
+the stream, so for a given seed traces are independent of execution order
+and bit-identical on one platform (CPU instruction set, Python, NumPy and
+SciPy builds).  They are not assured across platforms: `math.exp`, NumPy's
+SIMD `log`/`logaddexp` and SciPy's `gammaln` may round differently in the
+last bit elsewhere, which can move a draw that sits on a boundary.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, convolve
+from .solver import _TINY, _check_pmf, _log0
 
 _INVERSION_CUTOFF = 30.0
 _ROUND = 16  # fewest proposals in an Atkinson round
@@ -333,26 +337,20 @@ def _plugin_mi(counts: np.ndarray, n: int) -> float:
     p = counts / n
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p / np.maximum(px * py, 1e-300)), 0.0)
-    return float(terms.sum())
+    return float((p * _log0(p / np.maximum(px * py, _TINY))).sum())
 
 
 def plugin_mi_estimate(channel: DiscreteChannel, input_dist, n_samples: int,
                        seed: int) -> PluginMiEstimate:
     """Sample (x, y) pairs iid from p(x)W(y|x), return the mutual information
     of the empirical joint histogram plus a jackknife standard error."""
-    p = np.asarray(input_dist, dtype=np.float64)
-    if p.shape != (channel.n_inputs,):
-        raise ValueError("input distribution length mismatch")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
-        raise ValueError("input distribution must be a pmf")
+    p = _check_pmf(input_dist, channel.n_inputs)
     min_n = 10 * channel.n_inputs * channel.n_outputs
     if n_samples < min_n:
         raise ValueError(f"need at least {min_n} samples for this alphabet")
 
     gen = substream(seed, _STREAM_PLUGIN << 32)
-    cum_p = np.cumsum(np.maximum(p, 0.0))
+    cum_p = np.cumsum(p)
     cum_p[-1] = 1.0
     xs = np.searchsorted(cum_p, gen.random(n_samples), side="right")
     cum_w = np.cumsum(channel.transition, axis=1)

@@ -66,15 +66,16 @@ class CapacityResult:
         object.__setattr__(self, "input_dist", p)
 
 
-def _check_input_dist(channel: DiscreteChannel, input_dist) -> np.ndarray:
-    p = np.asarray(input_dist, dtype=np.float64)
-    if p.shape != (channel.n_inputs,):
-        raise ValueError(
-            f"input distribution has length {p.shape}, channel has {channel.n_inputs} inputs")
-    if np.any(p < -1e-12):
-        raise ValueError("input distribution has negative entries")
+def _check_pmf(values, size: int, what: str = "input distribution") -> np.ndarray:
+    """values as a float pmf of length size: finite, entries >= -1e-12 (then
+    clipped to 0), summing to 1 within 1e-9."""
+    p = np.asarray(values, dtype=np.float64)
+    if p.shape != (size,):
+        raise ValueError(f"{what} has shape {p.shape}, expected ({size},)")
+    if not np.all(np.isfinite(p) & (p >= -1e-12)):
+        raise ValueError(f"{what} has negative or non-finite entries")
     if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"input distribution sums to {p.sum()}, expected 1")
+        raise ValueError(f"{what} sums to {p.sum()}, expected 1")
     return np.maximum(p, 0.0)
 
 
@@ -99,8 +100,7 @@ def _mi(W: np.ndarray, p: np.ndarray) -> float:
 
 def mutual_information(channel: DiscreteChannel, input_dist) -> float:
     """Exact mutual information of the channel under the given input law."""
-    p = _check_input_dist(channel, input_dist)
-    return _mi(channel.transition, p)
+    return _mi(channel.transition, _check_pmf(input_dist, channel.n_inputs))
 
 
 def _tilt(a: np.ndarray, cost: np.ndarray, s: float) -> np.ndarray:
@@ -112,27 +112,28 @@ def _tilt(a: np.ndarray, cost: np.ndarray, s: float) -> np.ndarray:
     return w
 
 
-def _budget_tilt(a: np.ndarray, cost: np.ndarray, alpha: float | None, s: float):
-    """Smallest t >= 0 whose tilt exp(a − t·c) has mean cost <= alpha, and
-    that tilt.
+def _budget_search(law, slope, a: np.ndarray, cost: np.ndarray, alpha: float | None,
+                   t: float = 0.0):
+    """Smallest multiplier t >= 0 whose law(a, cost, t) has mean cost
+    <= alpha, and that law.
 
-    The mean cost m(t) decreases with slope −Var_t(c).  Newton steps from
-    the warm start s aim at the middle of the window [alpha − w, alpha] and
-    are kept inside the bracket [lo, hi] (bisection, or doubling while no t
-    is known to meet the budget).  The returned law is the one at hi, so its
-    mean cost, as computed, is at most alpha.
+    The law's mean cost m(t) is non-increasing in t, and slope(w, cost, m)
+    is −m'(t) at w = law(a, cost, t).  Newton steps from the warm start t
+    aim at the middle of the window [alpha − w, alpha] and are kept inside
+    the bracket [lo, hi] (bisection, or doubling while no t is known to meet
+    the budget).  The returned law is the one at hi, so its mean cost, as
+    computed, is at most alpha.
     """
-    w = _tilt(a, cost, 0.0)
+    w = law(a, cost, 0.0)
     if alpha is None:
         return 0.0, w
     m = float(w @ cost)
     if m <= alpha:
         return 0.0, w
     window = _COST_WINDOW * float(np.max(np.abs(cost)))
-    lo, hi, w_hi, t = 0.0, np.inf, None, 0.0
-    if s > 0:
-        t = s
-        w = _tilt(a, cost, t)
+    lo, hi, w_hi = 0.0, np.inf, None
+    if t > 0:
+        w = law(a, cost, t)
         m = float(w @ cost)
     for _ in range(_ROOT_STEPS):
         if m > alpha:
@@ -141,11 +142,11 @@ def _budget_tilt(a: np.ndarray, cost: np.ndarray, alpha: float | None, s: float)
             hi, w_hi = t, w
             if m >= alpha - window or hi - lo <= 4e-16 * hi:
                 return hi, w_hi
-        var = float(w @ (cost - m) ** 2)
-        t = t + (m - alpha + 0.5 * window) / var if var > 0 else np.inf
+        d = slope(w, cost, m)
+        t = t + (m - alpha + 0.5 * window) / d if d > 0 else np.inf
         if not lo < t < hi:
             t = 0.5 * (lo + hi) if np.isfinite(hi) else max(2.0 * lo, 1.0)
-        w = _tilt(a, cost, t)
+        w = law(a, cost, t)
         m = float(w @ cost)
     if w_hi is None:
         raise ConvergenceError(
@@ -154,12 +155,32 @@ def _budget_tilt(a: np.ndarray, cost: np.ndarray, alpha: float | None, s: float)
     return hi, w_hi
 
 
+def _tilt_slope(w: np.ndarray, cost: np.ndarray, m: float) -> float:
+    """−d/dt of the tilt's mean cost m: the cost variance Var_t(c)."""
+    return float(w @ (cost - m) ** 2)
+
+
+def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
+    """(mask of the inputs a solve may use, the budget it must still meet).
+
+    A budget at the cheapest input cost admits only the cheapest inputs, which
+    all cost the same, so the budget is dropped; one below it is an error.
+    """
+    if alpha is not None:
+        min_cost = float(np.min(cost))
+        if alpha < min_cost - 1e-12:
+            raise ValueError(f"alpha={alpha} below the cheapest input cost {min_cost}")
+        if alpha <= min_cost + 1e-12:
+            return cost <= min_cost + 1e-12, None
+    return np.ones(cost.size, dtype=bool), alpha
+
+
 def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
             tol: float, max_iters: int):
     """Blahut-Arimoto with an optional budget, from the feasible tilt of the
     uniform law.  Returns (p, iterations, dual gap, history of I(p_t))."""
     wlogw = _wlogw_rows(W)
-    s, p = _budget_tilt(np.zeros(W.shape[0]), cost, alpha, 0.0)
+    s, p = _budget_search(_tilt, _tilt_slope, np.zeros(W.shape[0]), cost, alpha)
     history = []
     gap = np.inf
     with np.errstate(divide="ignore"):  # log p is -inf off the support
@@ -167,7 +188,7 @@ def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
             d = wlogw - W @ np.log(np.maximum(p @ W, _TINY))
             f = float(p @ d)
             history.append(f)
-            s, p_next = _budget_tilt(np.log(p) + d, cost, alpha, s)
+            s, p_next = _budget_search(_tilt, _tilt_slope, np.log(p) + d, cost, alpha, s)
             gap = float(np.max(d - s * cost)) + s * alpha - f if s else float(d.max()) - f
             if gap <= tol:
                 return p, it, gap, history
@@ -208,15 +229,7 @@ def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
     bound on the optimum.
     """
     W, cost = channel.transition, channel.cost
-    keep = np.ones(channel.n_inputs, dtype=bool)
-    if alpha is not None:
-        min_cost = float(np.min(cost))
-        if alpha < min_cost - 1e-12:
-            raise ValueError(f"alpha={alpha} below the cheapest input cost {min_cost}")
-        if alpha <= min_cost + 1e-12:
-            # Only the cheapest inputs are feasible and they cost the same.
-            keep = cost <= min_cost + 1e-12
-            alpha = None
+    keep, alpha = _cheapest_inputs(cost, alpha)
     keep &= _duplicate_row_reps(W, cost)
     if not keep.all():
         W, cost = W[keep], cost[keep]

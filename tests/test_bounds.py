@@ -100,14 +100,29 @@ class TestStationaryBounds:
         val = lp.mutual_information(ch, joint)
         assert val <= up.upper + 1e-6
 
+    # Memory order 2, where the lower bound restricts its support; a restart
+    # from the uniform law on the surviving windows was not shift-consistent.
+    K2_INSTANCES = [((0.4, 0.35, 0.25), 1.0, 30.0, 12.0),
+                    ((0.5, 0.3, 0.2), 1.0, 20.0, 2.0)]
+
     def test_certificates_satisfy_constraints(self, small_isi_bounds):
         spec = small_isi_spec()
-        poly = _StationaryPolytope(lp.InputGrid.uniform(10.0, 3), 1, spec.alpha)
+        grid = lp.InputGrid.uniform(10.0, 3)
+        cost = _single_slot_channel(spec, grid, 1e-10).cost
+        poly = _StationaryPolytope(cost, 3, 1, spec.alpha)
         for dist in (small_isi_bounds.upper_dist, small_isi_bounds.lower_dist):
             P = dist.reshape(3, 3)
             np.testing.assert_allclose(P.sum(axis=1), P.sum(axis=0), atol=1e-8)
             assert dist @ poly.cost <= spec.alpha + 1e-8
             assert abs(dist.sum() - 1.0) < 1e-9
+        for taps, lam0, amax, alpha in self.K2_INSTANCES:
+            spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lam0, amax, alpha)
+            grid = lp.InputGrid.uniform(amax, 3)
+            dist = lp.stationary_lower_bound(spec, grid).lower_dist
+            poly = _StationaryPolytope(_single_slot_channel(spec, grid, 1e-10).cost,
+                                       3, 2, alpha)
+            assert np.abs(poly.A_eq @ dist - poly.b_eq).max() <= 1e-9
+            assert dist @ poly.cost <= alpha + 1e-9
 
     def test_nonconvergence_diagnostic(self):
         spec = small_isi_spec()

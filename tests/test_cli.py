@@ -230,6 +230,20 @@ class TestErrorPaths:
         assert main(["capacity", "--instance", str(bad),
                      "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda0", None), ("grid_points", None), ("impulse", [None]),
+        ("tail_eps", None), ("grid_points", 4.7)])
+    def test_malformed_field_exits_1(self, field, value, tmp_path, capsys):
+        doc = {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 10.0, "alpha": 3.0,
+               "grid_points": 3, field: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["capacity", "--instance", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
+        assert field in err
+
     def test_nonconvergence_exit_code(self, memoryless_instance, tmp_path,
                                       monkeypatch, capsys):
         def explode(*args, **kwargs):

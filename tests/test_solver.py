@@ -43,6 +43,28 @@ class TestMutualInformation:
             lp.mutual_information(poisson9, np.full(9, 0.2))
 
 
+# Every entry point that takes a pmf, called on the 2-input, 2-output BSC.
+_PMF_CALLS = {
+    "mutual_information": lambda ch, law: lp.mutual_information(ch, law),
+    "sym_kl_generic": lambda ch, law: lp.sym_kl_generic(ch, law),
+    "sym_kl_reference_bound-input_dist":
+        lambda ch, law: lp.sym_kl_reference_bound(ch, law, [0.5, 0.5]),
+    "sym_kl_reference_bound-ref_out":
+        lambda ch, law: lp.sym_kl_reference_bound(ch, [0.5, 0.5], law),
+    "cov_bound_poisson": lambda ch, law: lp.cov_bound_poisson([0.0, 10.0], law, 2.0),
+    "gaussian_sym_bound": lambda ch, law: lp.gaussian_sym_bound([0.0, 1.0], law, 1.0),
+    "plugin_mi_estimate": lambda ch, law: lp.plugin_mi_estimate(ch, law, 40, seed=0),
+}
+
+
+@pytest.mark.parametrize("law", [[math.nan, 1.0], [math.inf, math.nan]],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_PMF_CALLS))
+def test_non_finite_law_rejected(entry, law):
+    with pytest.raises(ValueError, match="non-finite"):
+        _PMF_CALLS[entry](bsc(0.11), law)
+
+
 class TestBaCapacity:
     def test_identity_channel(self):
         ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
