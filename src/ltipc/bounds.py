@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  unused; perfbench/tracing.py wraps this name
 
 from .channel import (
     BlockChannelSpec,
@@ -81,9 +81,9 @@ def block_sandwich_bounds(bspec: BlockChannelSpec,
 class StationaryBound:
     """Single-letter stationary bounds; sides not computed are None.
 
-    fw_gap is the Frank-Wolfe gap of the returned law, only as exact as the
-    HiGHS LP oracle behind it: at its default tolerances a gap near 1e-9
-    can be off by about as much (a negative gap is reported as 0).
+    fw_gap is the raw Frank-Wolfe gap g.(s - p) of the returned law, with s
+    the exact linear maximizer: value + fw_gap bounds the optimum over the
+    polytope, and only rounding can make it negative.
     """
 
     upper: float | None
@@ -127,36 +127,115 @@ def _stationarity_matrix(m: int, k: int) -> np.ndarray:
     return (t // m == j).astype(float) - (t % m ** k == j)
 
 
+# Newton steps on the budget multiplier in one lp_max call; each swaps in a
+# new cycle, so this only guards against a cycle that rounding keeps
+# returning.
+_CYCLE_STEPS = 100
+
+
 class _StationaryPolytope:
     """The feasible set of joint laws on grid^(k+1): simplex, equal shifted
     marginals, average intensity at most alpha.  cost is the single-slot
     channel's cost vector, one entry per window in build_block_channel's
-    order on an m-point grid."""
+    order on an m-point grid.
+
+    A shift-consistent law is a normalized circulation on the de Bruijn
+    graph B(m, k): window t is the edge from node t // m (its first k
+    inputs) to node t % m^k (its last k).  So the vertices of the polytope
+    without the budget are the uniform laws on simple cycles, and lp_max
+    solves its linear program with a maximum-mean-cycle oracle (Karp 1978)
+    inside a Lagrangian on the budget; no LP solver is involved.
+    """
 
     def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
         self.cost = cost
         self.n = cost.size
-        rows = [np.ones((1, self.n))]
-        if k > 0:
-            rows.append(_stationarity_matrix(m, k))
-        self.A_eq = np.vstack(rows)
-        self.b_eq = np.zeros(self.A_eq.shape[0])
-        self.b_eq[0] = 1.0
+        self.m, self.n_nodes = m, m ** k
         self.alpha = alpha
-        self.bounds = None
+        self.active = np.ones(self.n, dtype=bool)
+        # Edge t = a*m^k + v enters node v; _src[a, v] is the node it leaves.
+        self._src = (np.arange(self.n) // m).reshape(m, self.n_nodes)
 
     def restrict(self, active: np.ndarray):
         """Pin the coordinates outside the active mask to zero."""
-        self.bounds = [(0, None) if a else (0, 0) for a in active]
+        self.active = np.array(active, dtype=bool)
+
+    def _max_mean_cycle(self, w: np.ndarray) -> np.ndarray:
+        """Edges of an active cycle of maximum mean weight w (Karp 1978).
+
+        D_i(v), the heaviest i-edge walk ending at v, takes one max over
+        v's m in-edges per level; the best mean is
+        max_v min_{j<V} (D_V(v) - D_j(v)) / (V - j) on V nodes, and the
+        V-edge walk that attains D_V at the maximizing v contains a cycle
+        of that mean, read off at its first repeated node.
+        """
+        m, V = self.m, self.n_nodes
+        weights = np.where(self.active, w, -np.inf).reshape(m, V)
+        D = np.zeros((V + 1, V))
+        pred = np.empty((V + 1, V), dtype=np.intp)
+        cols = np.arange(V)
+        for i in range(1, V + 1):
+            cand = D[i - 1][self._src] + weights
+            pred[i] = cand.argmax(axis=0)
+            D[i] = cand[pred[i], cols]
+        with np.errstate(invalid="ignore"):
+            means = (D[V] - D[:V]) / (V - np.arange(V))[:, None]
+        # nan is -inf - (-inf): no V-edge walk ends at v, so v has no cycle.
+        means = np.where(np.isnan(means), -np.inf, means).min(axis=0)
+        v = int(means.argmax())
+        if means[v] == -np.inf:
+            raise RuntimeError("LP step failed: no active window lies on a cycle")
+        # Walk back from level V; V + 1 nodes on V repeat before level 0.
+        level, edges, i = {}, [], V
+        while v not in level:
+            level[v] = i
+            t = int(pred[i, v]) * V + v
+            edges.append(t)
+            v, i = t // m, i - 1
+        return np.array(edges[V - level[v]:])
 
     def lp_max(self, g: np.ndarray) -> np.ndarray:
-        res = linprog(
-            c=-g, A_eq=self.A_eq, b_eq=self.b_eq,
-            A_ub=self.cost[None, :], b_ub=[self.alpha],
-            bounds=self.bounds, method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP step failed: {res.message}")
-        return np.maximum(res.x, 0.0)
+        """A maximizer of g.p over the polytope.
+
+        With cycle means g(C) and c(C), the maximum is
+        min_{mu >= 0} max_C [g(C) - mu c(C)] + mu alpha.  If the best cycle
+        at mu = 0 fits the budget it is the answer.  Otherwise it and the
+        cheapest cycle bracket the budget, and each Newton (Dinkelbach)
+        step moves mu to where the two ends' lines meet and swaps in the
+        oracle's cycle on its side of alpha, until no cycle rises above
+        the lines.  The answer is the mixture of the two ends that spends
+        exactly alpha.  Finitely many cycles make this finite.
+        """
+        def cycle(w):
+            C = self._max_mean_cycle(w)
+            return C, float(g[C].mean()), float(self.cost[C].mean())
+
+        def law(C):
+            p = np.zeros(self.n)
+            p[C] = 1.0 / C.size
+            return p
+
+        hi = cycle(g)
+        if hi[2] <= self.alpha:
+            return law(hi[0])
+        lo = cycle(-self.cost)
+        if lo[2] > self.alpha:
+            raise RuntimeError("LP step failed: no active cycle fits the budget")
+        for _ in range(_CYCLE_STEPS):
+            mu = max((hi[1] - lo[1]) / (hi[2] - lo[2]), 0.0)
+            line = lo[1] - mu * lo[2]
+            w = g - mu * self.cost
+            new = cycle(w)
+            # A cycle within rounding of the lines is no better than its ends.
+            tol = 1e-14 * (1.0 + float(np.abs(w[self.active]).max()))
+            if new[1] - mu * new[2] <= line + tol:
+                theta = (self.alpha - lo[2]) / (hi[2] - lo[2])
+                return theta * law(hi[0]) + (1.0 - theta) * law(lo[0])
+            if new[2] > self.alpha:
+                hi = new
+            else:
+                lo = new
+        raise RuntimeError(f"LP step failed: no budget multiplier in {_CYCLE_STEPS} steps")
 
     def interior_start(self) -> np.ndarray:
         """Feasible point of full support: the uniform law, blended toward
@@ -226,8 +305,8 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
     The iterate is a convex combination of vertices, given as a map from
     _vertex_key to (vertex, weight) or, by default, the feasible interior
     point as a single pseudo-vertex.  Each step moves weight from
-    the active vertex worst for the gradient g to the LP vertex s, so only
-    those two weights change.  The linearization gap g.(s - p) certifies
+    the active vertex worst for the gradient g to the exact linear
+    maximizer s = polytope.lp_max(g), so only those two weights change.  The linearization gap g.(s - p) certifies
     f* <= f + gap at every iterate; the loop stops once it is at most
     config.tol and raises ConvergenceError at config.max_iters.
 
@@ -287,7 +366,7 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
     W = ch.transition
     p, f, gap, it, _ = _frank_wolfe(W[None], _wlogw_rows(W), poly, config)
     return StationaryBound(upper=f, lower=None, upper_dist=p, lower_dist=None,
-                           fw_gap=max(gap, 0.0), iterations=it)
+                           fw_gap=gap, iterations=it)
 
 
 # The lower bound's objective is not differentiable where a prefix group
@@ -298,6 +377,10 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
 # So a lower-bound run that has not gained _STALL_TOL in _STALL_WINDOW
 # iterations drops the prefix groups with mass at most _GROUP_KILL_THRESHOLD
 # and resumes on the smaller polytope, where the objective is smooth.
+# A stall that drops no group is slow progress on a smooth objective: with
+# the exact oracle, grid 3 at alpha 22 gains under _STALL_TOL for 80
+# iterations at gap 7e-9.  The run then resumes from the same vertices
+# with no stall window, and converges or raises at config.max_iters.
 _STALL_WINDOW = 80
 _STALL_TOL = 1e-12
 _GROUP_KILL_THRESHOLD = 1e-9
@@ -312,8 +395,10 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     When the loop stalls where prefix groups die, the support is restricted
     to the surviving groups and the loop resumes from the Frank-Wolfe
     vertices that live there, reweighted to sum to 1.  Each is a feasible
-    LP vertex, so every iterate stays shift-consistent and within budget,
-    and the reported fw_gap certifies optimality over the final support.
+    vertex from the cycle oracle, so every iterate stays shift-consistent
+    and within budget, and the reported fw_gap certifies optimality over the
+    final support.  A stall where no group dies resumes from the same
+    vertices with no stall window.
     """
     k = spec.impulse.order
     m = len(grid.points)
@@ -325,20 +410,22 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     t = np.arange(poly.n)
     prefix, suffix = t // m, t % npref
     active = np.ones(poly.n, dtype=bool)
-    vertices, total_it = None, 0
+    vertices, total_it, window = None, 0, _STALL_WINDOW
     for _ in range(1 + npref):
         p, f, gap, it, vertices = _frank_wolfe(Wr, wlogw, poly, config, vertices,
-                                               _STALL_WINDOW)
+                                               window)
         total_it += it
         if gap <= config.tol:
             return StationaryBound(upper=None, lower=f, upper_dist=None,
-                                   lower_dist=p, fw_gap=max(gap, 0.0),
-                                   iterations=total_it)
+                                   lower_dist=p, fw_gap=gap, iterations=total_it)
         group_mass = np.bincount(prefix, weights=p, minlength=npref)
         dead = group_mass <= _GROUP_KILL_THRESHOLD
         shrunk = active & ~(dead[prefix] | dead[suffix])
+        if shrunk.sum() == active.sum():
+            window = None
+            continue
         vertices = {key: vw for key, vw in vertices.items() if not vw[0][~shrunk].any()}
-        if not vertices or shrunk.sum() == active.sum():
+        if not vertices:
             break
         total = sum(w for _, w in vertices.values())
         vertices = {key: (v, w / total) for key, (v, w) in vertices.items()}
@@ -541,10 +628,13 @@ def poisson_sym_bound_closed_form(amax: float, alpha: float, lambda0: float) -> 
 
 
 def _support_law(support, masses):
-    """A 1-D support and its masses, checked to be a pmf of the same length."""
+    """A finite 1-D support and its masses, checked to be a pmf of the same
+    length."""
     x = np.asarray(support, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("support must be 1-D")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("support has non-finite entries")
     return x, _check_pmf(masses, x.size, "masses")
 
 

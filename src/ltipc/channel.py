@@ -405,11 +405,12 @@ _REQUIRED_FIELDS = {"impulse", "lambda0", "amax", "alpha"}
 
 
 def _number(value, name: str) -> float:
-    """A JSON field as a float; null, lists and other non-numbers are a ValueError."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """A JSON number as a float.  null, booleans, strings, lists and other
+    non-numbers are a ValueError: float() would take true as 1.0 and "40"
+    as 40.0, and solve an instance the file did not state."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def parse_instance(text: str):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import ltipc as lp
 from ltipc.bounds import (
@@ -12,6 +13,7 @@ from ltipc.bounds import (
     _project_feasible,
     _single_slot_channel,
     _StationaryPolytope,
+    _stationarity_matrix,
     _wlogw_rows,
 )
 
@@ -119,10 +121,10 @@ class TestStationaryBounds:
             spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lam0, amax, alpha)
             grid = lp.InputGrid.uniform(amax, 3)
             dist = lp.stationary_lower_bound(spec, grid).lower_dist
-            poly = _StationaryPolytope(_single_slot_channel(spec, grid, 1e-10).cost,
-                                       3, 2, alpha)
-            assert np.abs(poly.A_eq @ dist - poly.b_eq).max() <= 1e-9
-            assert dist @ poly.cost <= alpha + 1e-9
+            cost = _single_slot_channel(spec, grid, 1e-10).cost
+            assert np.abs(_stationarity_matrix(3, 2) @ dist).max() <= 1e-9
+            assert abs(dist.sum() - 1.0) <= 1e-9
+            assert dist @ cost <= alpha + 1e-9
 
     def test_nonconvergence_diagnostic(self):
         spec = small_isi_spec()
@@ -140,6 +142,49 @@ class TestStationaryBounds:
         c1 = lp.block_sandwich_bounds(lp.BlockChannelSpec(spec, grid, r=1), CFG)
         assert up.fw_gap <= 1e-9
         assert up.upper <= c1.upper + 1e-6
+
+    def test_lower_stall_without_dead_group_resumes(self):
+        """At alpha 22 on grid 3 the lower bound gains under 1e-12 for 80
+        iterations at gap 7e-9 with every prefix group alive; the run
+        resumes without a stall window instead of raising."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 22.0)
+        lo = lp.stationary_lower_bound(spec, lp.InputGrid.uniform(40.0, 3))
+        assert -1e-12 <= lo.fw_gap <= 1e-9
+
+
+class TestCycleOracle:
+    """_StationaryPolytope.lp_max against HiGHS on the same linear program."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_matches_linprog(self, k, m):
+        amax = 40.0
+        taps = (0.5, 0.3, 0.2)[:k + 1]
+        spec = lp.ChannelSpec(lp.ImpulseResponse(taps), 5.0, amax, amax)
+        cost = _single_slot_channel(spec, lp.InputGrid.uniform(amax, m), 1e-10).cost
+        n = cost.size
+        S = _stationarity_matrix(m, k)
+        A_eq = np.vstack([np.ones((1, n)), S])
+        b_eq = np.r_[1.0, np.zeros(S.shape[0])]
+        rng = np.random.default_rng(100 * k + m)
+        for trial in range(12):
+            alpha = (0.0, amax, rng.uniform(0.0, amax))[trial % 3]
+            poly = _StationaryPolytope(cost, m, k, alpha)
+            active = np.ones(n, dtype=bool)
+            if trial >= 6:
+                active = rng.random(n) < 0.6
+                active[0] = True  # the all-zero window: a cost-0 cycle
+                poly.restrict(active)
+            g = rng.normal(size=n)
+            p = poly.lp_max(g)
+            ref = linprog(-g, A_eq=A_eq, b_eq=b_eq, A_ub=cost[None], b_ub=[alpha],
+                          bounds=[(0, None if a else 0) for a in active], method="highs")
+            assert ref.success
+            assert abs(g @ p + ref.fun) <= 1e-9
+            assert np.abs(S @ p).max(initial=0.0) <= 1e-12
+            assert abs(p.sum() - 1.0) <= 1e-12
+            assert p.min() >= 0.0 and cost @ p <= alpha + 1e-12
+            assert not p[~active].any()
 
 
 class TestObjectiveGradients:

@@ -232,7 +232,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("field, value", [
         ("lambda0", None), ("grid_points", None), ("impulse", [None]),
-        ("tail_eps", None), ("grid_points", 4.7)])
+        ("tail_eps", None), ("grid_points", 4.7),
+        ("lambda0", True), ("impulse", [True]), ("amax", "40"),
+        ("grid_points", True), ("alpha", "3.0"), ("impulse", ["0.7", 0.3])])
     def test_malformed_field_exits_1(self, field, value, tmp_path, capsys):
         doc = {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 10.0, "alpha": 3.0,
                "grid_points": 3, field: value}

@@ -43,7 +43,8 @@ class TestMutualInformation:
             lp.mutual_information(poisson9, np.full(9, 0.2))
 
 
-# Every entry point that takes a pmf, called on the 2-input, 2-output BSC.
+# Every entry point that takes a pmf, called on the 2-input, 2-output BSC,
+# and the two that take a support, with the law as the support.
 _PMF_CALLS = {
     "mutual_information": lambda ch, law: lp.mutual_information(ch, law),
     "sym_kl_generic": lambda ch, law: lp.sym_kl_generic(ch, law),
@@ -53,12 +54,16 @@ _PMF_CALLS = {
         lambda ch, law: lp.sym_kl_reference_bound(ch, [0.5, 0.5], law),
     "cov_bound_poisson": lambda ch, law: lp.cov_bound_poisson([0.0, 10.0], law, 2.0),
     "gaussian_sym_bound": lambda ch, law: lp.gaussian_sym_bound([0.0, 1.0], law, 1.0),
+    "cov_bound_poisson-support":
+        lambda ch, law: lp.cov_bound_poisson(law, [0.5, 0.5], 2.0),
+    "gaussian_sym_bound-support":
+        lambda ch, law: lp.gaussian_sym_bound(law, [0.5, 0.5], 1.0),
     "plugin_mi_estimate": lambda ch, law: lp.plugin_mi_estimate(ch, law, 40, seed=0),
 }
 
 
-@pytest.mark.parametrize("law", [[math.nan, 1.0], [math.inf, math.nan]],
-                         ids=["nan", "inf"])
+@pytest.mark.parametrize("law", [[math.nan, 1.0], [math.inf, math.nan], [math.inf, 1.0]],
+                         ids=["nan", "inf", "inf-alone"])
 @pytest.mark.parametrize("entry", sorted(_PMF_CALLS))
 def test_non_finite_law_rejected(entry, law):
     with pytest.raises(ValueError, match="non-finite"):
