@@ -82,8 +82,10 @@ class StationaryBound:
     """Single-letter stationary bounds; sides not computed are None.
 
     fw_gap is the raw Frank-Wolfe gap g.(s - p) of the returned law, with s
-    the exact linear maximizer: value + fw_gap bounds the optimum over the
-    polytope, and only rounding can make it negative.
+    the exact linear maximizer over the support that is left: value + fw_gap
+    bounds the optimum over that support, and only rounding can make it
+    negative.  The upper bound keeps the whole polytope; the lower bound
+    drops the windows of prefix groups that die (see _frank_wolfe).
     """
 
     upper: float | None
@@ -296,42 +298,61 @@ def _vertex_key(v: np.ndarray):
     return tuple(np.round(v, 12))
 
 
+# The lower bound's objective is not differentiable where a prefix group
+# loses all mass, and its maximizer often kills whole grid values.  On the
+# full support such a run makes no progress while its gap stays high: taps
+# (0.7, 0.3), lambda0 5, amax 40, alpha 15, grid 5 is still at gap 6.4e-4
+# after 10,000 iterations.  So _frank_wolfe drops a group once its mass is
+# at most _GROUP_KILL_THRESHOLD; on the smaller polytope the objective is
+# smooth.
+_GROUP_KILL_THRESHOLD = 1e-9
+
+
 def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
-                 config: SolverConfig, vertices: dict | None = None,
-                 stall_window: int | None = None):
+                 config: SolverConfig):
     """Maximize _cmi_value_grad's objective over the polytope by pairwise
     Frank-Wolfe (Lacoste-Julien & Jaggi 2015) with exact line search.
 
-    The iterate is a convex combination of vertices, given as a map from
-    _vertex_key to (vertex, weight) or, by default, the feasible interior
-    point as a single pseudo-vertex.  Each step moves weight from
-    the active vertex worst for the gradient g to the exact linear
-    maximizer s = polytope.lp_max(g), so only those two weights change.  The linearization gap g.(s - p) certifies
-    f* <= f + gap at every iterate; the loop stops once it is at most
-    config.tol and raises ConvergenceError at config.max_iters.
+    The iterate is a convex combination of vertices, a map from _vertex_key
+    to (vertex, weight), starting from the feasible interior point as a
+    single pseudo-vertex.  Each step moves weight from the active vertex
+    worst for the gradient g to the exact linear maximizer
+    s = polytope.lp_max(g), so only those two weights change.
 
-    Returns (p, f, gap, iterations, vertices), vertices being p's
-    decomposition.  A gap above config.tol is only returned when
-    stall_window is given and f has not risen by _STALL_TOL in that many
-    iterations.
+    Every iteration first restricts the polytope: windows that start or end
+    in a prefix group of mass at most _GROUP_KILL_THRESHOLD are pinned to
+    zero, the vertices that use them are dropped and the rest reweighted to
+    sum to 1.  Each kept vertex is a feasible cycle-oracle vertex, so every
+    iterate stays shift-consistent and within budget.  With one prefix group,
+    Wr = W[None], the rule never fires.
+
+    The linearization gap g.(s - p) certifies f* <= f + gap over the support
+    that is left.  Returns (p, f, gap, iterations) once the gap is at most
+    config.tol; raises ConvergenceError at config.max_iters.
     """
-    if vertices is None:
-        p = polytope.interior_start()
-        vertices = {_vertex_key(p): (p, 1.0)}
-    else:
-        vertices = dict(vertices)
-        p = sum(w * v for v, w in vertices.values())
-    best_f, last_progress = -np.inf, 0
+    n_prefix, m = Wr.shape[:2]
+    windows = np.arange(polytope.n)
+    prefix, suffix = windows // m, windows % n_prefix
+    p = polytope.interior_start()
+    vertices = {_vertex_key(p): (p, 1.0)}
     for it in range(1, config.max_iters + 1):
+        dead = np.bincount(prefix, weights=p, minlength=n_prefix) <= _GROUP_KILL_THRESHOLD
+        active = polytope.active & ~(dead[prefix] | dead[suffix])
+        if active.sum() < polytope.active.sum():
+            # Under a budget near 0 the interior start already has groups
+            # below the threshold, and it is the only vertex; the
+            # restriction then waits until some vertex avoids the dead groups.
+            kept = {key: vw for key, vw in vertices.items() if not vw[0][~active].any()}
+            if kept:
+                total = sum(w for _, w in kept.values())
+                vertices = {key: (v, w / total) for key, (v, w) in kept.items()}
+                p = sum(w * v for v, w in vertices.values())
+                polytope.restrict(active)
         f, g = _cmi_value_grad(Wr, wlogw_rows, p)
         s = polytope.lp_max(g)
         gap = float(g @ (s - p))
         if gap <= config.tol:
-            return p, f, gap, it, vertices
-        if f > best_f + _STALL_TOL:
-            best_f, last_progress = f, it
-        elif stall_window and it - last_progress >= stall_window:
-            return p, f, gap, it, vertices
+            return p, f, gap, it
         away = min(vertices, key=lambda key: float(g @ vertices[key][0]))
         v_away, w_away = vertices.pop(away)
         key = _vertex_key(s)
@@ -341,6 +362,11 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
         # rounding noise, and with it a noisy q = A/pu in emptied groups.
         rest = sum((w * v for v, w in vertices.values()), np.zeros_like(p))
         t = _line_search(Wr, wlogw_rows, p, rest + (w_s + w_away) * s)
+        # Drop step: the slope at t = 0 is at least w_away * gap > 0 in exact
+        # arithmetic, so t = 0 comes from rounding, and repeating the step
+        # would spin until max_iters.  Move all of v_away's weight instead.
+        if t == 0.0:
+            t = 1.0
         for k, v, w in ((away, v_away, (1.0 - t) * w_away), (key, s, w_s + t * w_away)):
             if w > 0:  # adds, in case s and v_away round to the same key
                 vertices[k] = (v, w + vertices.get(k, (v, 0.0))[1])
@@ -355,35 +381,32 @@ def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
     return build_block_channel(BlockChannelSpec(spec, grid, r=1, tail_eps=tail_eps))
 
 
+def _stationary_fw(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
+                   tail_eps: float, side: str):
+    """Run _frank_wolfe for one stationary bound: the upper bound sees the
+    single-slot channel as one prefix group, the lower bound splits its rows
+    by their k previous inputs.  A ConvergenceError names the bound."""
+    ch = _single_slot_channel(spec, grid, tail_eps)
+    k, m = spec.impulse.order, len(grid.points)
+    W = ch.transition
+    Wr = W[None] if side == "upper" else W.reshape(m ** k, m, W.shape[1])
+    poly = _StationaryPolytope(ch.cost, m, k, spec.alpha)
+    try:
+        return _frank_wolfe(Wr, _wlogw_rows(W), poly, config)
+    except ConvergenceError as e:
+        raise ConvergenceError(f"stationary {side} bound: {e}", gap=e.gap,
+                               iterations=e.iterations) from e
+
+
 def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
                            config: SolverConfig = SolverConfig(),
                            tail_eps: float = 1e-10) -> StationaryBound:
     """max I(all k+1 inputs; current output) over shift-consistent joint laws
     with average intensity at most alpha.  The objective is smooth and
     concave, so Frank-Wolfe runs until its gap reaches config.tol."""
-    ch = _single_slot_channel(spec, grid, tail_eps)
-    poly = _StationaryPolytope(ch.cost, len(grid.points), spec.impulse.order, spec.alpha)
-    W = ch.transition
-    p, f, gap, it, _ = _frank_wolfe(W[None], _wlogw_rows(W), poly, config)
+    p, f, gap, it = _stationary_fw(spec, grid, config, tail_eps, "upper")
     return StationaryBound(upper=f, lower=None, upper_dist=p, lower_dist=None,
                            fw_gap=gap, iterations=it)
-
-
-# The lower bound's objective is not differentiable where a prefix group
-# loses all mass, and its maximizer often kills whole grid values.  There
-# the value stops rising while the gap stays high: on the full support,
-# taps (0.7, 0.3), lambda0 5, amax 40, alpha 15, grid 5 is still at gap
-# 6.4e-4 after 10,000 iterations.
-# So a lower-bound run that has not gained _STALL_TOL in _STALL_WINDOW
-# iterations drops the prefix groups with mass at most _GROUP_KILL_THRESHOLD
-# and resumes on the smaller polytope, where the objective is smooth.
-# A stall that drops no group is slow progress on a smooth objective: with
-# the exact oracle, grid 3 at alpha 22 gains under _STALL_TOL for 80
-# iterations at gap 7e-9.  The run then resumes from the same vertices
-# with no stall window, and converges or raises at config.max_iters.
-_STALL_WINDOW = 80
-_STALL_TOL = 1e-12
-_GROUP_KILL_THRESHOLD = 1e-9
 
 
 def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
@@ -392,48 +415,13 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     """max I(current input; current output | k previous inputs) over the same
     polytope; any feasible law here yields a valid lower bound on capacity.
 
-    When the loop stalls where prefix groups die, the support is restricted
-    to the surviving groups and the loop resumes from the Frank-Wolfe
-    vertices that live there, reweighted to sum to 1.  Each is a feasible
-    vertex from the cycle oracle, so every iterate stays shift-consistent
-    and within budget, and the reported fw_gap certifies optimality over the
-    final support.  A stall where no group dies resumes from the same
-    vertices with no stall window.
+    Frank-Wolfe drops the prefix groups that die as it goes (see
+    _frank_wolfe), so the reported law is shift-consistent and within
+    budget, and fw_gap certifies optimality over the support that is left.
     """
-    k = spec.impulse.order
-    m = len(grid.points)
-    npref = m ** k
-    ch = _single_slot_channel(spec, grid, tail_eps)
-    poly = _StationaryPolytope(ch.cost, m, k, spec.alpha)
-    W = ch.transition
-    Wr, wlogw = W.reshape(npref, m, W.shape[1]), _wlogw_rows(W)
-    t = np.arange(poly.n)
-    prefix, suffix = t // m, t % npref
-    active = np.ones(poly.n, dtype=bool)
-    vertices, total_it, window = None, 0, _STALL_WINDOW
-    for _ in range(1 + npref):
-        p, f, gap, it, vertices = _frank_wolfe(Wr, wlogw, poly, config, vertices,
-                                               window)
-        total_it += it
-        if gap <= config.tol:
-            return StationaryBound(upper=None, lower=f, upper_dist=None,
-                                   lower_dist=p, fw_gap=gap, iterations=total_it)
-        group_mass = np.bincount(prefix, weights=p, minlength=npref)
-        dead = group_mass <= _GROUP_KILL_THRESHOLD
-        shrunk = active & ~(dead[prefix] | dead[suffix])
-        if shrunk.sum() == active.sum():
-            window = None
-            continue
-        vertices = {key: vw for key, vw in vertices.items() if not vw[0][~shrunk].any()}
-        if not vertices:
-            break
-        total = sum(w for _, w in vertices.values())
-        vertices = {key: (v, w / total) for key, (v, w) in vertices.items()}
-        active = shrunk
-        poly.restrict(active)
-    raise ConvergenceError(
-        f"stationary lower bound stalled at gap {gap:.3e}", gap=gap,
-        iterations=total_it)
+    p, f, gap, it = _stationary_fw(spec, grid, config, tail_eps, "lower")
+    return StationaryBound(upper=None, lower=f, upper_dist=None, lower_dist=p,
+                           fw_gap=gap, iterations=it)
 
 
 def stationary_bounds(spec: ChannelSpec, grid: InputGrid,

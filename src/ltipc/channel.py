@@ -407,10 +407,14 @@ _REQUIRED_FIELDS = {"impulse", "lambda0", "amax", "alpha"}
 def _number(value, name: str) -> float:
     """A JSON number as a float.  null, booleans, strings, lists and other
     non-numbers are a ValueError: float() would take true as 1.0 and "40"
-    as 40.0, and solve an instance the file did not state."""
+    as 40.0, and solve an instance the file did not state.  So is an
+    integer too large for a float, which float() rejects with OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def parse_instance(text: str):

@@ -38,8 +38,8 @@ class SolverConfig:
     max_iters: int = 200_000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:  # also rejects nan
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

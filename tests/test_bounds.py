@@ -144,12 +144,51 @@ class TestStationaryBounds:
         assert up.upper <= c1.upper + 1e-6
 
     def test_lower_stall_without_dead_group_resumes(self):
-        """At alpha 22 on grid 3 the lower bound gains under 1e-12 for 80
-        iterations at gap 7e-9 with every prefix group alive; the run
-        resumes without a stall window instead of raising."""
+        """At alpha 22 on grid 3 the lower bound gains under 1e-12 over 80
+        iterations at gap 7e-9 with every prefix group alive: slow progress
+        on a smooth objective, which still converges."""
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 22.0)
         lo = lp.stationary_lower_bound(spec, lp.InputGrid.uniform(40.0, 3))
         assert -1e-12 <= lo.fw_gap <= 1e-9
+
+    def test_lower_group_dying_late_is_dropped(self):
+        """Memory order 2: a prefix group dies near iteration 90.  Dropped
+        as it dies, the run converges in a few hundred iterations; a loop
+        that noticed it only after an 80-iteration stall window ran to
+        max_iters."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.4, 0.4, 0.2)), 2.0, 50.0, 5.0)
+        lo = lp.stationary_lower_bound(spec, lp.InputGrid.uniform(50.0, 3),
+                                       lp.SolverConfig(max_iters=5000))
+        assert lo.fw_gap <= 1e-9
+
+    def test_lower_zero_step_drops_vertex(self):
+        """Memory order 2 with every group alive: from about iteration 720
+        rounding makes the line search return t = 0 at gaps near 1e-8.  A
+        drop step moves the away vertex's whole weight, so the run
+        converges instead of repeating the same step."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.3, 0.2)), 2.0, 30.0, 3.0)
+        lo = lp.stationary_lower_bound(spec, lp.InputGrid.uniform(30.0, 3),
+                                       lp.SolverConfig(max_iters=5000))
+        assert lo.fw_gap <= 1e-9
+
+    @pytest.mark.parametrize("taps", [(0.7, 0.3), (0.5, 0.3, 0.2)])
+    def test_lower_tiny_budget(self, taps):
+        """At alpha 1e-8 every prefix group but the all-zero one starts below
+        the group-kill threshold, and the interior start is the only vertex;
+        the bound still converges, without dropping the groups it needs."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse(taps), 2.0, 10.0, 1e-8)
+        grid = lp.InputGrid.uniform(10.0, 3)
+        lo = lp.stationary_lower_bound(spec, grid)
+        assert lo.fw_gap <= 1e-9
+        assert 0.0 < lo.lower <= lp.stationary_upper_bound(spec, grid).upper + 1e-12
+
+    def test_lower_group_dropped_when_it_dies(self):
+        """Here prefix groups die at the first step; dropped at once, the
+        run converges within 10 iterations."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.6, 0.4)), 4.0, 10.0, 1.0)
+        lo = lp.stationary_lower_bound(spec, lp.InputGrid.uniform(10.0, 3))
+        assert lo.fw_gap <= 1e-9
+        assert lo.iterations <= 10
 
 
 class TestCycleOracle:

@@ -234,7 +234,9 @@ class TestErrorPaths:
         ("lambda0", None), ("grid_points", None), ("impulse", [None]),
         ("tail_eps", None), ("grid_points", 4.7),
         ("lambda0", True), ("impulse", [True]), ("amax", "40"),
-        ("grid_points", True), ("alpha", "3.0"), ("impulse", ["0.7", 0.3])])
+        ("grid_points", True), ("alpha", "3.0"), ("impulse", ["0.7", 0.3]),
+        pytest.param("grid_points", 10**400, id="grid_points-10**400"),
+        pytest.param("lambda0", 10**400, id="lambda0-10**400")])
     def test_malformed_field_exits_1(self, field, value, tmp_path, capsys):
         doc = {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 10.0, "alpha": 3.0,
                "grid_points": 3, field: value}
@@ -245,6 +247,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
         assert field in err
+
+    def test_nan_tol_exits_1(self, isi_instance, tmp_path, capsys):
+        rc = main(["capacity", "--instance", isi_instance, "--out", str(tmp_path / "o.csv"),
+                   "--tol", "nan"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
+        assert "tol" in err
 
     def test_nonconvergence_exit_code(self, memoryless_instance, tmp_path,
                                       monkeypatch, capsys):

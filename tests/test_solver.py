@@ -117,6 +117,11 @@ class TestBaCapacity:
             lp.ba_capacity(poisson9, config=lp.SolverConfig(tol=1e-12, max_iters=3))
         assert exc.value.gap > 0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            lp.SolverConfig(tol=tol)
+
     def test_alpha_zero_only_zero_input(self, poisson9):
         res = lp.ba_capacity(poisson9, alpha=0.0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
