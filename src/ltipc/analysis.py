@@ -2,17 +2,15 @@
 deconvolution, capacity ordering checks, and monotonicity sweeps."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import convolution_matrix
 from scipy.optimize import nnls
 
 from .bounds import SandwichBound, block_sandwich_bounds
 from .channel import DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse, InputGrid
 from .solver import SolverConfig
-
-_DUST = 1e-10  # negative recovery values above this are float noise
-_GUARD_TAPS = 4
 
 
 @dataclass(frozen=True)
@@ -32,19 +30,16 @@ class DegradednessReport:
 
 def check_degraded(p: ImpulseResponse, p_prime: ImpulseResponse,
                    tol: float = 1e-8) -> DegradednessReport:
-    """Recover q with p * q = p_prime by recursive division.
+    """Fit q >= 0 with p * q = p_prime by nonnegative least squares (Lawson
+    & Hanson 1974).
 
     Both responses must be normalized (taps summing to 1) and p must have a
-    positive leading tap, otherwise the deconvolution is ill-posed.  q is
-    recovered out to the support of p_prime plus a guard band; feasibility
-    requires every recovered tap >= -tol and total mass <= 1 + tol.  Small
-    negative dust is clamped to zero in the reported q.
-
-    The raw recursion amplifies rounding error like (max tap / p_0)^length
-    when the leading tap is not dominant, so a feasible recovery is polished
-    by nonnegative least squares before the residual is reported; a solution
-    with residual below 1e-12 also counts as feasible even if the recursion
-    signs drowned in that noise.
+    positive leading tap, otherwise the deconvolution is ill-posed.  q has
+    p_prime's length and the fit covers the full convolution window, whose
+    rows past p_prime's support have target 0; a tap of q past that length
+    would only add nonnegative mass to such rows, so the fit would leave it
+    at 0.  The pair is degraded when the largest residual is at most tol and
+    q carries mass at most 1 + tol.
     """
     a = p.trimmed().as_array()
     b = p_prime.trimmed().as_array()
@@ -52,33 +47,14 @@ def check_degraded(p: ImpulseResponse, p_prime: ImpulseResponse,
         raise ValueError("degradedness is defined for normalized responses")
     if a[0] <= 0:
         raise ValueError("leading tap of p must be positive for deconvolution")
-    n_q = b.size + _GUARD_TAPS
-    b_pad = np.zeros(n_q)
-    b_pad[: b.size] = b
-    q = np.zeros(n_q)
-    for i in range(n_q):
-        acc = b_pad[i]
-        lo = max(0, i - (a.size - 1))
-        for j in range(lo, i):
-            acc -= q[j] * a[i - j]
-        q[i] = acc / a[0]
-    signs_ok = bool(np.all(q >= -tol) and q.sum() <= 1.0 + tol)
-
-    # Nonnegative least-squares polish on the full convolution window.
-    n_rows = n_q + a.size - 1
-    A = np.zeros((n_rows, n_q))
-    for j in range(n_q):
-        A[j: j + a.size, j] = a
-    target = np.zeros(n_rows)
+    A = convolution_matrix(a, b.size)
+    target = np.zeros(A.shape[0])
     target[: b.size] = b
-    q_fit, _ = nnls(A, target)
-    residual = float(np.max(np.abs(A @ q_fit - target)))
-
-    feasible = (signs_ok or residual <= 1e-12) and q_fit.sum() <= 1.0 + tol
-    if not feasible:
-        return DegradednessReport(feasible=False, q=None, residual=residual)
-    q_out = np.where((q_fit < 0) & (q_fit >= -_DUST), 0.0, q_fit)
-    return DegradednessReport(feasible=True, q=q_out, residual=residual)
+    q, _ = nnls(A, target)
+    residual = float(np.max(np.abs(A @ q - target)))
+    feasible = residual <= tol and q.sum() <= 1.0 + tol
+    return DegradednessReport(feasible=feasible, q=q if feasible else None,
+                              residual=residual)
 
 
 @dataclass(frozen=True)
@@ -104,7 +80,8 @@ def capacity_ordering_check(p: ImpulseResponse, p_prime: ImpulseResponse,
     window feasible for p with the same output law and no more cost.  The
     exact ordering statement concerns true capacities; a violation on the
     computed surrogates is reported as "flagged" (try a larger r) rather
-    than as a contradiction.  Pairs that do not factor are "not-applicable".
+    than as a contradiction.  Pairs that check_degraded does not factor, at
+    its default tolerance, are "not-applicable".
     """
     rep = check_degraded(p, p_prime)
     if not rep.feasible:
@@ -155,17 +132,12 @@ def monotonicity_sweep(impulse: ImpulseResponse, axis: str, values,
     values = [float(v) for v in values]
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("values must be sorted ascending")
+    base = ChannelSpec(impulse=impulse, lambda0=base_lambda0, amax=base_amax,
+                       alpha=base_alpha)
     c1 = []
     for v in values:
-        lambda0, amax, alpha = base_lambda0, base_amax, base_alpha
-        if axis == "alpha":
-            alpha = v
-        elif axis == "amax":
-            amax = v
-        else:
-            lambda0 = v
-        spec = ChannelSpec(impulse=impulse, lambda0=lambda0, amax=amax, alpha=alpha)
-        grid = InputGrid.uniform(amax, grid_points)
+        spec = replace(base, **{axis: v})
+        grid = InputGrid.uniform(spec.amax, grid_points)
         c1.append(block_sandwich_bounds(BlockChannelSpec(spec, grid, r=1), config).upper)
     diffs = np.diff(c1)
     direction = _AXIS_DIRECTION[axis]

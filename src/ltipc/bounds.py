@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401  unused; perfbench/tracing.py wraps this name
 
 from .channel import (
+    DEFAULT_TAIL_EPS,
     BlockChannelSpec,
     ChannelSpec,
     DiscreteChannel,
@@ -196,8 +197,11 @@ class _StationaryPolytope:
             v, i = t // m, i - 1
         return np.array(edges[V - level[v]:])
 
-    def lp_max(self, g: np.ndarray) -> np.ndarray:
-        """A maximizer of g.p over the polytope.
+    def lp_max(self, g: np.ndarray):
+        """(key, law): a vertex maximizing g.p over the polytope and an exact
+        name for it, a cycle's sorted edges or the pair of the two cycles'
+        keys for a budget mixture.  The same key always comes with the same
+        law, bit for bit.
 
         With cycle means g(C) and c(C), the maximum is
         min_{mu >= 0} max_C [g(C) - mu c(C)] + mu alpha.  If the best cycle
@@ -209,7 +213,7 @@ class _StationaryPolytope:
         exactly alpha.  Finitely many cycles make this finite.
         """
         def cycle(w):
-            C = self._max_mean_cycle(w)
+            C = np.sort(self._max_mean_cycle(w))
             return C, float(g[C].mean()), float(self.cost[C].mean())
 
         def law(C):
@@ -219,7 +223,7 @@ class _StationaryPolytope:
 
         hi = cycle(g)
         if hi[2] <= self.alpha:
-            return law(hi[0])
+            return tuple(hi[0].tolist()), law(hi[0])
         lo = cycle(-self.cost)
         if lo[2] > self.alpha:
             raise RuntimeError("LP step failed: no active cycle fits the budget")
@@ -232,7 +236,8 @@ class _StationaryPolytope:
             tol = 1e-14 * (1.0 + float(np.abs(w[self.active]).max()))
             if new[1] - mu * new[2] <= line + tol:
                 theta = (self.alpha - lo[2]) / (hi[2] - lo[2])
-                return theta * law(hi[0]) + (1.0 - theta) * law(lo[0])
+                key = (tuple(hi[0].tolist()), tuple(lo[0].tolist()))
+                return key, theta * law(hi[0]) + (1.0 - theta) * law(lo[0])
             if new[2] > self.alpha:
                 hi = new
             else:
@@ -294,10 +299,6 @@ def _line_search(Wr, wlogw_rows, p0, p1):
     return t
 
 
-def _vertex_key(v: np.ndarray):
-    return tuple(np.round(v, 12))
-
-
 # The lower bound's objective is not differentiable where a prefix group
 # loses all mass, and its maximizer often kills whole grid values.  On the
 # full support such a run makes no progress while its gap stays high: taps
@@ -313,11 +314,13 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
     """Maximize _cmi_value_grad's objective over the polytope by pairwise
     Frank-Wolfe (Lacoste-Julien & Jaggi 2015) with exact line search.
 
-    The iterate is a convex combination of vertices, a map from _vertex_key
-    to (vertex, weight), starting from the feasible interior point as a
-    single pseudo-vertex.  Each step moves weight from the active vertex
-    worst for the gradient g to the exact linear maximizer
-    s = polytope.lp_max(g), so only those two weights change.
+    The iterate is a convex combination of vertices, a map from
+    polytope.lp_max's exact keys to (vertex, weight), starting from the
+    feasible interior point as a single pseudo-vertex under the key None.
+    Each step moves weight from the active vertex worst for the gradient g
+    to the exact linear maximizer s = polytope.lp_max(g), so only those two
+    weights change.  While the gap exceeds config.tol, g.s > g.p >= g.v_away,
+    so s is not the away vertex.
 
     Every iteration first restricts the polytope: windows that start or end
     in a prefix group of mass at most _GROUP_KILL_THRESHOLD are pinned to
@@ -334,7 +337,7 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
     windows = np.arange(polytope.n)
     prefix, suffix = windows // m, windows % n_prefix
     p = polytope.interior_start()
-    vertices = {_vertex_key(p): (p, 1.0)}
+    vertices = {None: (p, 1.0)}
     for it in range(1, config.max_iters + 1):
         dead = np.bincount(prefix, weights=p, minlength=n_prefix) <= _GROUP_KILL_THRESHOLD
         active = polytope.active & ~(dead[prefix] | dead[suffix])
@@ -349,13 +352,12 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
                 p = sum(w * v for v, w in vertices.values())
                 polytope.restrict(active)
         f, g = _cmi_value_grad(Wr, wlogw_rows, p)
-        s = polytope.lp_max(g)
+        key, s = polytope.lp_max(g)
         gap = float(g @ (s - p))
         if gap <= config.tol:
             return p, f, gap, it
-        away = min(vertices, key=lambda key: float(g @ vertices[key][0]))
+        away = min(vertices, key=lambda k: float(g @ vertices[k][0]))
         v_away, w_away = vertices.pop(away)
-        key = _vertex_key(s)
         w_s = vertices.pop(key, (s, 0.0))[1]
         # The far end is a sum of vertices, so coordinates that the step
         # empties are exactly zero there; p + w_away (s - v_away) would leave
@@ -368,8 +370,8 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
         if t == 0.0:
             t = 1.0
         for k, v, w in ((away, v_away, (1.0 - t) * w_away), (key, s, w_s + t * w_away)):
-            if w > 0:  # adds, in case s and v_away round to the same key
-                vertices[k] = (v, w + vertices.get(k, (v, 0.0))[1])
+            if w > 0:
+                vertices[k] = (v, w)
         p = sum(w * v for v, w in vertices.values())
     raise ConvergenceError(
         f"Frank-Wolfe did not reach gap {config.tol} in {config.max_iters} "
@@ -400,7 +402,7 @@ def _stationary_fw(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
 
 def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
                            config: SolverConfig = SolverConfig(),
-                           tail_eps: float = 1e-10) -> StationaryBound:
+                           tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
     """max I(all k+1 inputs; current output) over shift-consistent joint laws
     with average intensity at most alpha.  The objective is smooth and
     concave, so Frank-Wolfe runs until its gap reaches config.tol."""
@@ -411,7 +413,7 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
 
 def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
                            config: SolverConfig = SolverConfig(),
-                           tail_eps: float = 1e-10) -> StationaryBound:
+                           tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
     """max I(current input; current output | k previous inputs) over the same
     polytope; any feasible law here yields a valid lower bound on capacity.
 
@@ -426,7 +428,7 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
 
 def stationary_bounds(spec: ChannelSpec, grid: InputGrid,
                       config: SolverConfig = SolverConfig(),
-                      tail_eps: float = 1e-10) -> StationaryBound:
+                      tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
     """Both stationary bounds on one instance."""
     up = stationary_upper_bound(spec, grid, config, tail_eps)
     lo = stationary_lower_bound(spec, grid, config, tail_eps)
@@ -531,7 +533,8 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     first; F is infinite once two rows with different supports both carry
     mass, and the result is then such a two-point law within the budget.
     Otherwise projected gradient ascent follows, from 2 + n_starts starts,
-    each for at most config.max_iters steps; config.tol is not read.
+    each until a step no longer raises F or for at most config.max_iters
+    steps; config.tol is not read.
     The result is the best law found; global optimality is only guaranteed
     when two-point supports suffice.
     """
@@ -572,7 +575,9 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
         return result(pair_best, two_point, 0)
 
     # Gradient D·p.  Step 1/||PDP||, the curvature on the simplex's tangent
-    # space, with P = I − 11'/n the centring matrix.
+    # space, with P = I − 11'/n the centring matrix: such a step never lowers
+    # F in exact arithmetic, so the first step that does not raise it marks
+    # the float-level fixed point.
     P = np.eye(n) - 1.0 / n
     step = 1.0 / max(float(np.linalg.norm(P @ D @ P, 2)), 1e-12)
     rng = np.random.default_rng(seed)
@@ -581,11 +586,15 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     best_val, best_p = -np.inf, None
     for p in starts:
         p = _project_feasible(p, cost, budget)
+        grad = D @ p
+        val = 0.5 * float(p @ grad)
         for _ in range(config.max_iters):
-            p, p_prev = _project_feasible(p + step * (D @ p), cost, budget), p
-            if np.abs(p - p_prev).sum() < 1e-13:
+            p_next = _project_feasible(p + step * grad, cost, budget)
+            grad_next = D @ p_next
+            val_next = 0.5 * float(p_next @ grad_next)
+            if not val_next > val:
                 break
-        val = 0.5 * float(p @ D @ p)
+            p, grad, val = p_next, grad_next, val_next
         if val > best_val:
             best_val, best_p = val, p
 

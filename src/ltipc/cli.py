@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import capacity_ordering_check
+from .analysis import _AXIS_DIRECTION, capacity_ordering_check
 from .bounds import (
     block_sandwich_bounds,
     poisson_sym_bound_closed_form,
@@ -44,8 +44,8 @@ from .report import (
     BoundRow,
     fmt,
     instance_hash,
+    ordering_row,
     sandwich_rows,
-    verdict_rows,
     write_bound_report,
     write_sweep_report,
     write_trace,
@@ -55,7 +55,6 @@ from .solver import SolverConfig
 
 _SIM_TRIALS = 200
 _SIM_SLOTS = 32
-_SWEEP_AXES = ("alpha", "amax", "lambda0")
 
 
 class _UsageError(ValueError):
@@ -184,7 +183,7 @@ def _cmd_degrade_check(run: Loaded) -> list:
         ImpulseResponse(run.values).normalize(), spec.lambda0, spec.amax,
         spec.alpha, run.grid(spec), r=run.rs[0], config=run.config,
         tail_eps=run.tail_eps)
-    rows = verdict_rows(run.inst_id, verdict)
+    rows = [ordering_row(run.inst_id, verdict)]
     if verdict.status != "not-applicable":
         rows.extend(sandwich_rows(f"{run.inst_id}|p", verdict.bound_p, wallclock_ms=ms))
         rows.extend(sandwich_rows(f"{run.inst_id}|p'", verdict.bound_p_prime))
@@ -196,8 +195,8 @@ def _cmd_sweep(run: Loaded) -> None:
         raise ValueError("sweep requires --axis")
     if not run.values:
         raise ValueError("sweep requires --values")
-    if run.axis not in _SWEEP_AXES:
-        raise ValueError(f"--axis must be one of {', '.join(_SWEEP_AXES)}, "
+    if run.axis not in _AXIS_DIRECTION:
+        raise ValueError(f"--axis must be one of {', '.join(_AXIS_DIRECTION)}, "
                          f"got {run.axis!r}")
     solved = []
     for v in run.values:

@@ -115,26 +115,10 @@ def sandwich_rows(instance_id: str, bound, wallclock_ms: int = 0):
     ]
 
 
-_SWEEP_BOUND_NAMES = {"alpha": "monotone-α", "amax": "monotone-A",
-                      "lambda0": "monotone-λ0"}
-
-
-def verdict_rows(instance_id: str, verdict) -> list:
-    """Serialize analysis verdicts into BoundReport rows.
-
-    Ordering verdicts carry the margin upper(p) - upper(p'); monotonicity
-    verdicts carry one row per swept value."""
-    from .analysis import OrderingVerdict, SweepVerdict
-
-    if isinstance(verdict, OrderingVerdict):
-        if verdict.status == "not-applicable":
-            return [BoundRow(instance_id, "ordering", 0, float("nan"))]
-        margin = verdict.bound_p.upper - verdict.bound_p_prime.upper
-        return [BoundRow(instance_id, "ordering", verdict.bound_p.r, margin)]
-    if isinstance(verdict, SweepVerdict):
-        name = _SWEEP_BOUND_NAMES[verdict.axis]
-        return [
-            BoundRow(f"{instance_id}@{verdict.axis}={fmt(float(v))}", name, 1, c)
-            for v, c in zip(verdict.values, verdict.c1)
-        ]
-    raise TypeError(f"unknown verdict type {type(verdict)!r}")
+def ordering_row(instance_id: str, verdict) -> BoundRow:
+    """The row of an analysis.OrderingVerdict: the margin
+    upper(p) - upper(p'), or nan when the pair does not factor."""
+    if verdict.status == "not-applicable":
+        return BoundRow(instance_id, "ordering", 0, float("nan"))
+    margin = verdict.bound_p.upper - verdict.bound_p_prime.upper
+    return BoundRow(instance_id, "ordering", verdict.bound_p.r, margin)

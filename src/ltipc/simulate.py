@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, convolve
-from .solver import _TINY, _check_pmf, _log0
+from .solver import _check_pmf, _log0
 
 _INVERSION_CUTOFF = 30.0
 _ROUND = 16  # fewest proposals in an Atkinson round
@@ -333,11 +333,29 @@ class PluginMiEstimate:
     n_samples: int
 
 
-def _plugin_mi(counts: np.ndarray, n: int) -> float:
-    p = counts / n
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    return float((p * _log0(p / np.maximum(px * py, _TINY))).sum())
+def _plugin_mi_jackknife(counts: np.ndarray):
+    """Mutual information of a joint histogram of n samples, in nats, and
+    its jackknife standard error over the samples.
+
+    With f(c) = c log c, n·I = sum f(cell) - sum f(row) - sum f(column)
+    + f(n).  Leaving out one sample of cell (i, j) changes four of those
+    terms, so the leave-one-out values are one per occupied cell, weighted
+    by its count.
+    """
+    def f(c):
+        return c * _log0(c)
+
+    n = float(counts.sum())
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    f_cells, f_rows, f_cols = f(counts), f(rows), f(cols)
+    total = f_cells.sum() - f_rows.sum() - f_cols.sum()
+    i, j = np.nonzero(counts)
+    weights = counts[i, j]
+    loo = (total - f_cells[i, j] + f(weights - 1.0) + f_rows[i] - f(rows[i] - 1.0)
+           + f_cols[j] - f(cols[j] - 1.0) + f(n - 1.0)) / (n - 1.0)
+    loo_mean = float(weights @ loo) / n
+    var_jack = (n - 1.0) / n * float(weights @ (loo - loo_mean) ** 2)
+    return float(total + f(n)) / n, math.sqrt(max(var_jack, 0.0))
 
 
 def plugin_mi_estimate(channel: DiscreteChannel, input_dist, n_samples: int,
@@ -364,21 +382,6 @@ def plugin_mi_estimate(channel: DiscreteChannel, input_dist, n_samples: int,
     counts = np.zeros((channel.n_inputs, channel.n_outputs), dtype=np.int64)
     np.add.at(counts, (xs, ys), 1)
 
-    mi = _plugin_mi(counts, n_samples)
-
-    # Jackknife over samples: leave-one-out estimates coincide within a
-    # cell, so loop over occupied cells rather than samples.
-    occupied = np.argwhere(counts > 0)
-    loo = np.empty(occupied.shape[0])
-    weights = np.empty(occupied.shape[0])
-    scratch = counts.astype(np.float64)
-    for idx, (i, j) in enumerate(occupied):
-        scratch[i, j] -= 1.0
-        loo[idx] = _plugin_mi(scratch, n_samples - 1)
-        scratch[i, j] += 1.0
-        weights[idx] = counts[i, j]
-    loo_mean = float(weights @ loo) / n_samples
-    var_jack = (n_samples - 1) / n_samples * float(weights @ (loo - loo_mean) ** 2)
+    mi, stderr = _plugin_mi_jackknife(counts)
     bias = (channel.n_inputs - 1) * (channel.n_outputs - 1) / (2.0 * n_samples)
-    return PluginMiEstimate(value=mi, stderr=math.sqrt(max(var_jack, 0.0)),
-                            bias=bias, n_samples=n_samples)
+    return PluginMiEstimate(value=mi, stderr=stderr, bias=bias, n_samples=n_samples)

@@ -164,12 +164,14 @@ def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
     """(mask of the inputs a solve may use, the budget it must still meet).
 
     A budget at the cheapest input cost admits only the cheapest inputs, which
-    all cost the same, so the budget is dropped; one below it is an error.
+    all cost the same, so the budget is dropped; one below it, or nan, is an
+    error.
     """
     if alpha is not None:
         min_cost = float(np.min(cost))
-        if alpha < min_cost - 1e-12:
-            raise ValueError(f"alpha={alpha} below the cheapest input cost {min_cost}")
+        if not alpha >= min_cost - 1e-12:  # also rejects nan
+            raise ValueError(f"alpha={alpha} is not a number at or above the "
+                             f"cheapest input cost {min_cost}")
         if alpha <= min_cost + 1e-12:
             return cost <= min_cost + 1e-12, None
     return np.ones(cost.size, dtype=bool), alpha

@@ -47,6 +47,24 @@ class TestCheckDegraded:
         assert not rep.feasible
         assert rep.q is None
 
+    @pytest.mark.parametrize("drop, feasible", [(1e-9, True), (1e-5, False)])
+    def test_tolerance_on_a_lowered_factor_tap(self, drop, feasible):
+        """p' = p * (0.5, -drop, 0.5), normalized: p' lies within the default
+        tol of a degraded response at drop 1e-9, and not at 1e-5."""
+        p = np.array([0.7, 0.3])
+        conv = np.convolve(p, [0.5, -drop, 0.5])
+        rep = lp.check_degraded(lp.ImpulseResponse(tuple(p)),
+                                lp.ImpulseResponse(tuple(conv / conv.sum())))
+        assert rep.feasible == feasible
+        assert (rep.residual <= 1e-8) == feasible
+
+    def test_sharper_response_not_degraded(self):
+        """p' = (1,) is sharper than p = (0.5, 0.5): the fit q = 1 has mass 1
+        but leaves residual 0.5."""
+        rep = lp.check_degraded(lp.ImpulseResponse((0.5, 0.5)), lp.ImpulseResponse((1.0,)))
+        assert not rep.feasible
+        assert rep.residual == pytest.approx(0.5)
+
     def test_requires_normalization(self):
         with pytest.raises(ValueError):
             lp.check_degraded(lp.ImpulseResponse((0.5, 0.3)),

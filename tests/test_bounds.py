@@ -192,7 +192,8 @@ class TestStationaryBounds:
 
 
 class TestCycleOracle:
-    """_StationaryPolytope.lp_max against HiGHS on the same linear program."""
+    """_StationaryPolytope.lp_max against HiGHS on the same linear program;
+    its key names the returned law exactly."""
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -215,7 +216,10 @@ class TestCycleOracle:
                 active[0] = True  # the all-zero window: a cost-0 cycle
                 poly.restrict(active)
             g = rng.normal(size=n)
-            p = poly.lp_max(g)
+            key, p = poly.lp_max(g)
+            key_again, p_again = poly.lp_max(g)
+            assert key_again == key
+            assert p_again.tobytes() == p.tobytes()
             ref = linprog(-g, A_eq=A_eq, b_eq=b_eq, A_ub=cost[None], b_ub=[alpha],
                           bounds=[(0, None if a else 0) for a in active], method="highs")
             assert ref.success

@@ -134,6 +134,15 @@ class TestSweepCommand:
         out = str(tmp_path / "x.csv")
         assert main(["sweep", "--instance", isi_instance, "--out", out]) == 1
 
+    def test_unknown_axis_names_the_axes(self, isi_instance, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        rc = main(["sweep", "--instance", isi_instance, "--out", out,
+                   "--axis", "noise", "--values", "1,2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
+        assert "--axis must be one of alpha, amax, lambda0" in err
+
 
 class TestSimulateCommand:
     def test_writes_two_deterministic_tables(self, isi_instance, tmp_path):

@@ -1,4 +1,4 @@
-"""Report serialization: bound rows, verdict rows, provenance lines."""
+"""Report serialization: bound rows, ordering rows, provenance lines."""
 import math
 
 import numpy as np
@@ -10,9 +10,9 @@ from ltipc.report import (
     BoundRow,
     fmt,
     instance_hash,
+    ordering_row,
     provenance_line,
     sandwich_rows,
-    verdict_rows,
     write_bound_report,
     write_trace,
 )
@@ -50,32 +50,19 @@ class TestVerdictRows:
         verdict = lp.capacity_ordering_check(
             lp.ImpulseResponse((1.0, 0.0)), lp.ImpulseResponse((0.5, 0.5)),
             2.0, 10.0, 3.0, grid, config=lp.SolverConfig(tol=1e-8))
-        rows = verdict_rows("inst", verdict)
-        assert len(rows) == 1
-        assert rows[0].bound_name == "ordering"
-        assert rows[0].value_nats >= -1e-6
+        row = ordering_row("inst", verdict)
+        assert row.bound_name == "ordering"
+        assert row.r == 1
+        assert row.value_nats >= -1e-6
 
     def test_ordering_not_applicable_is_nan(self):
         grid = lp.InputGrid.uniform(10.0, 3)
         verdict = lp.capacity_ordering_check(
             lp.ImpulseResponse((0.7, 0.3)), lp.ImpulseResponse((0.5, 0.5)),
             2.0, 10.0, 3.0, grid, config=lp.SolverConfig(tol=1e-8))
-        rows = verdict_rows("inst", verdict)
-        assert math.isnan(rows[0].value_nats)
-
-    def test_monotone_sweep_names(self):
-        expected = {"alpha": "monotone-α", "amax": "monotone-A",
-                    "lambda0": "monotone-λ0"}
-        values = {"alpha": [2.0, 4.0], "amax": [8.0, 12.0],
-                  "lambda0": [2.0, 4.0]}
-        for axis, name in expected.items():
-            verdict = lp.monotonicity_sweep(
-                lp.ImpulseResponse((0.7, 0.3)), axis, values[axis],
-                base_lambda0=2.0, base_amax=10.0, base_alpha=3.0,
-                grid_points=3, config=lp.SolverConfig(tol=1e-7))
-            rows = verdict_rows("inst", verdict)
-            assert [r.bound_name for r in rows] == [name, name]
-            assert all(np.isfinite(r.value_nats) for r in rows)
+        row = ordering_row("inst", verdict)
+        assert row.bound_name == "ordering"
+        assert math.isnan(row.value_nats)
 
 
 class TestSandwichRows:

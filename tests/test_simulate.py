@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ltipc as lp
-from ltipc.simulate import _inversion, poisson_draw, substream
+from ltipc.simulate import _inversion, _plugin_mi_jackknife, poisson_draw, substream
+from ltipc.solver import _TINY, _log0
 
 from helpers import poisson_pmf_recurrence
 
@@ -306,6 +307,13 @@ class TestSimulateNetwork:
             lp.simulate_network(self.net(), np.zeros((1, 4)), sim)
 
 
+def sparse_table(shape, n):
+    """n samples over a table of the given shape, many cells empty or single."""
+    rng = np.random.default_rng(n)
+    w = rng.random(shape) ** 4
+    return rng.multinomial(n, (w / w.sum()).ravel()).reshape(shape)
+
+
 class TestPluginMi:
     def test_identity_channel(self):
         ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
@@ -325,6 +333,40 @@ class TestPluginMi:
         exact = lp.mutual_information(ch, p)
         est = lp.plugin_mi_estimate(ch, p, 200_000, seed=23)
         assert abs(est.value - exact) <= 3 * est.stderr + est.bias
+
+    @staticmethod
+    def per_cell_jackknife(counts):
+        """Reference: the plug-in value and its jackknife standard error, with
+        one full recomputation per occupied cell."""
+        def plugin(c, n):
+            p = c / n
+            px = p.sum(axis=1, keepdims=True)
+            py = p.sum(axis=0, keepdims=True)
+            return float((p * _log0(p / np.maximum(px * py, _TINY))).sum())
+
+        n = int(counts.sum())
+        occupied = np.argwhere(counts > 0)
+        loo = np.empty(occupied.shape[0])
+        weights = np.empty(occupied.shape[0])
+        scratch = counts.astype(np.float64)
+        for idx, (i, j) in enumerate(occupied):
+            scratch[i, j] -= 1.0
+            loo[idx] = plugin(scratch, n - 1)
+            scratch[i, j] += 1.0
+            weights[idx] = counts[i, j]
+        loo_mean = float(weights @ loo) / n
+        var = (n - 1) / n * float(weights @ (loo - loo_mean) ** 2)
+        return plugin(counts, n), math.sqrt(max(var, 0.0))
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[1, 0, 3], [0, 1, 0], [2, 0, 5]]),  # a row and a column of one sample
+        sparse_table((2, 2), 40), sparse_table((3, 7), 500), sparse_table((9, 151), 200_000),
+    ], ids=["hand", "2x2", "3x7", "9x151"])
+    def test_closed_form_jackknife_matches_per_cell_loop(self, counts):
+        value, stderr = _plugin_mi_jackknife(counts)
+        ref_value, ref_stderr = self.per_cell_jackknife(counts)
+        assert abs(value - ref_value) <= 1e-13
+        assert abs(stderr - ref_stderr) <= 1e-9 * ref_stderr
 
     def test_minimum_sample_guard(self):
         ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))

@@ -112,6 +112,16 @@ class TestBaCapacity:
         with pytest.raises(ValueError):
             lp.ba_capacity(poisson9, alpha=-1.0)
 
+    @pytest.mark.parametrize("solve", [
+        lambda ch: lp.ba_capacity(ch, alpha=math.nan),
+        lambda ch: lp.sym_kl_max(ch, alpha=math.nan),
+        lambda ch: lp.capacity_cost_curve(ch, [math.nan]),
+    ], ids=["ba_capacity", "sym_kl_max", "capacity_cost_curve"])
+    def test_nan_alpha_rejected(self, poisson9, solve):
+        """A nan budget is an error, not a silently dropped constraint."""
+        with pytest.raises(ValueError, match="alpha=nan is not a number"):
+            solve(poisson9)
+
     def test_nonconvergence_diagnostic(self, poisson9):
         with pytest.raises(lp.ConvergenceError) as exc:
             lp.ba_capacity(poisson9, config=lp.SolverConfig(tol=1e-12, max_iters=3))
