@@ -17,6 +17,22 @@ The loop stops on the dual gap
 
 whose first two terms bound the optimum from above for any p and any s ≥ 0,
 so ``value + gap`` certifies the grid capacity-cost value.
+
+When the optimal law gives some inputs weight 0, that gap decays only like
+O(1/t).  So at iterations 16, 32, 64, ... the loop hands its law to a
+Newton polish: an active-set Newton solve of the KKT system
+
+    D_x(p) − s·c_x = ν on the support,  Σp = 1,  c·p = alpha (when s > 0),
+
+whose Jacobian is −H with H = W_S·diag(1/q)·W_Sᵀ, bordered by the two
+constraint rows.  A step that would make a weight negative stops at the
+boundary and drops that input, and the next step reuses its H on the smaller
+support; once Newton has converged on the support, the outside input with
+the largest D_x − s·c_x enters.  The polished law is kept only if s ≥ 0, the
+same dual gap over all inputs is at most tol, I(p) is no lower than BA's
+last value, and the law meets the budget as computed.  Otherwise it is
+discarded and BA goes on from its own iterate: the multiplicative update
+cannot revive an input the polish zeroed.
 """
 from __future__ import annotations
 
@@ -30,6 +46,8 @@ from .errors import ConvergenceError
 _TINY = 1e-300  # floor for logarithms; relative BA weights below it become zero
 _COST_WINDOW = 1e-14  # width of the accepted budget window, relative to max |cost|
 _ROOT_STEPS = 200  # multiplier-search steps; doubling alone reaches s = 2**199
+_FIRST_POLISH = 16  # BA iteration of the first Newton polish; then every doubling
+_NEWTON_STEPS = 20  # polish steps beyond one ratio-test drop per input
 
 
 @dataclass(frozen=True)
@@ -49,8 +67,10 @@ class CapacityResult:
     """Solver output: optimal value plus diagnostics.
 
     gap is the final dual gap, so value + gap is an upper bound on the
-    optimum.  history holds I(p_t), one entry per iteration; it is
-    non-decreasing, with or without a budget.
+    optimum.  iterations counts Blahut-Arimoto steps, plus one for the Newton
+    polish when the returned law comes from it.  history holds I(p_t), one
+    entry per iteration, the polished law's last; it is non-decreasing, with
+    or without a budget.
     """
 
     value: float
@@ -185,6 +205,7 @@ def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
     s, p = _budget_search(_tilt, _tilt_slope, np.zeros(W.shape[0]), cost, alpha)
     history = []
     gap = np.inf
+    next_polish = _FIRST_POLISH
     with np.errstate(divide="ignore"):  # log p is -inf off the support
         for it in range(1, max_iters + 1):
             d = wlogw - W @ np.log(np.maximum(p @ W, _TINY))
@@ -194,10 +215,77 @@ def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
             gap = float(np.max(d - s * cost)) + s * alpha - f if s else float(d.max()) - f
             if gap <= tol:
                 return p, it, gap, history
+            if it == next_polish and it < max_iters:
+                next_polish *= 2
+                polished = _kkt_polish(W, wlogw, cost, alpha, p, s, f, tol)
+                if polished is not None:
+                    p, f, gap = polished
+                    history.append(f)
+                    return p, it + 1, gap, history
             p = p_next
     raise ConvergenceError(
         f"Blahut-Arimoto did not reach gap {tol} in {max_iters} iterations "
         f"(last gap {gap:.3e}, cost multiplier {s:.3e})", gap=gap, iterations=max_iters)
+
+
+def _kkt_polish(W: np.ndarray, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
+                p: np.ndarray, s: float, floor: float, tol: float):
+    """Active-set Newton solve of the KKT system from BA's law p and
+    multiplier s (see the module docstring).  Returns (law, I(law), gap) when
+    the law passes the acceptance test, with floor as BA's last I(p_t);
+    otherwise None."""
+    budget = s > 0
+    # Right-hand sides of Σp = 1 and, with a budget, c·p = the middle of
+    # _budget_search's window, so that the law meets the budget as computed.
+    b = np.array([1.0, alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))]
+                 if budget else [1.0])
+    on = p > 0
+    p = p.copy()
+    dropped = False
+    for _ in range(W.shape[0] + _NEWTON_STEPS):
+        q = np.maximum(p @ W, _TINY)
+        d = wlogw - W @ np.log(q)
+        f = float(p @ d)
+        g = d - s * cost
+        shift = s * alpha if budget else 0.0
+        gap = float(g.max()) + shift - f
+        if gap <= tol:
+            if s >= 0 and f >= floor and (alpha is None or float(p @ cost) <= alpha):
+                return p, f, gap
+            return None
+        if float(g[on].max()) + shift - f <= tol:  # converged on the support
+            on[np.argmax(np.where(on, -np.inf, g))] = True
+            dropped = False
+        # Building H costs |S|²·|outputs|, so after a boundary step, which
+        # drops one input, the next step reuses H on the smaller support.
+        if dropped:
+            H = H[np.ix_(on[idx], on[idx])]
+        else:
+            Ws = W[on]
+            H = (Ws / q) @ Ws.T
+        idx = np.flatnonzero(on)
+        A = np.vstack([np.ones(idx.size), cost[idx]]) if budget else np.ones((1, idx.size))
+        K = np.block([[H, A.T], [A, np.zeros((b.size, b.size))]])
+        rhs = np.concatenate([d[idx], b - A @ p[idx]])
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        dp = sol[:idx.size]
+        shrink = dp < 0
+        ratios = -p[idx][shrink] / dp[shrink]
+        t = min(1.0, float(ratios.min())) if ratios.size else 1.0
+        p[idx] += t * dp
+        if budget:
+            s += t * (sol[-1] - s)
+        dropped = t < 1.0
+        if dropped:  # the ratio test stopped at the boundary: drop that input
+            drop = idx[shrink][np.argmin(ratios)]
+            p[drop] = 0.0
+            on[drop] = False
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum()
+    return None
 
 
 def _duplicate_row_reps(W: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -205,10 +293,11 @@ def _duplicate_row_reps(W: np.ndarray, cost: np.ndarray) -> np.ndarray:
     bit-identical transition rows.
 
     Identical rows (windows filtering to the same intensity, or inputs the
-    filter ignores) create flat optimal faces that stall the iteration.  The
-    reduction is exact: moving a group's mass onto its cheapest member keeps
-    the mutual information and can only lower the cost, so some optimizer of
-    the original problem lives on the representatives.
+    filter ignores) create flat optimal faces that stall the iteration, and
+    make the Newton polish's H singular.  The reduction is exact: moving a
+    group's mass onto its cheapest member keeps the mutual information and can
+    only lower the cost, so some optimizer of the original problem lives on
+    the representatives.
     """
     groups = {}
     for x, row in enumerate(W):
@@ -226,9 +315,10 @@ def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
     Duplicate rows are merged onto their cheapest member and a budget at the
     cheapest input cost restricts the solve to the cheapest inputs; then one
     Blahut-Arimoto loop with the cost multiplier found inside each iteration
-    runs on the remaining rows.  The returned law meets the budget as
-    computed (achieved_cost <= alpha), and value + gap is a certified upper
-    bound on the optimum.
+    runs on the remaining rows, finished by the Newton polish when that
+    certifies (see the module docstring).  The returned law meets the budget
+    as computed (achieved_cost <= alpha), and value + gap is a certified
+    upper bound on the optimum.
     """
     W, cost = channel.transition, channel.cost
     keep, alpha = _cheapest_inputs(cost, alpha)

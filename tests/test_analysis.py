@@ -119,6 +119,19 @@ class TestOrderingCheck:
         assert verdict.bound_p.gap <= 1e-9
         assert verdict.bound_p_prime.gap <= 1e-9
 
+    def test_flagged_pair_orders_at_r2(self):
+        """At r = 1 this pair is flagged (margin -8.9e-4, a grid artefact);
+        at r = 2 it orders with margin +0.0435.  The p' solve there is stiff:
+        plain Blahut-Arimoto runs into its 200k-iteration cap, so the cap
+        here only makes such a solver fail fast."""
+        p = lp.ImpulseResponse((0.8, 0.2))
+        p_prime = lp.ImpulseResponse(tuple(np.convolve((0.8, 0.2), (0.7, 0.3))))
+        verdict = lp.capacity_ordering_check(p, p_prime, 2.0, 24.0, 14.0,
+                                             lp.InputGrid.uniform(24.0, 3), r=2,
+                                             config=lp.SolverConfig(max_iters=20_000))
+        assert verdict.status == "consistent"
+        assert verdict.bound_p.upper - verdict.bound_p_prime.upper > 0.04
+
     def test_not_applicable_without_factorization(self):
         p = lp.ImpulseResponse((0.7, 0.3))
         p_prime = lp.ImpulseResponse((0.5, 0.5))

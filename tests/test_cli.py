@@ -68,6 +68,18 @@ class TestCapacityCommand:
         assert abs(bits - nats / math.log(2)) < 1e-12
         assert 0 < nats < math.log(4)
 
+    def test_budget_at_peak_solves(self, tmp_path):
+        """alpha = amax leaves the budget slack at every iterate, where plain
+        Blahut-Arimoto's gap decays only like O(1/t)."""
+        doc = {"impulse": [0.7, 0.3], "lambda0": 5.0, "amax": 40.0, "alpha": 40.0}
+        path = tmp_path / "peak.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "cap.csv")
+        assert main(["capacity", "--instance", str(path), "--out", out, "--grid", "9"]) == 0
+        _, [row] = read_report(out)
+        assert float(row["gap"]) <= 1e-9
+        assert abs(float(row["value_nats"]) - 1.140663381378) <= 1e-8
+
 
 class TestBoundsCommand:
     def test_four_rows_ordered(self, isi_instance, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 import ltipc as lp
 
@@ -227,3 +228,52 @@ class TestCapacityCostCurve:
     def test_rejects_unsorted(self, poisson9):
         with pytest.raises(ValueError):
             lp.capacity_cost_curve(poisson9, [5.0, 1.0])
+
+
+def _block_channel(taps, lambda0, amax, alpha, grid, r=1):
+    spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lambda0, amax, alpha)
+    return lp.build_block_channel(
+        lp.BlockChannelSpec(spec, lp.InputGrid.uniform(amax, grid), r=r))
+
+
+class TestNewtonPolish:
+    """Solves that plain Blahut-Arimoto finishes only at O(1/t): an optimal law
+    with inputs of weight 0 and a slack budget."""
+
+    @pytest.mark.parametrize("taps, lambda0, amax, alpha, grid", [
+        ((0.65, 0.35), 8.0, 50.0, 30.0, 3),  # 46,966 plain BA iterations
+        ((0.7, 0.3), 5.0, 40.0, 40.0, 9),    # beyond the 200k-iteration cap
+    ], ids=["block-b3", "alpha-at-peak"])
+    def test_certificate_recomputed_independently(self, taps, lambda0, amax, alpha, grid):
+        """min over s >= 0 of g(s) = max_x (D_x - s*c_x) + s*alpha, recomputed
+        from the returned law over every input, lies in [value, value + gap].
+        g is convex and piecewise linear, so its minimum is at s = 0 or where
+        two of its lines cross."""
+        ch = _block_channel(taps, lambda0, amax, alpha, grid)
+        res = lp.ba_capacity(ch, alpha=alpha)
+        assert res.iterations < 1000
+        W, c = ch.transition, ch.cost
+        d = rel_entr(W, res.input_dist @ W).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossings = (d[:, None] - d[None, :]) / (c[:, None] - c[None, :])
+        s = np.concatenate([[0.0], crossings[np.isfinite(crossings) & (crossings > 0)]])
+        g = np.max(d[None, :] - s[:, None] * c[None, :], axis=1) + s * alpha
+        assert res.value <= g.min() + 1e-12
+        assert g.min() <= res.value + res.gap + 1e-12
+        assert res.gap <= 1e-9
+        assert res.achieved_cost <= alpha
+        hist = np.asarray(res.history)
+        assert hist.size == res.iterations
+        assert np.all(np.diff(hist) >= -1e-12)
+
+    @pytest.mark.parametrize("taps, lambda0, amax, alpha, plain", [
+        ((0.7, 0.3), 5.0, 40.0, 5.0, (0.803374209720516, 1.400389868860766)),
+        ((0.8, 0.2), 2.0, 24.0, 14.0, (1.010294599276779, 1.867900664993957)),
+        ((0.65, 0.35), 8.0, 50.0, 30.0, (1.187802689870334, 2.163905487622664)),
+    ], ids=["b1", "b2", "b3"])
+    def test_block_values_unchanged(self, taps, lambda0, amax, alpha, plain):
+        """C_r on the grid-3 block instances, r = 1 and 2, as plain
+        Blahut-Arimoto found them to tol 1e-9."""
+        for r, expected in zip((1, 2), plain):
+            res = lp.ba_capacity(_block_channel(taps, lambda0, amax, alpha, 3, r), alpha=alpha)
+            assert abs(res.value - expected) <= 1e-9
