@@ -147,7 +147,8 @@ class _StationaryPolytope:
     inputs) to node t % m^k (its last k).  So the vertices of the polytope
     without the budget are the uniform laws on simple cycles, and lp_max
     solves its linear program with a maximum-mean-cycle oracle (Karp 1978)
-    inside a Lagrangian on the budget; no LP solver is involved.
+    inside a Lagrangian on the budget; no LP solver is involved.  It keeps
+    no state: each call passes the mask of windows it may use.
     """
 
     def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
@@ -155,15 +156,10 @@ class _StationaryPolytope:
         self.n = cost.size
         self.m, self.n_nodes = m, m ** k
         self.alpha = alpha
-        self.active = np.ones(self.n, dtype=bool)
         # Edge t = a*m^k + v enters node v; _src[a, v] is the node it leaves.
         self._src = (np.arange(self.n) // m).reshape(m, self.n_nodes)
 
-    def restrict(self, active: np.ndarray):
-        """Pin the coordinates outside the active mask to zero."""
-        self.active = np.array(active, dtype=bool)
-
-    def _max_mean_cycle(self, w: np.ndarray) -> np.ndarray:
+    def _max_mean_cycle(self, w: np.ndarray, active: np.ndarray) -> np.ndarray:
         """Edges of an active cycle of maximum mean weight w (Karp 1978).
 
         D_i(v), the heaviest i-edge walk ending at v, takes one max over
@@ -173,7 +169,7 @@ class _StationaryPolytope:
         of that mean, read off at its first repeated node.
         """
         m, V = self.m, self.n_nodes
-        weights = np.where(self.active, w, -np.inf).reshape(m, V)
+        weights = np.where(active, w, -np.inf).reshape(m, V)
         D = np.zeros((V + 1, V))
         pred = np.empty((V + 1, V), dtype=np.intp)
         cols = np.arange(V)
@@ -197,11 +193,11 @@ class _StationaryPolytope:
             v, i = t // m, i - 1
         return np.array(edges[V - level[v]:])
 
-    def lp_max(self, g: np.ndarray):
-        """(key, law): a vertex maximizing g.p over the polytope and an exact
-        name for it, a cycle's sorted edges or the pair of the two cycles'
-        keys for a budget mixture.  The same key always comes with the same
-        law, bit for bit.
+    def lp_max(self, g: np.ndarray, active: np.ndarray):
+        """(key, law): a vertex maximizing g.p over the polytope's laws on
+        the active windows, and an exact name for it, a cycle's sorted edges
+        or the pair of the two cycles' keys for a budget mixture.  The same
+        key always comes with the same law, bit for bit.
 
         With cycle means g(C) and c(C), the maximum is
         min_{mu >= 0} max_C [g(C) - mu c(C)] + mu alpha.  If the best cycle
@@ -213,7 +209,7 @@ class _StationaryPolytope:
         exactly alpha.  Finitely many cycles make this finite.
         """
         def cycle(w):
-            C = np.sort(self._max_mean_cycle(w))
+            C = np.sort(self._max_mean_cycle(w, active))
             return C, float(g[C].mean()), float(self.cost[C].mean())
 
         def law(C):
@@ -233,7 +229,7 @@ class _StationaryPolytope:
             w = g - mu * self.cost
             new = cycle(w)
             # A cycle within rounding of the lines is no better than its ends.
-            tol = 1e-14 * (1.0 + float(np.abs(w[self.active]).max()))
+            tol = 1e-14 * (1.0 + float(np.abs(w[active]).max()))
             if new[1] - mu * new[2] <= line + tol:
                 theta = (self.alpha - lo[2]) / (hi[2] - lo[2])
                 key = (tuple(hi[0].tolist()), tuple(lo[0].tolist()))
@@ -318,16 +314,16 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
     polytope.lp_max's exact keys to (vertex, weight), starting from the
     feasible interior point as a single pseudo-vertex under the key None.
     Each step moves weight from the active vertex worst for the gradient g
-    to the exact linear maximizer s = polytope.lp_max(g), so only those two
-    weights change.  While the gap exceeds config.tol, g.s > g.p >= g.v_away,
-    so s is not the away vertex.
+    to the exact linear maximizer s = polytope.lp_max(g, active), so only
+    those two weights change.  While the gap exceeds config.tol,
+    g.s > g.p >= g.v_away, so s is not the away vertex.
 
-    Every iteration first restricts the polytope: windows that start or end
-    in a prefix group of mass at most _GROUP_KILL_THRESHOLD are pinned to
-    zero, the vertices that use them are dropped and the rest reweighted to
-    sum to 1.  Each kept vertex is a feasible cycle-oracle vertex, so every
-    iterate stays shift-consistent and within budget.  With one prefix group,
-    Wr = W[None], the rule never fires.
+    The window mask active starts full, and every iteration first narrows
+    it: windows that start or end in a prefix group of mass at most
+    _GROUP_KILL_THRESHOLD leave it, the vertices that use them are dropped
+    and the rest reweighted to sum to 1.  Each kept vertex is a feasible
+    cycle-oracle vertex, so every iterate stays shift-consistent and within
+    budget.  With one prefix group, Wr = W[None], the rule never fires.
 
     The linearization gap g.(s - p) certifies f* <= f + gap over the support
     that is left.  Returns (p, f, gap, iterations) once the gap is at most
@@ -338,21 +334,22 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
     prefix, suffix = windows // m, windows % n_prefix
     p = polytope.interior_start()
     vertices = {None: (p, 1.0)}
+    active = np.ones(polytope.n, dtype=bool)
     for it in range(1, config.max_iters + 1):
         dead = np.bincount(prefix, weights=p, minlength=n_prefix) <= _GROUP_KILL_THRESHOLD
-        active = polytope.active & ~(dead[prefix] | dead[suffix])
-        if active.sum() < polytope.active.sum():
+        narrowed = active & ~(dead[prefix] | dead[suffix])
+        if narrowed.sum() < active.sum():
             # Under a budget near 0 the interior start already has groups
-            # below the threshold, and it is the only vertex; the
-            # restriction then waits until some vertex avoids the dead groups.
-            kept = {key: vw for key, vw in vertices.items() if not vw[0][~active].any()}
+            # below the threshold, and it is the only vertex; the mask then
+            # waits until some vertex avoids the dead groups.
+            kept = {key: vw for key, vw in vertices.items() if not vw[0][~narrowed].any()}
             if kept:
                 total = sum(w for _, w in kept.values())
                 vertices = {key: (v, w / total) for key, (v, w) in kept.items()}
                 p = sum(w * v for v, w in vertices.values())
-                polytope.restrict(active)
+                active = narrowed
         f, g = _cmi_value_grad(Wr, wlogw_rows, p)
-        key, s = polytope.lp_max(g)
+        key, s = polytope.lp_max(g, active)
         gap = float(g @ (s - p))
         if gap <= config.tol:
             return p, f, gap, it
@@ -384,20 +381,29 @@ def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
 
 
 def _stationary_fw(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
-                   tail_eps: float, side: str):
-    """Run _frank_wolfe for one stationary bound: the upper bound sees the
-    single-slot channel as one prefix group, the lower bound splits its rows
-    by their k previous inputs.  A ConvergenceError names the bound."""
+                   tail_eps: float, sides: tuple) -> StationaryBound:
+    """Run _frank_wolfe for each of sides on one build of the single-slot
+    channel and polytope: the upper bound sees the channel as one prefix
+    group, the lower splits its rows by their k previous inputs.  fw_gap is
+    the largest gap, iterations the total; a ConvergenceError names the bound."""
     ch = _single_slot_channel(spec, grid, tail_eps)
     k, m = spec.impulse.order, len(grid.points)
     W = ch.transition
-    Wr = W[None] if side == "upper" else W.reshape(m ** k, m, W.shape[1])
+    wlogw_rows = _wlogw_rows(W)
     poly = _StationaryPolytope(ch.cost, m, k, spec.alpha)
-    try:
-        return _frank_wolfe(Wr, _wlogw_rows(W), poly, config)
-    except ConvergenceError as e:
-        raise ConvergenceError(f"stationary {side} bound: {e}", gap=e.gap,
-                               iterations=e.iterations) from e
+    runs = {}
+    for side in sides:
+        Wr = W[None] if side == "upper" else W.reshape(m ** k, m, W.shape[1])
+        try:
+            runs[side] = _frank_wolfe(Wr, wlogw_rows, poly, config)
+        except ConvergenceError as e:
+            raise ConvergenceError(f"stationary {side} bound: {e}", gap=e.gap,
+                                   iterations=e.iterations) from e
+    up, lo = (runs.get(side, (None, None)) for side in ("upper", "lower"))
+    return StationaryBound(
+        upper=up[1], lower=lo[1], upper_dist=up[0], lower_dist=lo[0],
+        fw_gap=max(run[2] for run in runs.values()),
+        iterations=sum(run[3] for run in runs.values()))
 
 
 def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
@@ -406,9 +412,7 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
     """max I(all k+1 inputs; current output) over shift-consistent joint laws
     with average intensity at most alpha.  The objective is smooth and
     concave, so Frank-Wolfe runs until its gap reaches config.tol."""
-    p, f, gap, it = _stationary_fw(spec, grid, config, tail_eps, "upper")
-    return StationaryBound(upper=f, lower=None, upper_dist=p, lower_dist=None,
-                           fw_gap=gap, iterations=it)
+    return _stationary_fw(spec, grid, config, tail_eps, ("upper",))
 
 
 def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
@@ -421,22 +425,14 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     _frank_wolfe), so the reported law is shift-consistent and within
     budget, and fw_gap certifies optimality over the support that is left.
     """
-    p, f, gap, it = _stationary_fw(spec, grid, config, tail_eps, "lower")
-    return StationaryBound(upper=None, lower=f, upper_dist=None, lower_dist=p,
-                           fw_gap=gap, iterations=it)
+    return _stationary_fw(spec, grid, config, tail_eps, ("lower",))
 
 
 def stationary_bounds(spec: ChannelSpec, grid: InputGrid,
                       config: SolverConfig = SolverConfig(),
                       tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
-    """Both stationary bounds on one instance."""
-    up = stationary_upper_bound(spec, grid, config, tail_eps)
-    lo = stationary_lower_bound(spec, grid, config, tail_eps)
-    return StationaryBound(
-        upper=up.upper, lower=lo.lower,
-        upper_dist=up.upper_dist, lower_dist=lo.lower_dist,
-        fw_gap=max(up.fw_gap, lo.fw_gap),
-        iterations=up.iterations + lo.iterations)
+    """Both stationary bounds on one instance, from one channel and polytope."""
+    return _stationary_fw(spec, grid, config, tail_eps, ("upper", "lower"))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +518,11 @@ def _projection_slope(p: np.ndarray, cost: np.ndarray, m: float) -> float:
     return c_s.size * float(np.var(c_s))
 
 
+_SYMKL_RANDOM_STARTS = 16
+
+
 def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
-               config: SolverConfig = SolverConfig(), n_starts: int = 16,
-               seed: int = 0) -> SymKLResult:
+               config: SolverConfig = SolverConfig(), seed: int = 0) -> SymKLResult:
     """Maximize the symmetrized-KL functional F(p) = (1/2) p'Dp over budgeted
     input laws, with D from _sym_kl_matrix.
 
@@ -532,9 +530,9 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     search over one- and two-point laws (on a pair, F = t(1 − t)·D_ij) comes
     first; F is infinite once two rows with different supports both carry
     mass, and the result is then such a two-point law within the budget.
-    Otherwise projected gradient ascent follows, from 2 + n_starts starts,
-    each until a step no longer raises F or for at most config.max_iters
-    steps; config.tol is not read.
+    Otherwise projected gradient ascent follows, from 2 + _SYMKL_RANDOM_STARTS
+    starts, the random ones drawn from seed, each until a step no longer
+    raises F or for at most config.max_iters steps; config.tol is not read.
     The result is the best law found; global optimality is only guaranteed
     when two-point supports suffice.
     """
@@ -582,7 +580,7 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     step = 1.0 / max(float(np.linalg.norm(P @ D @ P, 2)), 1e-12)
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n), two_point]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(n_starts)]
+    starts += [rng.dirichlet(np.ones(n)) for _ in range(_SYMKL_RANDOM_STARTS)]
     best_val, best_p = -np.inf, None
     for p in starts:
         p = _project_feasible(p, cost, budget)

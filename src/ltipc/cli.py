@@ -26,8 +26,7 @@ from .analysis import _AXIS_DIRECTION, capacity_ordering_check
 from .bounds import (
     block_sandwich_bounds,
     poisson_sym_bound_closed_form,
-    stationary_lower_bound,
-    stationary_upper_bound,
+    stationary_bounds,
     sym_kl_max,
 )
 from .channel import (
@@ -167,9 +166,14 @@ def _cmd_symkl(run: Loaded) -> list:
     channel = build_block_channel(run.block(spec, 1))
     res, ms = _timed(sym_kl_max, channel, alpha=spec.alpha, config=run.config,
                      seed=run.seed)
-    rows = [BoundRow(run.inst_id, "sym-kl upper bound", 1, res.value, wallclock_ms=ms)]
+    # sym_kl_max certifies nothing, so the generic row's gap is nan.
+    rows = [BoundRow(run.inst_id, "sym-kl upper bound", 1, res.value, gap=float("nan"),
+                     wallclock_ms=ms)]
     if spec.impulse.order == 0 and spec.lambda0 > 0:
-        closed = poisson_sym_bound_closed_form(spec.amax, spec.alpha, spec.lambda0)
+        # Intensity lambda0 + tap*x: peak tap*amax, budget tap*alpha; tap 0 carries nothing.
+        tap = spec.impulse.taps[0]
+        closed = 0.0 if tap == 0 else poisson_sym_bound_closed_form(
+            tap * spec.amax, tap * spec.alpha, spec.lambda0)
         rows.append(BoundRow(run.inst_id, "sym-kl closed form", 0, closed))
     return rows
 
@@ -206,11 +210,8 @@ def _cmd_sweep(run: Loaded) -> None:
             bound = block_sandwich_bounds(run.block(spec, r), run.config)
             out[f"lower_r{r}"] = bound.lower
             out[f"upper_r{r}"] = bound.upper
-        grid = run.grid(spec)
-        out["stationary_lower"] = stationary_lower_bound(
-            spec, grid, run.config, run.tail_eps).lower
-        out["stationary_upper"] = stationary_upper_bound(
-            spec, grid, run.config, run.tail_eps).upper
+        st = stationary_bounds(spec, run.grid(spec), run.config, run.tail_eps)
+        out["stationary_lower"], out["stationary_upper"] = st.lower, st.upper
         solved.append(out)
     columns = {name: [row[name] for row in solved] for name in solved[0]}
     write_sweep_report(run.out, run.axis, run.values, columns, run.inst_hash,

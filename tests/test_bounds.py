@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 import ltipc as lp
 from ltipc.bounds import (
     _cmi_value_grad,
+    _frank_wolfe,
     _line_search,
     _project_feasible,
     _single_slot_channel,
@@ -182,6 +183,46 @@ class TestStationaryBounds:
         assert lo.fw_gap <= 1e-9
         assert 0.0 < lo.lower <= lp.stationary_upper_bound(spec, grid).upper + 1e-12
 
+    @pytest.mark.parametrize("taps", [(1.0,), (0.7, 0.3), (0.5, 0.3, 0.2)])
+    def test_both_bounds_match_separate_runs(self, taps):
+        """One build for both bounds gives each bound's value, law, gap and
+        iteration count bit for bit."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse(taps), 2.0, 20.0, 5.0)
+        grid = lp.InputGrid.uniform(20.0, 3)
+        both = lp.stationary_bounds(spec, grid)
+        up = lp.stationary_upper_bound(spec, grid)
+        lo = lp.stationary_lower_bound(spec, grid)
+        assert both.upper.hex() == up.upper.hex()
+        assert both.lower.hex() == lo.lower.hex()
+        assert both.upper_dist.tobytes() == up.upper_dist.tobytes()
+        assert both.lower_dist.tobytes() == lo.lower_dist.tobytes()
+        assert both.fw_gap.hex() == max(up.fw_gap, lo.fw_gap).hex()
+        assert both.iterations == up.iterations + lo.iterations
+
+    def test_both_bounds_build_one_channel(self, monkeypatch):
+        calls = []
+        build = lp.bounds.build_block_channel
+        monkeypatch.setattr(lp.bounds, "build_block_channel",
+                            lambda bspec: calls.append(bspec) or build(bspec))
+        lp.stationary_bounds(small_isi_spec(), lp.InputGrid.uniform(10.0, 3))
+        assert len(calls) == 1
+
+    def test_lower_run_leaves_polytope_unchanged(self):
+        """The lower bound narrows its window mask as groups die, here at
+        the first step; the polytope keeps no trace of it, so a full-mask
+        query after the run returns what it returned before."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.6, 0.4)), 4.0, 10.0, 1.0)
+        ch = _single_slot_channel(spec, lp.InputGrid.uniform(10.0, 3), 1e-10)
+        poly = _StationaryPolytope(ch.cost, 3, 1, spec.alpha)
+        every = np.ones(poly.n, dtype=bool)
+        g = np.random.default_rng(7).normal(size=poly.n)
+        key, law = poly.lp_max(g, every)
+        Wr = ch.transition.reshape(3, 3, -1)
+        _frank_wolfe(Wr, _wlogw_rows(ch.transition), poly, lp.SolverConfig())
+        key_after, law_after = poly.lp_max(g, every)
+        assert key_after == key
+        assert law_after.tobytes() == law.tobytes()
+
     def test_lower_group_dropped_when_it_dies(self):
         """Here prefix groups die at the first step; dropped at once, the
         run converges within 10 iterations."""
@@ -214,10 +255,9 @@ class TestCycleOracle:
             if trial >= 6:
                 active = rng.random(n) < 0.6
                 active[0] = True  # the all-zero window: a cost-0 cycle
-                poly.restrict(active)
             g = rng.normal(size=n)
-            key, p = poly.lp_max(g)
-            key_again, p_again = poly.lp_max(g)
+            key, p = poly.lp_max(g, active)
+            key_again, p_again = poly.lp_max(g, active)
             assert key_again == key
             assert p_again.tobytes() == p.tobytes()
             ref = linprog(-g, A_eq=A_eq, b_eq=b_eq, A_ub=cost[None], b_ub=[alpha],

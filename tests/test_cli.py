@@ -114,13 +114,29 @@ class TestBoundsCommand:
 
 class TestSymklCommand:
     def test_closed_form_row_for_memoryless(self, memoryless_instance, tmp_path):
+        """The closed form of intensity lambda0 + tap*x has peak tap*amax and
+        budget tap*alpha; with tap 0 the channel carries nothing."""
+        doc = json.load(open(memoryless_instance))
+        for tap in (1.0, 0.5, 0.0):
+            doc["impulse"] = [tap]
+            path = tmp_path / f"tap{tap}.json"
+            path.write_text(json.dumps(doc))
+            out = str(tmp_path / f"symkl{tap}.csv")
+            assert main(["symkl", "--instance", str(path), "--out", out]) == 0
+            _, rows = read_report(out)
+            names = {r["bound_name"] for r in rows}
+            assert names == {"sym-kl upper bound", "sym-kl closed form"}
+            vals = {r["bound_name"]: float(r["value_nats"]) for r in rows}
+            assert abs(vals["sym-kl upper bound"] - vals["sym-kl closed form"]) < 1e-6, tap
+
+    def test_generic_row_gap_is_nan(self, memoryless_instance, tmp_path):
+        """Only the closed form is exact; the generic search certifies no gap."""
         out = str(tmp_path / "symkl.csv")
         assert main(["symkl", "--instance", memoryless_instance, "--out", out]) == 0
         _, rows = read_report(out)
-        names = {r["bound_name"] for r in rows}
-        assert names == {"sym-kl upper bound", "sym-kl closed form"}
-        vals = {r["bound_name"]: float(r["value_nats"]) for r in rows}
-        assert abs(vals["sym-kl upper bound"] - vals["sym-kl closed form"]) < 1e-6
+        gaps = {r["bound_name"]: float(r["gap"]) for r in rows}
+        assert math.isnan(gaps["sym-kl upper bound"])
+        assert gaps["sym-kl closed form"] == 0.0
 
 
 class TestSweepCommand:
@@ -141,6 +157,18 @@ class TestSweepCommand:
         assert upper[-1] - upper[-2] < 1e-4  # saturating near the peak
         lower = data[:, header.index("lower_r1")]
         assert np.all(lower <= upper + 1e-12)
+
+    def test_one_stationary_build_per_point(self, isi_instance, tmp_path, monkeypatch):
+        """Per point: one channel for each block length and one single-slot
+        channel shared by both stationary bounds."""
+        calls = []
+        build = cli.build_block_channel
+        monkeypatch.setattr("ltipc.bounds.build_block_channel",
+                            lambda bspec: calls.append(bspec.r) or build(bspec))
+        rc = main(["sweep", "--instance", isi_instance, "--out", str(tmp_path / "s.csv"),
+                   "--axis", "alpha", "--values", "2,6", "--r", "1", "--r", "2"])
+        assert rc == 0
+        assert calls == [1, 2, 1] * 2
 
     def test_requires_axis_and_values(self, isi_instance, tmp_path):
         out = str(tmp_path / "x.csv")
