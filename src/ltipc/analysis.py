@@ -9,7 +9,8 @@ from scipy.linalg import convolution_matrix
 from scipy.optimize import nnls
 
 from .bounds import SandwichBound, block_sandwich_bounds
-from .channel import DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse, InputGrid
+from .channel import (DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse,
+                      InputGrid, _freeze)
 from .solver import SolverConfig
 
 
@@ -23,9 +24,7 @@ class DegradednessReport:
 
     def __post_init__(self):
         if self.q is not None:
-            q = np.asarray(self.q, dtype=np.float64)
-            q.flags.writeable = False
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", _freeze(self.q))
 
 
 def check_degraded(p: ImpulseResponse, p_prime: ImpulseResponse,
@@ -119,6 +118,25 @@ _AXIS_DIRECTION = {
 }
 
 
+def _sweep(spec: ChannelSpec, axis: str, values, grid_points: int, rs,
+           config: SolverConfig, tail_eps: float = DEFAULT_TAIL_EPS):
+    """The instances with axis set to each value, on a uniform grid spanning
+    each new peak, and their block bounds as columns lower_r<r>, upper_r<r>."""
+    if axis not in _AXIS_DIRECTION:
+        raise ValueError(f"--axis must be one of {', '.join(_AXIS_DIRECTION)}, "
+                         f"got {axis!r}")
+    points = [replace(spec, **{axis: v}) for v in values]
+    columns = {f"{side}_r{r}": [] for r in rs for side in ("lower", "upper")}
+    for point in points:
+        grid = InputGrid.uniform(point.amax, grid_points)
+        for r in dict.fromkeys(rs):
+            bound = block_sandwich_bounds(
+                BlockChannelSpec(point, grid, r=r, tail_eps=tail_eps), config)
+            columns[f"lower_r{r}"].append(bound.lower)
+            columns[f"upper_r{r}"].append(bound.upper)
+    return points, columns
+
+
 def monotonicity_sweep(impulse: ImpulseResponse, axis: str, values,
                        base_lambda0: float, base_amax: float, base_alpha: float,
                        grid_points: int = 5,
@@ -127,23 +145,14 @@ def monotonicity_sweep(impulse: ImpulseResponse, axis: str, values,
     """Solve C_1 along one parameter axis and check the expected direction:
     capacity grows with the peak and the budget, shrinks with background
     noise.  The grid tracks the peak so every instance spans [0, amax]."""
-    if axis not in _AXIS_DIRECTION:
-        raise ValueError(f"axis must be one of {sorted(_AXIS_DIRECTION)}")
     values = [float(v) for v in values]
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("values must be sorted ascending")
     base = ChannelSpec(impulse=impulse, lambda0=base_lambda0, amax=base_amax,
                        alpha=base_alpha)
-    c1 = []
-    for v in values:
-        spec = replace(base, **{axis: v})
-        grid = InputGrid.uniform(spec.amax, grid_points)
-        c1.append(block_sandwich_bounds(BlockChannelSpec(spec, grid, r=1), config).upper)
-    diffs = np.diff(c1)
+    c1 = _sweep(base, axis, values, grid_points, (1,), config)[1]["upper_r1"]
     direction = _AXIS_DIRECTION[axis]
-    if direction == "non-decreasing":
-        monotone = bool(np.all(diffs >= -slack))
-    else:
-        monotone = bool(np.all(diffs <= slack))
+    sign = 1.0 if direction == "non-decreasing" else -1.0
+    monotone = bool(np.all(sign * np.diff(c1) >= -slack))
     return SweepVerdict(axis=axis, values=tuple(values), c1=tuple(c1),
                         direction=direction, monotone=monotone)

@@ -22,14 +22,16 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401  unused; perfbench/tracing.py wraps this name
 
 from .channel import (
+    DEFAULT_ENTRY_BUDGET,
     DEFAULT_TAIL_EPS,
     BlockChannelSpec,
     ChannelSpec,
     DiscreteChannel,
     InputGrid,
+    _freeze,
     build_block_channel,
 )
-from .errors import ConvergenceError
+from .errors import BudgetExceededError, ConvergenceError
 from .solver import (_ROOT_STEPS, _TINY, SolverConfig, _budget_search, _check_pmf,
                      _cheapest_inputs, _log0, _wlogw_rows, ba_capacity)
 
@@ -51,9 +53,7 @@ class SandwichBound:
     iterations: int
 
     def __post_init__(self):
-        p = np.asarray(self.input_dist, dtype=np.float64)
-        p.flags.writeable = False
-        object.__setattr__(self, "input_dist", p)
+        object.__setattr__(self, "input_dist", _freeze(self.input_dist))
 
 
 def block_sandwich_bounds(bspec: BlockChannelSpec,
@@ -95,6 +95,11 @@ class StationaryBound:
     lower_dist: np.ndarray | None
     fw_gap: float
     iterations: int
+
+    def __post_init__(self):
+        for name in ("upper_dist", "lower_dist"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 def _group_sums(Wr: np.ndarray, p: np.ndarray):
@@ -148,13 +153,21 @@ class _StationaryPolytope:
     without the budget are the uniform laws on simple cycles, and lp_max
     solves its linear program with a maximum-mean-cycle oracle (Karp 1978)
     inside a Lagrangian on the budget; no LP solver is involved.  It keeps
-    no state: each call passes the mask of windows it may use.
+    no state: each call passes the mask of windows it may use.  Karp's two
+    (V+1) x V tables on V = m^k nodes must fit DEFAULT_ENTRY_BUDGET.
     """
 
     def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
+        V = m ** k
+        if (V + 1) * V > DEFAULT_ENTRY_BUDGET:
+            raise BudgetExceededError(
+                f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
+                f"= {(V + 1) * V} entries each, above the budget of {DEFAULT_ENTRY_BUDGET} "
+                f"({m}-point grid, {k + 1} taps); lower --grid or use fewer taps",
+                n_inputs=V + 1, n_outputs=V, budget=DEFAULT_ENTRY_BUDGET)
         self.cost = cost
         self.n = cost.size
-        self.m, self.n_nodes = m, m ** k
+        self.m, self.n_nodes = m, V
         self.alpha = alpha
         # Edge t = a*m^k + v enters node v; _src[a, v] is the node it leaves.
         self._src = (np.arange(self.n) // m).reshape(m, self.n_nodes)
@@ -451,7 +464,14 @@ class SymKLResult:
 
 def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
     """D[x, x'] = D(W_x || W_x') + D(W_x' || W_x), the symmetrized KL
-    divergence between two rows; inf where the rows have different supports."""
+    divergence between two rows; inf where the rows have different supports.
+    The n x n matrices built here must fit DEFAULT_ENTRY_BUDGET."""
+    n = W.shape[0]
+    if n * n > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"the sym-KL matrix needs {n} x {n} = {n * n} entries, above the budget "
+            f"of {DEFAULT_ENTRY_BUDGET} ({n} inputs); lower --grid or use fewer taps",
+            n_inputs=n, n_outputs=n, budget=DEFAULT_ENTRY_BUDGET)
     G = _log0(W) @ W.T  # G[x, x'] = sum_y W[x', y] log W[x, y]
     d = np.diag(G)
     D = d[:, None] + d[None, :] - G - G.T

@@ -17,12 +17,12 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .analysis import _AXIS_DIRECTION, capacity_ordering_check
+from .analysis import _sweep, capacity_ordering_check
 from .bounds import (
     block_sandwich_bounds,
     poisson_sym_bound_closed_form,
@@ -199,21 +199,11 @@ def _cmd_sweep(run: Loaded) -> None:
         raise ValueError("sweep requires --axis")
     if not run.values:
         raise ValueError("sweep requires --values")
-    if run.axis not in _AXIS_DIRECTION:
-        raise ValueError(f"--axis must be one of {', '.join(_AXIS_DIRECTION)}, "
-                         f"got {run.axis!r}")
-    solved = []
-    for v in run.values:
-        spec = replace(run.spec, **{run.axis: v})
-        out = {}
-        for r in run.rs:
-            bound = block_sandwich_bounds(run.block(spec, r), run.config)
-            out[f"lower_r{r}"] = bound.lower
-            out[f"upper_r{r}"] = bound.upper
-        st = stationary_bounds(spec, run.grid(spec), run.config, run.tail_eps)
-        out["stationary_lower"], out["stationary_upper"] = st.lower, st.upper
-        solved.append(out)
-    columns = {name: [row[name] for row in solved] for name in solved[0]}
+    points, columns = _sweep(run.spec, run.axis, run.values, run.grid_points,
+                             run.rs, run.config, run.tail_eps)
+    st = [stationary_bounds(p, run.grid(p), run.config, run.tail_eps) for p in points]
+    columns["stationary_lower"] = [b.lower for b in st]
+    columns["stationary_upper"] = [b.upper for b in st]
     write_sweep_report(run.out, run.axis, run.values, columns, run.inst_hash,
                        run.config_desc)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, convolve
+from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, _freeze, convolve
 from .solver import _check_pmf, _log0
 
 _INVERSION_CUTOFF = 30.0
@@ -73,10 +73,9 @@ class Trace:
             raise ValueError("output slot count must match input slot count")
         if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
             raise ValueError("outputs must be nonnegative integer counts")
-        x.flags.writeable = False
         yy = np.ascontiguousarray(y)
         yy.flags.writeable = False
-        object.__setattr__(self, "inputs", x)
+        object.__setattr__(self, "inputs", _freeze(x))
         object.__setattr__(self, "outputs", yy)
 
     def input_rows(self):

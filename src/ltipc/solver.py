@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DiscreteChannel
+from .channel import DiscreteChannel, _freeze
 from .errors import ConvergenceError
 
 _TINY = 1e-300  # floor for logarithms; relative BA weights below it become zero
@@ -81,9 +81,7 @@ class CapacityResult:
     history: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.input_dist, dtype=np.float64)
-        p.flags.writeable = False
-        object.__setattr__(self, "input_dist", p)
+        object.__setattr__(self, "input_dist", _freeze(self.input_dist))
 
 
 def _check_pmf(values, size: int, what: str = "input distribution") -> np.ndarray:

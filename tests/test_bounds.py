@@ -91,6 +91,13 @@ class TestStationaryBounds:
     def test_lower_below_upper(self, small_isi_bounds):
         assert small_isi_bounds.lower <= small_isi_bounds.upper + 1e-6
 
+    def test_laws_are_read_only(self, small_isi_bounds):
+        """Like every other result's arrays, the returned laws are frozen."""
+        for dist in (small_isi_bounds.upper_dist, small_isi_bounds.lower_dist):
+            assert not dist.flags.writeable
+            with pytest.raises(ValueError):
+                dist[0] = 0.0
+
     def test_feasible_point_below_maximum(self):
         """Any equal-marginal product law is feasible, so its objective
         cannot beat the returned maximum."""

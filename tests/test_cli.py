@@ -2,11 +2,15 @@
 idempotence."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import ltipc.cli as cli
+from ltipc import ImpulseResponse, monotonicity_sweep
 from ltipc.cli import _parse_values, main
 from ltipc.errors import ConvergenceError
 from ltipc.report import BOUND_COLUMNS, GRID_UPPER_LABEL
@@ -168,7 +172,19 @@ class TestSweepCommand:
         rc = main(["sweep", "--instance", isi_instance, "--out", str(tmp_path / "s.csv"),
                    "--axis", "alpha", "--values", "2,6", "--r", "1", "--r", "2"])
         assert rc == 0
-        assert calls == [1, 2, 1] * 2
+        assert calls == [1, 2] * 2 + [1] * 2
+
+    def test_upper_r1_is_monotonicity_sweeps_c1(self, isi_instance, tmp_path):
+        """Both sweeps solve C_1 at the same points, so the report's upper_r1
+        column is monotonicity_sweep's c1, float for float."""
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--instance", isi_instance, "--out", out,
+                     "--axis", "alpha", "--values", "1,2,4", "--r", "1"]) == 0
+        _, rows = read_report(out)
+        verdict = monotonicity_sweep(ImpulseResponse((0.7, 0.3)), "alpha", [1.0, 2.0, 4.0],
+                                     base_lambda0=2.0, base_amax=10.0, base_alpha=3.0,
+                                     grid_points=3)
+        assert [float(row["upper_r1"]) for row in rows] == list(verdict.c1)
 
     def test_requires_axis_and_values(self, isi_instance, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -343,3 +359,41 @@ def test_each_command_reaches_its_writer(argv, writer, n_rows, isi_instance,
     out = str(tmp_path / "out")
     assert main(argv + ["--instance", isi_instance, "--out", out]) == 0
     assert calls == [(writer, n_rows)]
+
+
+# Runs main(argv) with the address space capped at 3 GiB, so that building an
+# over-budget array fails at once with MemoryError instead of paging.
+_CAPPED_MAIN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from ltipc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("doc, argv, what", [
+    # 15 taps on a 2-point grid: Karp's tables would be 16,385 x 16,384.
+    ({"impulse": [0.0666] * 15, "lambda0": 2.0, "amax": 10.0, "alpha": 2.0,
+      "grid_points": 2}, ["sweep", "--axis", "alpha", "--values", "2"], "cycle search"),
+    # 5 taps on the default 9-point grid: the sym-KL matrix would be 59,049^2.
+    ({"impulse": [0.3, 0.25, 0.2, 0.15, 0.1], "lambda0": 2.0, "amax": 40.0,
+      "alpha": 10.0}, ["symkl"], "sym-KL matrix"),
+])
+def test_over_budget_array_exits_1(doc, argv, what, tmp_path):
+    """An instance whose cycle-search tables or sym-KL matrix exceed the entry
+    budget exits 1 with one line naming --grid, before allocating them."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv, "--instance", str(path),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("LTIPC-ERROR invalid-input:")
+    assert what in proc.stderr and "--grid" in proc.stderr
