@@ -465,19 +465,29 @@ class SymKLResult:
 def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
     """D[x, x'] = D(W_x || W_x') + D(W_x' || W_x), the symmetrized KL
     divergence between two rows; inf where the rows have different supports.
-    The n x n matrices built here must fit DEFAULT_ENTRY_BUDGET."""
+
+    The byte budget, DEFAULT_ENTRY_BUDGET float64 entries, is checked before
+    any n x n array is built, for the most such arrays alive at once here or
+    in sym_kl_max: four float64 arrays, D, P, P @ D and P @ D @ P, at its
+    step computation.
+    """
     n = W.shape[0]
-    if n * n > DEFAULT_ENTRY_BUDGET:
+    itemsize = np.dtype(np.float64).itemsize
+    nbytes, budget = 4 * n * n * itemsize, DEFAULT_ENTRY_BUDGET * itemsize
+    if nbytes > budget:
         raise BudgetExceededError(
-            f"the sym-KL matrix needs {n} x {n} = {n * n} entries, above the budget "
-            f"of {DEFAULT_ENTRY_BUDGET} ({n} inputs); lower --grid or use fewer taps",
+            f"the sym-KL matrix and its step need four {n} x {n} float64 arrays at once, "
+            f"{nbytes} bytes, above the budget of {budget} bytes ({n} inputs); "
+            f"lower --grid or use fewer taps",
             n_inputs=n, n_outputs=n, budget=DEFAULT_ENTRY_BUDGET)
     G = _log0(W) @ W.T  # G[x, x'] = sum_y W[x', y] log W[x, y]
-    d = np.diag(G)
-    D = d[:, None] + d[None, :] - G - G.T
-    supp = (W > 0).astype(np.float64)
-    n_supp = supp.sum(axis=1)
-    D[n_supp[:, None] + n_supp[None, :] - 2.0 * supp @ supp.T > 0] = np.inf
+    d = np.diag(G).copy()
+    D = d[:, None] + d[None, :]
+    D -= G
+    D -= G.T
+    del G
+    support_id = np.unique(W > 0, axis=0, return_inverse=True)[1].ravel()
+    D[support_id[:, None] != support_id[None, :]] = np.inf
     return D
 
 
@@ -541,6 +551,36 @@ def _projection_slope(p: np.ndarray, cost: np.ndarray, m: float) -> float:
 _SYMKL_RANDOM_STARTS = 16
 
 
+def _best_pair(D: np.ndarray, cost: np.ndarray, budget: float) -> tuple:
+    """The best budgeted law on at most two inputs, (i, j, t, F): mass t on
+    input i, 1 − t on j.  It holds at most three n x n float64 arrays at once,
+    D included, and none of them outlives the call."""
+    # Mass t on the costlier input i of a pair, 1 − t on j: F = t(1 − t)·D_ij
+    # peaks at t = 1/2 unless the budget caps t.  The diagonal (D_ii = 0)
+    # stands for the single inputs; t = −1 marks infeasible pairs.
+    dc = cost[:, None] - cost[None, :]
+    slack = budget - cost[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = slack / dc
+    t[~(dc > 0)] = np.inf
+    np.minimum(0.5, t, out=t)
+    t[(dc < 0) | (slack < 0)] = -1.0
+    del dc
+    # A row can share its support with at most one row of a mismatched pair,
+    # so F = inf is reached, if at all, on a pair with the cheapest input k,
+    # where the budget leaves t > 0.
+    k = int(np.argmin(cost))
+    mismatched = np.flatnonzero(np.isinf(D[k]))
+    if mismatched.size:
+        return mismatched[0], k, float(t[mismatched[0], k]), math.inf
+    pair_val = 1.0 - t
+    pair_val *= t
+    pair_val *= D
+    pair_val[t < 0] = -np.inf
+    i, j = np.unravel_index(np.argmax(pair_val), pair_val.shape)
+    return i, j, float(t[i, j]), float(pair_val[i, j])
+
+
 def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
                config: SolverConfig = SolverConfig(), seed: int = 0) -> SymKLResult:
     """Maximize the symmetrized-KL functional F(p) = (1/2) p'Dp over budgeted
@@ -569,26 +609,8 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
             value=value, support=tuple(channel.input_labels[idx[x]] for x in keep),
             masses=tuple(p[keep] / p[keep].sum()), n_starts=n_run)
 
-    # Mass t on the costlier input i of a pair, 1 − t on j: F = t(1 − t)·D_ij
-    # peaks at t = 1/2 unless the budget caps t.  The diagonal (D_ii = 0)
-    # stands for the single inputs; t = −1 marks infeasible pairs.
-    dc = cost[:, None] - cost[None, :]
-    slack = budget - cost[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.minimum(0.5, np.where(dc > 0, slack / dc, np.inf))
-    t[(dc < 0) | (slack < 0)] = -1.0
-    # A row can share its support with at most one row of a mismatched pair,
-    # so F = inf is reached, if at all, on a pair with the cheapest input k,
-    # where the budget leaves t > 0.
-    k = int(np.argmin(cost))
-    mismatched = np.flatnonzero(np.isinf(D[k]))
-    if mismatched.size:
-        i, j, pair_best = mismatched[0], k, math.inf
-    else:
-        pair_val = np.where(t >= 0, t * (1.0 - t) * D, -np.inf)
-        i, j = np.unravel_index(np.argmax(pair_val), pair_val.shape)
-        pair_best = float(pair_val[i, j])
-    two_point = np.bincount([i, j], weights=[t[i, j], 1.0 - t[i, j]], minlength=n)
+    i, j, t, pair_best = _best_pair(D, cost, budget)
+    two_point = np.bincount([i, j], weights=[t, 1.0 - t], minlength=n)
     if math.isinf(pair_best):
         return result(pair_best, two_point, 0)
 

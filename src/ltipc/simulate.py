@@ -4,15 +4,17 @@ multi-terminal network law, plus a plug-in mutual-information estimator.
 Reproducibility contract: all randomness flows through Philox (a counter
 based generator) keyed by (seed, stream), and Poisson variates are drawn by
 a fixed, documented algorithm: inversion by sequential search below
-intensity 30, Atkinson's logistic-envelope accept-reject above.  Each trial
-(and each receiver within it) draws all its slots in one `poisson_draw`
-call, which takes the draws per distinct intensity in ascending order,
-slots in index order within each.  Trial number and a purpose tag select
-the stream, so for a given seed traces are independent of execution order
-and bit-identical on one platform (CPU instruction set, Python, NumPy and
-SciPy builds).  They are not assured across platforms: `math.exp`, NumPy's
-SIMD `log`/`logaddexp` and SciPy's `gammaln` may round differently in the
-last bit elsewhere, which can move a draw that sits on a boundary.
+intensity 30, Atkinson's logistic-envelope accept-reject above.  All trials
+of a waveform are drawn in one `poisson_draw` call (one per receiver, rx 0
+first), and each trial's substream is used exactly as a call of its own
+would use it: the draws per distinct intensity in ascending order, slots in
+index order within each.  Trial number and a purpose tag select the stream,
+so for a given seed traces are independent of execution order and of how
+trials are grouped, and bit-identical on one platform (CPU instruction set,
+Python, NumPy and SciPy builds).  They are not assured across platforms:
+`math.exp`, NumPy's SIMD `log`/`logaddexp` and SciPy's `gammaln` may round
+differently in the last bit elsewhere, which can move a draw that sits on a
+boundary.
 """
 from __future__ import annotations
 
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, _freeze, convolve
+from .channel import (DEFAULT_ENTRY_BUDGET, ChannelSpec, DiscreteChannel, NetworkSpec, _freeze,
+                      convolve)
+from .errors import BudgetExceededError
 from .solver import _check_pmf, _log0
 
 _INVERSION_CUTOFF = 30.0
@@ -30,12 +34,12 @@ _ROUND = 16  # fewest proposals in an Atkinson round
 # Atkinson groups of at most _SMALL slots have their first rounds evaluated
 # ahead, up to _BATCH groups at once.  The sampler accepts about 65% of its
 # proposals at intensity 30, and more above, so a first round of 16 fills a
-# group of 8 with probability above 0.93, one of 12 below 0.31.  A pass is
-# redone from the first group it does not fill, so _BATCH bounds the wasted
-# work and the memory of a pass.
+# group of 8 with probability above 0.93, one of 12 below 0.31.  A trial's
+# pass is redone from the first group it does not fill, so _BATCH bounds the
+# work it wastes.
 _SMALL = 8
 _BATCH = 64
-_TABLE_ENTRIES = 1 << 15  # cap on the inversion cdf table of one block
+_TABLE_ENTRIES = 1 << 15  # cap on one block's inversion cdf table and one pass's proposals
 
 # Stream tags keep the trial substreams of different operations disjoint.
 _STREAM_P2P = 1
@@ -115,21 +119,24 @@ class _Uniforms:
         return self.ahead[:n]
 
     def take(self, n: int) -> np.ndarray:
+        if not self.ahead.size:
+            return self.gen.random(n)
         out = self.peek(n)
         self.ahead = self.ahead[n:]
         return out
 
 
 def _inversion(lam: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Poisson counts by inversion, one uniform per variate: u[i] draws with
-    intensity lam[row[i]], where lam holds distinct intensities in (0, 30)
-    and row is ascending.  The count is the smallest k <= kmax with
-    u <= F(k), F summing p_k = p_{k-1} * lam / k from p_0 = exp(-lam) in
-    order, so it matches a sequential search."""
+    """Poisson counts by inversion, one uniform per variate: u[..., i] draws
+    with intensity lam[row[i]], where lam holds distinct intensities in
+    (0, 30) and row is ascending; leading axes of u (one per trial) share
+    the cdf table.  The count is the smallest k <= kmax with u <= F(k), F
+    summing p_k = p_{k-1} * lam / k from p_0 = exp(-lam) in order, so it
+    matches a sequential search."""
     # Search depth is bounded: the cdf reaches 1 - 1e-15 well before this cap.
     kmax = (lam + 40.0 * np.sqrt(lam + 1.0) + 50).astype(np.int64)
     depth = int(kmax.max()) + 1
-    counts = np.empty(u.size, dtype=np.int64)
+    counts = np.empty(u.shape, dtype=np.int64)
     # The cdf table is built for a block of intensities at a time, so it
     # stays small however many distinct intensities a call has.
     step = max(1, _TABLE_ENTRIES // depth)
@@ -147,11 +154,11 @@ def _inversion(lam: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
         keys.imag = cdf
         a, b = np.searchsorted(row, [lo, lo + step])
         local = row[a:b] - lo
-        query = np.empty(b - a, dtype=np.complex128)
+        query = np.empty(u[..., a:b].shape, dtype=np.complex128)
         query.real = local
-        query.imag = u[a:b]
+        query.imag = u[..., a:b]
         k = np.searchsorted(keys.ravel(), query, side="left") - local * depth
-        counts[a:b] = np.minimum(k, kmax[row[a:b]])
+        counts[..., a:b] = np.minimum(k, kmax[row[a:b]])
     return counts
 
 
@@ -167,68 +174,130 @@ def _atkinson_constants(lam: np.ndarray) -> tuple:
 
 
 def _atkinson_proposals(u, v, alpha, beta, k, log_lam):
-    """Proposed counts for uniform pairs (u, v) and whether each is accepted;
-    the constants may be scalars or arrays broadcasting against u."""
-    ok_u = (u > 0.0) & (u < 1.0)
-    x = np.where(ok_u, (alpha - np.log((1.0 - u) / np.where(ok_u, u, 0.5))) / beta, -1.0)
-    n = np.floor(x + 0.5)
-    valid = ok_u & (n >= 0)
-    y = alpha - beta * x
+    """Proposed counts for uniform pairs (u, v) in [0, 1) and whether each is
+    accepted; the constants may be scalars or arrays broadcasting against u.
+    A u of 0 proposes -inf, which is never accepted."""
     with np.errstate(divide="ignore", invalid="ignore"):
+        x = (alpha - np.log((1.0 - u) / u)) / beta
+        n = np.floor(x + 0.5)
+        y = alpha - beta * x
         lhs = y + np.log(v) - 2.0 * np.logaddexp(0.0, y)
         rhs = k + n * log_lam - gammaln(n + 1.0)
-    return n, valid & (lhs <= rhs)
+    return n, (n >= 0) & (lhs <= rhs)
 
 
-def _atkinson(stream: _Uniforms, size: int, consts: tuple) -> np.ndarray:
-    """size Poisson variates by Atkinson's accept-reject, in rounds of
-    max(still needed, _ROUND) proposals: the u of a round, then its v."""
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        n_draw = max(size - filled, _ROUND)
-        uv = stream.take(2 * n_draw)
-        n, accept = _atkinson_proposals(uv[:n_draw], uv[n_draw:], *consts)
-        picked = np.flatnonzero(accept)[: size - filled]
-        out[filled: filled + picked.size] = n[picked]
-        filled += picked.size
-    return out
+class _Atkinson:
+    """Atkinson's accept-reject for the groups of sorted slots that share one
+    intensity at or above the cutoff, drawn in ascending order.  A trial
+    draws a group in rounds of max(still needed, _ROUND) proposals, the u of
+    a round, then its v, keeping accepted counts in order.
 
-
-def _atkinson_first_rounds(stream: _Uniforms, sizes: np.ndarray, consts: tuple) -> tuple:
-    """Atkinson groups of size <= _SMALL, drawn in turn while each group's
-    first round fills it; all those rounds are evaluated in one pass over
-    uniforms read ahead.  Returns how many groups were filled, which stops
-    at the first group whose first round falls short, and their draws.
-
-    Every group still to be drawn uses at least one round, 2 * _ROUND
-    uniforms, and no more than that is read ahead per group; so all that is
-    read ahead gets used, and the generator ends where drawing each group in
-    turn leaves it.
+    Groups of size <= _SMALL have their first rounds evaluated ahead, for a
+    run of up to _BATCH such groups at once, while each fills its group:
+    every group still to be drawn uses at least one round, 2 * _ROUND
+    uniforms, and no more than that is read ahead per group, so all that a
+    trial reads ahead gets used.  Its generator therefore ends where drawing
+    each group in turn leaves it.
     """
-    m = sizes.size
-    uv = stream.peek(2 * _ROUND * m).reshape(m, 2, _ROUND)
-    n, accept = _atkinson_proposals(np.ascontiguousarray(uv[:, 0]),
-                                    np.ascontiguousarray(uv[:, 1]),
-                                    *(c[:, None] for c in consts))
-    rank = np.cumsum(accept, axis=1)
-    short = rank[:, -1] < sizes
-    filled = int(np.argmax(short)) if short.any() else m
-    stream.take(2 * _ROUND * filled)
-    keep = accept[:filled] & (rank[:filled] <= sizes[:filled, None])
-    return filled, n[:filled][keep]
+
+    def __init__(self, start: np.ndarray, size: np.ndarray, lam: np.ndarray):
+        self.size = size
+        self.start = start.tolist() + [int(start[-1] + size[-1])]  # and the end
+        self.consts = np.array(_atkinson_constants(lam))  # rows alpha, beta, k, log lam
+        # run[g]: small groups from g to the next large one, at most _BATCH;
+        # 0 at a large group and at the end.
+        g = np.arange(size.size + 1)
+        nxt = np.minimum.accumulate(np.where(np.append(size <= _SMALL, False), size.size + 1,
+                                             g)[::-1])[::-1]
+        self.run = np.minimum(nxt - g, _BATCH)
+        # Most proposals one trial holds in one pass.
+        self.width = max(_ROUND * max(1, int(self.run.max())), int(size.max()))
+
+    def draw(self, streams: list, counts: np.ndarray) -> None:
+        """Draw every group for each trial: streams[t] supplies trial t's
+        uniforms, its counts go to counts[t] in sorted slot order."""
+        pos = np.zeros(len(streams), dtype=np.int64)  # the group each trial is at
+        short = np.zeros(len(streams), dtype=bool)    # its first round falls short
+        while True:
+            at_small = ((self.run[pos] > 0) & ~short).nonzero()[0]
+            if at_small.size:
+                self._first_rounds(streams, counts, at_small, pos, short)
+            if (pos == self.size.size).all():
+                return
+            self._rounds(streams, counts, pos, short)
+
+    def _first_rounds(self, streams, counts, at, pos, short) -> None:
+        """One pass over the first rounds of each trial's run of small groups,
+        from its current group; a trial stops at its first group whose first
+        round falls short, and is marked to draw it in rounds."""
+        m, p = self.run[pos[at]], pos[at]
+        uv = np.concatenate([streams[t].peek(2 * _ROUND * k)
+                             for t, k in zip(at.tolist(), m.tolist())]).reshape(-1, 2, _ROUND)
+        first = m.cumsum() - m
+        grp = (p - first).repeat(m) + np.arange(uv.shape[0])  # trial by trial, ascending
+        n, accept = _atkinson_proposals(uv[:, 0].copy(), uv[:, 1].copy(),
+                                        *self.consts[:, grp, None])
+        size = self.size[grp]
+        rank = accept.cumsum(axis=1)
+        stop = np.minimum(np.minimum.reduceat(np.where(rank[:, -1] < size, grp, self.size.size),
+                                              first), p + m)
+        keep = accept & (rank <= size[:, None])
+        # A trial's filled groups are consecutive, and so are their slots.
+        for t, a, g0, g1 in zip(at.tolist(), first.tolist(), p.tolist(), stop.tolist()):
+            streams[t].take(2 * _ROUND * (g1 - g0))
+            counts[t, self.start[g0]: self.start[g1]] = n[a: a + g1 - g0][keep[a: a + g1 - g0]]
+        pos[at] = stop
+        short[at] = stop < p + m
+
+    def _rounds(self, streams, counts, pos, short) -> None:
+        """Rounds in lockstep for every trial at a large group or at a small
+        one marked short, until each has reached a small group or the end."""
+        at = ((pos < self.size.size) & (short | (self.run[pos] == 0))).nonzero()[0]
+        short[at] = False
+        rows = [(t, g, 0) for t, g in zip(at.tolist(), pos[at].tolist())]  # trial, group, drawn
+        sizes, run = self.size.tolist(), self.run.tolist()
+        while rows:
+            k = [max(sizes[g] - d, _ROUND) for _, g, d in rows]
+            # Zero-padded rows: a u of 0 is never accepted.
+            uv = np.zeros((2, len(rows), max(k)))
+            for r, ((t, _, _), kr) in enumerate(zip(rows, k)):
+                drawn = streams[t].take(2 * kr)
+                uv[0, r, :kr] = drawn[:kr]
+                uv[1, r, :kr] = drawn[kr:]
+            # Rows at one group share its constants as scalars, the cheaper broadcast.
+            groups = [g for _, g, _ in rows]
+            consts = (self.consts[:, groups[0]].tolist() if groups.count(groups[0]) == len(groups)
+                      else self.consts[:, groups, None])
+            n, accept = _atkinson_proposals(uv[0], uv[1], *consts)
+            stay = []
+            for r, (t, g, d) in enumerate(rows):
+                drawn = n[r, accept[r]][: sizes[g] - d]
+                counts[t, self.start[g] + d: self.start[g] + d + drawn.size] = drawn
+                d += drawn.size
+                if d == sizes[g]:
+                    g, d = g + 1, 0
+                    if g == len(sizes) or run[g]:  # the end, or a small group
+                        pos[t] = g
+                        continue
+                stay.append((t, g, d))
+            rows = stay
 
 
-def poisson_draw(gen: np.random.Generator, lam, size: int | None = None) -> np.ndarray:
+def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     """Poisson variates with per-slot intensities lam, or size iid
     Poisson(lam) variates when size is given.
 
-    The draws for the slots of each distinct intensity are taken in turn,
-    intensities in ascending order and slots in index order within each:
-    inversion by sequential search below intensity 30 (one uniform per
-    variate), Atkinson's logistic-envelope accept-reject at or above it.
-    The output, and the generator state it leaves, depend only on the
-    intensities and the state it is given.
+    gen is one generator, or a sequence of T generators, one per trial;
+    then the result has shape (T,) + lam.shape and row t equals
+    poisson_draw(gen[t], lam), with gen[t] left where that call leaves it.
+    A single generator is the T = 1 case of the same draw.
+
+    Each trial takes the draws for the slots of each distinct intensity in
+    turn, intensities in ascending order and slots in index order within
+    each: inversion by sequential search below intensity 30 (one uniform
+    per variate), Atkinson's logistic-envelope accept-reject at or above
+    it.  The output, and the state each generator is left in, depend only
+    on the intensities and the state it is given.
     """
     lam = np.asarray(lam, dtype=np.float64)
     bad = ~(np.isfinite(lam) & (lam >= 0))
@@ -236,8 +305,11 @@ def poisson_draw(gen: np.random.Generator, lam, size: int | None = None) -> np.n
         raise ValueError(f"intensity must be finite and >= 0, got {lam[bad].flat[0]}")
     if size is not None:
         lam = np.full(size, lam)
-    # Sort slots by intensity, stably, so each distinct intensity's slots
-    # form one run in index order: zeros, then inversion, then Atkinson.
+    single = isinstance(gen, np.random.Generator)
+    streams = [_Uniforms(g) for g in ([gen] if single else gen)]
+    # The plan, shared by every trial: sort slots by intensity, stably, so
+    # each distinct intensity's slots form one run in index order: zeros,
+    # then inversion, then Atkinson.
     order = np.argsort(lam, axis=None, kind="stable")
     lam_sorted = lam.ravel()[order]
     new_run = np.diff(lam_sorted, prepend=-1.0) != 0
@@ -245,34 +317,38 @@ def poisson_draw(gen: np.random.Generator, lam, size: int | None = None) -> np.n
     values = lam_sorted[starts]
     n_zero = int(np.searchsorted(lam_sorted, 0.0, side="right"))
     n_low = int(np.searchsorted(lam_sorted, _INVERSION_CUTOFF, side="left"))
-    counts = np.zeros(lam_sorted.size, dtype=np.int64)
-    stream = _Uniforms(gen)
+    counts = np.zeros((len(streams), lam_sorted.size), dtype=np.int64)
     if n_low > n_zero:
         row = np.cumsum(new_run[n_zero:n_low]) - 1
         low = values[(values > 0) & (values < _INVERSION_CUTOFF)]
-        counts[n_zero:n_low] = _inversion(low, row, stream.take(n_low - n_zero))
+        u = np.empty((len(streams), n_low - n_zero))
+        for t, stream in enumerate(streams):
+            u[t] = stream.take(n_low - n_zero)
+        counts[:, n_zero:n_low] = _inversion(low, row, u)
     high = starts >= n_low
-    sizes = np.diff(np.append(starts, lam_sorted.size))[high]
-    consts = _atkinson_constants(values[high])
-    at, i = n_low, 0
-    while i < sizes.size:
-        if sizes[i] <= _SMALL:  # a run of small groups: first rounds at once
-            run = i + int(np.argmax(np.append(sizes[i: i + _BATCH] > _SMALL, True)))
-            filled, drawn = _atkinson_first_rounds(
-                stream, sizes[i:run], tuple(c[i:run] for c in consts))
-            counts[at: at + drawn.size] = drawn
-            at += drawn.size
-            i += filled
-            if i == run:
-                continue
-        # A large group, or the small one whose first round fell short.
-        size_i = int(sizes[i])
-        counts[at: at + size_i] = _atkinson(stream, size_i, tuple(float(c[i]) for c in consts))
-        at += size_i
-        i += 1
+    if high.any():
+        sizes = np.diff(np.append(starts, lam_sorted.size))[high]
+        atkinson = _Atkinson(starts[high], sizes, values[high])
+        # Trials go in chunks so that one pass holds at most _TABLE_ENTRIES
+        # proposals.
+        chunk = max(1, _TABLE_ENTRIES // atkinson.width)
+        for lo in range(0, len(streams), chunk):
+            atkinson.draw(streams[lo: lo + chunk], counts[lo: lo + chunk])
     out = np.empty_like(counts)
-    out[order] = counts
-    return out.reshape(lam.shape)
+    out[:, order] = counts
+    return out.reshape(lam.shape if single else (len(streams),) + lam.shape)
+
+
+def _check_output_budget(sim: SimConfig, n_rx: int) -> None:
+    """The n_trials x n_rx x n_slots counts of a trace must fit
+    DEFAULT_ENTRY_BUDGET."""
+    entries = sim.n_trials * n_rx * sim.n_slots
+    if entries > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"the simulated counts need trials x receivers x slots = {sim.n_trials} x {n_rx} "
+            f"x {sim.n_slots} = {entries} entries, above the budget of "
+            f"{DEFAULT_ENTRY_BUDGET}; simulate fewer slots (--values) or trials",
+            n_inputs=sim.n_trials * n_rx, n_outputs=sim.n_slots, budget=DEFAULT_ENTRY_BUDGET)
 
 
 def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
@@ -280,19 +356,17 @@ def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
 
     Given the inputs, slot counts are independent Poisson with intensity
     lambda0 + (x * taps)_i.  Each trial uses its own (seed, trial) substream,
-    so parallel and serial execution agree.
+    and all trials are drawn in one `poisson_draw` call.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 1 or x.size != sim.n_slots:
         raise ValueError("inputs must be a 1-D sequence of length n_slots")
     if np.any(x < 0) or np.any(x > spec.amax + 1e-12):
         raise ValueError("inputs must lie in [0, amax]")
+    _check_output_budget(sim, 1)
     lam = spec.lambda0 + convolve(x, spec.impulse)
-    outputs = np.empty((sim.n_trials, 1, sim.n_slots), dtype=np.int64)
-    for trial in range(sim.n_trials):
-        gen = substream(sim.seed, (_STREAM_P2P << 32) + trial)
-        outputs[trial, 0] = poisson_draw(gen, lam)
-    return Trace(inputs=x[None, :], outputs=outputs)
+    gens = [substream(sim.seed, (_STREAM_P2P << 32) + trial) for trial in range(sim.n_trials)]
+    return Trace(inputs=x[None, :], outputs=poisson_draw(gens, lam)[:, None, :])
 
 
 def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
@@ -304,16 +378,18 @@ def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
         raise ValueError(f"inputs must have shape ({net.n_tx}, {sim.n_slots})")
     if np.any(x < 0) or np.any(x > net.amax[:, None] + 1e-12):
         raise ValueError("inputs must lie in [0, amax] per transmitter")
+    _check_output_budget(sim, net.n_rx)
     lam = np.full((net.n_rx, sim.n_slots), float(net.lambda0))
     for j in range(net.n_rx):
         for l in range(net.n_tx):
             taps = net.impulses[l, j]
             lam[j] += np.convolve(x[l], taps)[: sim.n_slots]
+    gens = [substream(sim.seed, (_STREAM_NETWORK << 32) + trial)
+            for trial in range(sim.n_trials)]
     outputs = np.empty((sim.n_trials, net.n_rx, sim.n_slots), dtype=np.int64)
-    for trial in range(sim.n_trials):
-        gen = substream(sim.seed, (_STREAM_NETWORK << 32) + trial)
-        for j in range(net.n_rx):
-            outputs[trial, j] = poisson_draw(gen, lam[j])
+    # Receivers outermost: each trial's generator draws rx 0 before rx 1.
+    for j in range(net.n_rx):
+        outputs[:, j] = poisson_draw(gens, lam[j])
     return Trace(inputs=x, outputs=outputs)
 
 

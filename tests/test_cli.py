@@ -217,6 +217,18 @@ class TestSimulateCommand:
         in_lines = open(pre1 + ".inputs.csv").read().splitlines()
         assert in_lines[1] == "trial,slot,tx_id,x"
 
+    def test_over_budget_trace_exits_1(self, isi_instance, tmp_path, capsys):
+        """200 trials of 1,000,001 slots exceed the entry budget: exit 1,
+        naming --values, before any count is drawn."""
+        prefix = tmp_path / "big"
+        rc = main(["simulate", "--instance", isi_instance, "--out", str(prefix),
+                   "--values", "0..10..0.00001"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
+        assert "--values" in err
+        assert not os.path.exists(f"{prefix}.outputs.csv")
+
     def test_seed_changes_outputs(self, isi_instance, tmp_path):
         p1, p2 = str(tmp_path / "s1"), str(tmp_path / "s2")
         main(["simulate", "--instance", isi_instance, "--out", p1, "--seed", "1"])
@@ -380,9 +392,13 @@ sys.exit(main(sys.argv[1:]))
     # 5 taps on the default 9-point grid: the sym-KL matrix would be 59,049^2.
     ({"impulse": [0.3, 0.25, 0.2, 0.15, 0.1], "lambda0": 2.0, "amax": 40.0,
       "alpha": 10.0}, ["symkl"], "sym-KL matrix"),
+    # 4 taps on a 10-point grid: 10,000^2 entries, half the entry budget, but
+    # the sym-KL step holds four such float64 arrays at once.
+    ({"impulse": [0.4, 0.3, 0.2, 0.1], "lambda0": 2.0, "amax": 40.0, "alpha": 10.0},
+     ["symkl", "--grid", "10"], "sym-KL matrix"),
 ])
 def test_over_budget_array_exits_1(doc, argv, what, tmp_path):
-    """An instance whose cycle-search tables or sym-KL matrix exceed the entry
+    """An instance whose cycle-search tables or sym-KL arrays exceed the
     budget exits 1 with one line naming --grid, before allocating them."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))

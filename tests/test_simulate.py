@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ltipc as lp
-from ltipc.simulate import _inversion, _plugin_mi_jackknife, poisson_draw, substream
+from ltipc.channel import DEFAULT_ENTRY_BUDGET
+from ltipc.simulate import (_TABLE_ENTRIES, _inversion, _plugin_mi_jackknife, poisson_draw,
+                            substream)
 from ltipc.solver import _TINY, _log0
 
 from helpers import poisson_pmf_recurrence
@@ -76,26 +78,30 @@ def assert_array_form_matches(lam, seed):
     np.testing.assert_array_equal(gen_a.random(8), gen_b.random(8))
 
 
+ARRAY_FORM_CASES = [
+    [0.0, 0.0, 0.0],
+    [0.0, 2.5, 0.0, 2.5, 7.0],
+    [29.999999, 30.0, 30.000001, 29.999999, 30.0],
+    [45.0, 3.0, 45.0, 0.0, 31.0, 3.0, 120.0, 45.0],
+    [55.0] * 40 + [31.0] * 17 + [12.0] * 5,          # Atkinson groups > 16
+    list(np.resize([30.5, 33.0, 64.0, 90.0, 0.5], 80)),  # groups of exactly 16
+    [60.0] * 3 + [75.0] * 600,                       # many rounds
+    list(np.linspace(29.99, 0.01, 400)),             # several inversion cdf blocks
+    list(np.resize(np.linspace(30.0, 31.0, 70), 560)),  # first rounds falling short
+]
+
+MIXED_INTENSITIES = (st.sampled_from([0.0, 0.3, 4.0, 17.5, 29.5, 30.0, 33.3, 58.0, 95.0, 240.0])
+                     | st.floats(0.0, 150.0))
+
+
 class TestArrayForm:
-    @pytest.mark.parametrize("lam", [
-        [0.0, 0.0, 0.0],
-        [0.0, 2.5, 0.0, 2.5, 7.0],
-        [29.999999, 30.0, 30.000001, 29.999999, 30.0],
-        [45.0, 3.0, 45.0, 0.0, 31.0, 3.0, 120.0, 45.0],
-        [55.0] * 40 + [31.0] * 17 + [12.0] * 5,          # Atkinson groups > 16
-        list(np.resize([30.5, 33.0, 64.0, 90.0, 0.5], 80)),  # groups of exactly 16
-        [60.0] * 3 + [75.0] * 600,                       # many rounds
-        list(np.linspace(29.99, 0.01, 400)),             # several inversion cdf blocks
-        list(np.resize(np.linspace(30.0, 31.0, 70), 560)),  # first rounds falling short
-    ])
+    @pytest.mark.parametrize("lam", ARRAY_FORM_CASES)
     def test_matches_per_intensity_loop(self, lam):
         for seed in range(4):
             assert_array_form_matches(np.array(lam), seed)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from([0.0, 0.3, 4.0, 17.5, 29.5, 30.0, 33.3, 58.0, 95.0, 240.0])
-                    | st.floats(0.0, 150.0), min_size=1, max_size=120),
-           st.integers(0, 2 ** 32))
+    @given(st.lists(MIXED_INTENSITIES, min_size=1, max_size=120), st.integers(0, 2 ** 32))
     def test_random_mix(self, lam, seed):
         assert_array_form_matches(np.array(lam), seed)
 
@@ -120,6 +126,15 @@ class TestArrayForm:
         assert hashlib.sha256(draws.astype(np.int64).tobytes()
                               + gen.random(8).tobytes()).hexdigest() == digest
 
+    def test_inversion_with_trial_axis_matches_rows(self):
+        lam = np.linspace(29.99, 0.01, 400)
+        row = np.repeat(np.arange(lam.size), 2)
+        u = substream(4, 0).random((5, row.size))
+        counts = _inversion(lam, row, u)
+        assert counts.shape == u.shape
+        for t in range(u.shape[0]):
+            np.testing.assert_array_equal(counts[t], _inversion(lam, row, u[t]))
+
     def test_inversion_takes_smallest_k_with_u_at_most_cdf(self):
         lam = 2.0
         f0 = math.exp(-lam)
@@ -134,6 +149,74 @@ class TestArrayForm:
         assert y.shape == lam.shape and y.dtype == np.int64
         np.testing.assert_array_equal(
             y.ravel(), poisson_draw(substream(3, 1), lam.ravel()))
+
+
+def trial_generators(seed, n_trials):
+    return [substream(seed, trial) for trial in range(n_trials)]
+
+
+def assert_list_form_matches(lam, seed, n_trials):
+    """Row t of one call over n_trials generators is a call of its own on
+    generator t, and every generator is left where that call leaves it."""
+    gens_a, gens_b = trial_generators(seed, n_trials), trial_generators(seed, n_trials)
+    rows = poisson_draw(gens_a, lam)
+    assert rows.shape == (n_trials,) + lam.shape and rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, [poisson_draw(g, lam) for g in gens_b])
+    np.testing.assert_array_equal([g.random(8) for g in gens_a], [g.random(8) for g in gens_b])
+
+
+def benchmark_waveforms():
+    """Intensities of a 128-slot i.i.d. grid-9 waveform and a 256-slot on-off
+    waveform: taps 0.5/0.3/0.2, lambda0 5, amax 80."""
+    taps = (0.5, 0.3, 0.2)
+    base = np.random.default_rng(20141014)
+    iid = base.permutation(np.resize(np.linspace(0, 80, 9), 128))
+    ook = base.permutation(np.resize([0.0, 80.0], 256))
+    return 5.0 + np.convolve(iid, taps)[:128], 5.0 + np.convolve(ook, taps)[:256]
+
+
+class TestTrialBatch:
+    @pytest.mark.parametrize("n_trials", [1, 3, 17])
+    @pytest.mark.parametrize("lam", ARRAY_FORM_CASES)
+    def test_matches_one_call_per_generator(self, lam, n_trials):
+        assert_list_form_matches(np.array(lam), seed=n_trials, n_trials=n_trials)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(MIXED_INTENSITIES, min_size=1, max_size=120), st.integers(1, 20),
+           st.integers(0, 2 ** 32))
+    def test_random_mix(self, lam, n_trials, seed):
+        assert_list_form_matches(np.array(lam), seed, n_trials)
+
+    @pytest.mark.parametrize("lam", [
+        benchmark_waveforms()[0],                      # runs of small groups: 47 trials a chunk
+        np.full(_TABLE_ENTRIES // 4 + 1, 75.0),        # one large group: 3 trials a chunk
+    ], ids=["small-groups", "large-group"])
+    def test_chunks_match_single_trials(self, lam):
+        """More trials than one pass of _TABLE_ENTRIES proposals holds."""
+        assert_list_form_matches(lam, 6, 100)
+
+    def test_size_and_shape(self):
+        gens = trial_generators(2, 3)
+        assert poisson_draw(gens, 45.0, 7).shape == (3, 7)
+        lam = np.array([[1.0, 40.0, 0.0], [40.0, 1.0, 5.0]])
+        assert poisson_draw(trial_generators(2, 4), lam).shape == (4, 2, 3)
+
+    @pytest.mark.parametrize("case, digest", [
+        ("iid", "df8ef1ecb11c1d78e5021d6f747a993a7f06bf99675d753bbd3bdedf49b57028"),
+        ("on-off", "f27db21d039a4b93b6ac873b2959e580dad11574a18987467efe6f2cdf247f97"),
+        ("uneven-rounds", "f12a2fe904bf7aec9dd8ce81e112cbe03d0c66b9b6ee248f0808da28ae6cde71"),
+    ])
+    def test_200_trials_pinned(self, case, digest):
+        """Digest of 200 trials' draws and each generator's next 8 uniforms,
+        recorded with one call per trial before trials were batched."""
+        iid, ook = benchmark_waveforms()
+        lam = {"iid": iid, "on-off": ook,
+               "uneven-rounds": np.array([75.0] * 600 + [31.0] * 17 + [12.0] * 5)}[case]
+        gens = trial_generators(11, 200)
+        h = hashlib.sha256(poisson_draw(gens, lam).astype(np.int64).tobytes())
+        for g in gens:
+            h.update(g.random(8).tobytes())
+        assert h.hexdigest() == digest
 
 
 def outputs_digest(trace):
@@ -305,6 +388,17 @@ class TestSimulateNetwork:
         sim = lp.SimConfig(seed=1, n_slots=4, n_trials=1)
         with pytest.raises(ValueError):
             lp.simulate_network(self.net(), np.zeros((1, 4)), sim)
+
+    def test_output_budget_counts_receivers(self):
+        """Trials x receivers x slots above DEFAULT_ENTRY_BUDGET is refused
+        before drawing: 1,000 trials of 100,001 slots are over it with two
+        receivers, and with one receiver at twice the slots."""
+        sim = lp.SimConfig(seed=1, n_slots=DEFAULT_ENTRY_BUDGET // 2000 + 1, n_trials=1000)
+        with pytest.raises(lp.BudgetExceededError, match="= 1000 x 2 x 100001 ="):
+            lp.simulate_network(self.net(), np.zeros((2, sim.n_slots)), sim)
+        big = lp.SimConfig(seed=1, n_slots=2 * sim.n_slots, n_trials=1000)
+        with pytest.raises(lp.BudgetExceededError, match="= 1000 x 1 x 200002 ="):
+            lp.simulate_p2p(TestGoldenTraces.P2P_SPEC, np.zeros(big.n_slots), big)
 
 
 def sparse_table(shape, n):
