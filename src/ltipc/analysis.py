@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import convolution_matrix
-from scipy.optimize import nnls
 
 from .bounds import SandwichBound, block_sandwich_bounds
 from .channel import (DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse,
@@ -40,6 +38,10 @@ def check_degraded(p: ImpulseResponse, p_prime: ImpulseResponse,
     at 0.  The pair is degraded when the largest residual is at most tol and
     q carries mass at most 1 + tol.
     """
+    # Imported here, not at module level, to keep SciPy off `import ltipc`.
+    from scipy.linalg import convolution_matrix
+    from scipy.optimize import nnls
+
     a = p.trimmed().as_array()
     b = p_prime.trimmed().as_array()
     if abs(a.sum() - 1.0) > 1e-9 or abs(b.sum() - 1.0) > 1e-9:

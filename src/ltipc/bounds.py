@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  unused; perfbench/tracing.py wraps this name
 
 from .channel import (
     DEFAULT_ENTRY_BUDGET,
@@ -34,6 +33,16 @@ from .channel import (
 from .errors import BudgetExceededError, ConvergenceError
 from .solver import (_ROOT_STEPS, _TINY, SolverConfig, _budget_search, _check_pmf,
                      _cheapest_inputs, _log0, _wlogw_rows, ba_capacity)
+
+
+# No bound calls an LP solver, but perfbench/tracing.py still wraps
+# `ltipc.bounds.linprog`.  The name resolves on first read, so SciPy stays
+# off `import ltipc`; remove this once the tracer stops wrapping it.
+def __getattr__(name):
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +163,21 @@ class _StationaryPolytope:
     solves its linear program with a maximum-mean-cycle oracle (Karp 1978)
     inside a Lagrangian on the budget; no LP solver is involved.  It keeps
     no state: each call passes the mask of windows it may use.  Karp's two
-    (V+1) x V tables on V = m^k nodes must fit DEFAULT_ENTRY_BUDGET.
+    (V+1) x V tables on V = m^k nodes, D (float64) and pred (intp), are
+    alive at once, so their bytes together must fit the byte budget of
+    DEFAULT_ENTRY_BUDGET float64 entries.
     """
 
     def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
         V = m ** k
-        if (V + 1) * V > DEFAULT_ENTRY_BUDGET:
+        entry_bytes = np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize
+        nbytes = (V + 1) * V * entry_bytes
+        budget = DEFAULT_ENTRY_BUDGET * np.dtype(np.float64).itemsize
+        if nbytes > budget:
             raise BudgetExceededError(
                 f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
-                f"= {(V + 1) * V} entries each, above the budget of {DEFAULT_ENTRY_BUDGET} "
-                f"({m}-point grid, {k + 1} taps); lower --grid or use fewer taps",
+                f"(float64 and intp) at once, {nbytes} bytes, above the budget of "
+                f"{budget} bytes ({m}-point grid, {k + 1} taps); lower --grid or use fewer taps",
                 n_inputs=V + 1, n_outputs=V, budget=DEFAULT_ENTRY_BUDGET)
         self.cost = cost
         self.n = cost.size

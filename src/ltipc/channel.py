@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import BudgetExceededError
 
@@ -234,28 +234,57 @@ class NetworkSpec:
         return self.impulses.shape[2] - 1
 
 
+# Relative weight of the Poisson tail left out above the start of
+# truncation_point's sum: below one rounding of tail_eps.
+_TAIL_SLACK = 2.0 ** -55
+
+
 def truncation_point(lam: float, tail_eps: float) -> int:
-    """Smallest ymax with Poisson(lam) tail mass P(Y > ymax) < tail_eps."""
+    """Smallest ymax with Poisson(lam) tail mass P(Y > ymax) < tail_eps.
+
+    The tail is summed from the top, so every term adds to it and there is
+    no cancellation.  The sum starts where the Chernoff bound
+    P(Y >= y) <= exp(-(y log(y/lam) - y + lam)) drops below
+    tail_eps * _TAIL_SLACK (Newton steps from above, starting at a point
+    Bernstein's inequality puts above that root), with one lgamma for the
+    pmf there, and walks down by pmf(y - 1) = pmf(y) * y / lam.  The walk is
+    O(sqrt(lam)) steps long.  Terms are kept in units of tail_eps, so none
+    underflows.
+    """
     if lam == 0:
         return 0
-    k = max(0, int(special.pdtrik(1.0 - tail_eps, lam)))
-    while special.pdtrc(k, lam) >= tail_eps:
-        k += 1
-    while k > 0 and special.pdtrc(k - 1, lam) < tail_eps:
-        k -= 1
-    return k
+    L = -math.log(tail_eps * _TAIL_SLACK)
+    y = lam + math.sqrt(2.0 * L * lam) + L
+    for _ in range(3):
+        y -= (y * math.log(y / lam) - y + lam - L) / math.log(y / lam)
+    y = math.ceil(y)
+    p = math.exp(y * math.log(lam) - lam - math.lgamma(y + 1.0) - math.log(tail_eps))
+    tail = 0.0  # P(Y >= y + 1) / tail_eps
+    while y > 0:
+        tail += p
+        if tail >= 1.0:  # P(Y > y - 1) >= tail_eps, and P(Y > y) < tail_eps
+            return y
+        p *= y / lam
+        y -= 1
+    return 0
+
+
+def _pmf_rows(lam: np.ndarray, ymax: int) -> np.ndarray:
+    """One row per intensity in lam: Poisson(lam) restricted to {0..ymax}
+    and renormalized.  All rows share one log-factorial table."""
+    lam = np.asarray(lam, dtype=np.float64)
+    k = np.arange(ymax + 1)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in range(ymax + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = k * np.log(lam)[:, None] - lam[:, None] - log_factorial
+    p = np.exp(logp)
+    p[lam == 0] = k == 0  # 0 * log 0 is nan; Poisson(0) is the point mass at 0
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def _pmf_on_support(lam: float, ymax: int) -> np.ndarray:
     """Poisson(lam) restricted to {0..ymax} and renormalized."""
-    if lam == 0:
-        out = np.zeros(ymax + 1)
-        out[0] = 1.0
-        return out
-    k = np.arange(ymax + 1)
-    logp = k * np.log(lam) - lam - special.gammaln(k + 1)
-    p = np.exp(logp)
-    return p / p.sum()
+    return _pmf_rows([lam], ymax)[0]
 
 
 def poisson_pmf(lam: float, tail_eps: float) -> np.ndarray:
@@ -363,7 +392,7 @@ def build_block_channel(bspec: BlockChannelSpec,
     # lookup into that table.
     values, index = np.unique(lam, return_inverse=True)
     index = index.reshape(lam.shape)
-    table = np.stack([_pmf_on_support(v, ymax) for v in values])
+    table = _pmf_rows(values, ymax)
     rows = table[index[:, 0]]
     for s in range(1, r):
         rows = (rows[:, :, None] * table[index[:, s]][:, None, :]).reshape(n_inputs, -1)

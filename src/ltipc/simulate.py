@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import (DEFAULT_ENTRY_BUDGET, ChannelSpec, DiscreteChannel, NetworkSpec, _freeze,
                       convolve)
@@ -177,6 +176,8 @@ def _atkinson_proposals(u, v, alpha, beta, k, log_lam):
     """Proposed counts for uniform pairs (u, v) in [0, 1) and whether each is
     accepted; the constants may be scalars or arrays broadcasting against u.
     A u of 0 proposes -inf, which is never accepted."""
+    # Imported on this path only, to keep SciPy off `import ltipc`.
+    from scipy.special import gammaln
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (alpha - np.log((1.0 - u) / u)) / beta
         n = np.floor(x + 0.5)

@@ -276,6 +276,20 @@ class TestCycleOracle:
             assert p.min() >= 0.0 and cost @ p <= alpha + 1e-12
             assert not p[~active].any()
 
+    def test_budget_counts_both_tables(self, monkeypatch):
+        """Karp's D (float64) and pred (intp) tables are alive at once: a
+        budget that holds one (V+1) x V table but not two is refused."""
+        m, k = 3, 1
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.5)), 5.0, 40.0, 10.0)
+        cost = _single_slot_channel(spec, lp.InputGrid.uniform(40.0, m), 1e-10).cost
+        V = m ** k
+        one_table = (V + 1) * V  # float64 entries
+        monkeypatch.setattr(lp.bounds, "DEFAULT_ENTRY_BUDGET", one_table)
+        with pytest.raises(lp.BudgetExceededError, match="two 4 x 3 tables"):
+            _StationaryPolytope(cost, m, k, 10.0)
+        monkeypatch.setattr(lp.bounds, "DEFAULT_ENTRY_BUDGET", 2 * one_table)
+        _StationaryPolytope(cost, m, k, 10.0)
+
 
 class TestObjectiveGradients:
     def _random_polytope_interior(self, rng, m):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ltipc as lp
-from ltipc.channel import parse_instance, truncation_point
+from ltipc.channel import _pmf_on_support, parse_instance, truncation_point
 
 from helpers import poisson_mean_by_recurrence, poisson_pmf_recurrence
 
@@ -31,14 +31,36 @@ class TestPoissonPmf:
             assert abs(lp.poisson_pmf(lam, 1e-10).sum() - 1.0) < 1e-12
 
     def test_truncation_point_is_smallest(self):
+        """ymax is the smallest y with SciPy's pdtrc(y, lam) < eps, on fixed
+        cases up to lam = 1e6 and a seeded sweep of lam over [1e-6, 3000]."""
         from scipy.special import pdtrc
-        for lam, eps in ((5.0, 1e-10), (45.0, 1e-12), (0.7, 1e-6),
-                         (1e-6, 1e-3), (1e-6, 1e-15), (1e3, 1e-3),
-                         (1e3, 1e-15), (1e6, 1e-3), (1e6, 1e-15)):
-            y = truncation_point(lam, eps)
-            assert pdtrc(y, lam) < eps
-            if y > 0:
-                assert pdtrc(y - 1, lam) >= eps
+        cases = [(5.0, 1e-10), (45.0, 1e-12), (0.7, 1e-6),
+                 (1e-6, 1e-3), (1e-6, 1e-15), (1e3, 1e-3),
+                 (1e3, 1e-15), (1e6, 1e-3), (1e6, 1e-15)]
+        rng = np.random.default_rng(16)
+        for eps in (1e-3, 1e-6, 1e-9, 1e-10, 1e-12, 1e-15):
+            cases += [(lam, eps) for lam in 10.0 ** rng.uniform(-6.0, np.log10(3000.0), 400)]
+        lam, eps = map(np.array, zip(*cases))
+        y = np.array([truncation_point(*case) for case in cases])
+        assert (pdtrc(y, lam) < eps).all()
+        assert (pdtrc(y - 1, lam) >= eps)[y > 0].all()
+
+    def test_pmf_on_support_matches_recurrence(self):
+        """Seeded sweep of lam over [1e-6, 700] (the recurrence's exp(-lam)
+        underflows beyond): entry k of the pmf is exp(k log lam - lam -
+        log k!), so its relative error is a few roundings of the largest of
+        those terms, plus one per step of the recurrence."""
+        from scipy.special import gammaln
+        rng = np.random.default_rng(17)
+        for lam in 10.0 ** rng.uniform(-6.0, np.log10(700.0), 300):
+            for eps in (1e-3, 1e-10, 1e-15):
+                ymax = truncation_point(lam, eps)
+                ref = poisson_pmf_recurrence(lam, ymax)
+                ref /= ref.sum()
+                k = np.arange(ymax + 1)
+                scale = k * abs(np.log(lam)) + lam + gammaln(k + 1.0) + k + 1.0
+                err = np.abs(_pmf_on_support(lam, ymax) / ref - 1.0)
+                assert (err <= 8 * np.finfo(float).eps * scale).all(), (lam, eps)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -204,7 +226,6 @@ class TestBlockChannel:
     def test_rows_are_products_of_slot_pmfs(self):
         """Reference loop: every row is the product of the per-slot pmfs of
         its window intensities."""
-        from ltipc.channel import _pmf_on_support
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.6, 0.3, 0.1)), 3.0, 20.0, 5.0)
         block = lp.build_block_channel(
             lp.BlockChannelSpec(spec, lp.InputGrid.uniform(20.0, 3), r=2))

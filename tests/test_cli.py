@@ -373,6 +373,14 @@ def test_each_command_reaches_its_writer(argv, writer, n_rows, isi_instance,
     assert calls == [(writer, n_rows)]
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a
+    fresh interpreter that imports the ltipc under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 # Runs main(argv) with the address space capped at 3 GiB, so that building an
 # over-budget array fails at once with MemoryError instead of paging.
 _CAPPED_MAIN = """
@@ -402,14 +410,27 @@ def test_over_budget_array_exits_1(doc, argv, what, tmp_path):
     budget exits 1 with one line naming --grid, before allocating them."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, *argv, "--instance", str(path),
          "--out", str(tmp_path / "o.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith("LTIPC-ERROR invalid-input:")
     assert what in proc.stderr and "--grid" in proc.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    """A fresh `import ltipc, ltipc.cli` loads none of SciPy's heavy
+    subpackages; `ltipc.bounds.linprog` still resolves, on first read, for
+    tools that wrap it."""
+    code = ("import sys, ltipc, ltipc.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+            "print(ltipc.bounds.linprog.__module__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, linprog_module = proc.stdout.splitlines()
+    heavy = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.stats")
+    assert [m for m in loaded.split() if m.startswith(heavy)] == []
+    assert linprog_module.startswith("scipy.optimize")
