@@ -3,8 +3,9 @@
 Three families:
 
 * sandwich bounds from the block channel: C_r upper, r/(k+r)*C_r lower;
-* single-letter stationary bounds, maximized by Frank-Wolfe over the
-  polytope of shift-consistent joint laws;
+* single-letter stationary bounds over the polytope of shift-consistent
+  joint laws: the upper by simplicial decomposition with Blahut-Arimoto as
+  its master solver, the lower by pairwise Frank-Wolfe;
 * symmetrized-KL upper bounds, generic (quadratic in the input law) and in
   closed form for the Poisson and Gaussian cases.
 
@@ -31,8 +32,9 @@ from .channel import (
     build_block_channel,
 )
 from .errors import BudgetExceededError, ConvergenceError
-from .solver import (_ROOT_STEPS, _TINY, SolverConfig, _budget_search, _check_pmf,
-                     _cheapest_inputs, _log0, _wlogw_rows, ba_capacity)
+from .solver import (_ROOT_STEPS, _TINY, SolverConfig, _blahut, _budget_search,
+                     _check_pmf, _cheapest_inputs, _duplicate_row_reps, _log0,
+                     _wlogw_rows, ba_capacity)
 
 
 # No bound calls an LP solver, but perfbench/tracing.py still wraps
@@ -83,19 +85,21 @@ def block_sandwich_bounds(bspec: BlockChannelSpec,
 
 
 # ---------------------------------------------------------------------------
-# Stationary single-letter bounds (Frank-Wolfe over the shift-consistent
-# polytope)
+# Stationary single-letter bounds over the shift-consistent polytope
 
 
 @dataclass(frozen=True)
 class StationaryBound:
     """Single-letter stationary bounds; sides not computed are None.
 
-    fw_gap is the raw Frank-Wolfe gap g.(s - p) of the returned law, with s
-    the exact linear maximizer over the support that is left: value + fw_gap
-    bounds the optimum over that support, and only rounding can make it
-    negative.  The upper bound keeps the whole polytope; the lower bound
-    drops the windows of prefix groups that die (see _frank_wolfe).
+    fw_gap is the raw linearization gap g.(s - p) of the returned law, with
+    s the exact linear maximizer over the windows still in use: value +
+    fw_gap bounds the optimum there, and only rounding makes it negative.
+    The upper bound uses the whole polytope; the lower bound drops the
+    windows of prefix groups that die (see _frank_wolfe).  iterations counts
+    Blahut-Arimoto steps over all master solves for the upper bound (see
+    _simplicial_upper), Frank-Wolfe steps for the lower.  With both sides,
+    fw_gap is the larger gap and iterations the sum.
     """
 
     upper: float | None
@@ -350,7 +354,7 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
     _GROUP_KILL_THRESHOLD leave it, the vertices that use them are dropped
     and the rest reweighted to sum to 1.  Each kept vertex is a feasible
     cycle-oracle vertex, so every iterate stays shift-consistent and within
-    budget.  With one prefix group, Wr = W[None], the rule never fires.
+    budget.
 
     The linearization gap g.(s - p) certifies f* <= f + gap over the support
     that is left.  Returns (p, f, gap, iterations) once the gap is at most
@@ -402,17 +406,63 @@ def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
         f"iterations (last gap {gap:.3e})", gap=gap, iterations=config.max_iters)
 
 
+def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
+                      config: SolverConfig):
+    """Maximize I(p) = p.wlogw_rows - H(pW) over the polytope by fully
+    corrective simplicial decomposition (Holloway 1974; Lacoste-Julien &
+    Jaggi 2015).  The atoms, rows of V, are uniform laws on cycles, first
+    the cheapest and the best for wlogw_rows.  On p = lam.V the objective is
+    lam.(V wlogw_rows) - H(lam VW), so _blahut solves the master over lam
+    with costs V cost.  polytope.lp_max prices g over the whole polytope and
+    both cycles of its vertex join the atoms, until g.(s - p) <= config.tol.
+    Returns (p, I(p), gap, master iterations in all); raises
+    ConvergenceError after config.max_iters masters or when no cycle joins.
+    """
+    every = np.ones(polytope.n, dtype=bool)
+    cycles = {}  # insertion-ordered set of cycles, each its sorted edges
+
+    def add(key):  # how many of key's cycles are new
+        new = [C for C in (key if isinstance(key[0], tuple) else (key,)) if C not in cycles]
+        cycles.update(dict.fromkeys(new))
+        return len(new)
+
+    add(polytope.lp_max(-polytope.cost, every)[0])
+    add(polytope.lp_max(wlogw_rows, every)[0])
+    iterations, gap = 0, np.inf
+    for _ in range(config.max_iters):
+        V = np.zeros((len(cycles), polytope.n))
+        for j, C in enumerate(cycles):
+            V[j, list(C)] = 1.0 / len(C)
+        O, cost = V @ W, V @ polytope.cost
+        keep, alpha = _cheapest_inputs(cost, polytope.alpha)
+        keep &= _duplicate_row_reps(O, cost)
+        lam, its, _, _ = _blahut(O[keep], cost[keep], alpha, config.tol, config.max_iters,
+                                 wlogw=V[keep] @ wlogw_rows)
+        iterations += its
+        p = lam @ V[keep]
+        f, g = _cmi_value_grad(W[None], wlogw_rows, p)
+        key, s = polytope.lp_max(g, every)
+        gap = float(g @ (s - p))
+        if gap <= config.tol:
+            return p, f, gap, iterations
+        if not add(key):
+            break
+    raise ConvergenceError(
+        f"simplicial decomposition did not reach gap {config.tol} "
+        f"(last gap {gap:.3e}, {len(cycles)} cycles)", gap=gap, iterations=iterations)
+
+
 def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
                          tail_eps: float) -> DiscreteChannel:
     return build_block_channel(BlockChannelSpec(spec, grid, r=1, tail_eps=tail_eps))
 
 
-def _stationary_fw(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
-                   tail_eps: float, sides: tuple) -> StationaryBound:
-    """Run _frank_wolfe for each of sides on one build of the single-slot
-    channel and polytope: the upper bound sees the channel as one prefix
-    group, the lower splits its rows by their k previous inputs.  fw_gap is
-    the largest gap, iterations the total; a ConvergenceError names the bound."""
+def _stationary(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
+                tail_eps: float, sides: tuple) -> StationaryBound:
+    """Solve each of sides on one build of the single-slot channel and
+    polytope: _simplicial_upper for the upper bound, _frank_wolfe with the
+    rows split by their k previous inputs for the lower.  A ConvergenceError
+    names the bound."""
     ch = _single_slot_channel(spec, grid, tail_eps)
     k, m = spec.impulse.order, len(grid.points)
     W = ch.transition
@@ -420,9 +470,10 @@ def _stationary_fw(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
     poly = _StationaryPolytope(ch.cost, m, k, spec.alpha)
     runs = {}
     for side in sides:
-        Wr = W[None] if side == "upper" else W.reshape(m ** k, m, W.shape[1])
         try:
-            runs[side] = _frank_wolfe(Wr, wlogw_rows, poly, config)
+            runs[side] = (_simplicial_upper(W, wlogw_rows, poly, config) if side == "upper"
+                          else _frank_wolfe(W.reshape(m ** k, m, W.shape[1]),
+                                            wlogw_rows, poly, config))
         except ConvergenceError as e:
             raise ConvergenceError(f"stationary {side} bound: {e}", gap=e.gap,
                                    iterations=e.iterations) from e
@@ -437,9 +488,9 @@ def stationary_upper_bound(spec: ChannelSpec, grid: InputGrid,
                            config: SolverConfig = SolverConfig(),
                            tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
     """max I(all k+1 inputs; current output) over shift-consistent joint laws
-    with average intensity at most alpha.  The objective is smooth and
-    concave, so Frank-Wolfe runs until its gap reaches config.tol."""
-    return _stationary_fw(spec, grid, config, tail_eps, ("upper",))
+    with average intensity at most alpha, to a gap of config.tol over the
+    whole polytope (see _simplicial_upper)."""
+    return _stationary(spec, grid, config, tail_eps, ("upper",))
 
 
 def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
@@ -452,14 +503,14 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     _frank_wolfe), so the reported law is shift-consistent and within
     budget, and fw_gap certifies optimality over the support that is left.
     """
-    return _stationary_fw(spec, grid, config, tail_eps, ("lower",))
+    return _stationary(spec, grid, config, tail_eps, ("lower",))
 
 
 def stationary_bounds(spec: ChannelSpec, grid: InputGrid,
                       config: SolverConfig = SolverConfig(),
                       tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
     """Both stationary bounds on one instance, from one channel and polytope."""
-    return _stationary_fw(spec, grid, config, tail_eps, ("upper", "lower"))
+    return _stationary(spec, grid, config, tail_eps, ("upper", "lower"))
 
 
 # ---------------------------------------------------------------------------

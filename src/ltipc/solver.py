@@ -196,10 +196,12 @@ def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
 
 
 def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
-            tol: float, max_iters: int):
+            tol: float, max_iters: int, wlogw: np.ndarray | None = None):
     """Blahut-Arimoto with an optional budget, from the feasible tilt of the
-    uniform law.  Returns (p, iterations, dual gap, history of I(p_t))."""
-    wlogw = _wlogw_rows(W)
+    uniform law, on the objective p.wlogw - H(pW), which is I(p) when wlogw
+    is W's own.  Returns (p, iterations, dual gap, history of the objective)."""
+    if wlogw is None:
+        wlogw = _wlogw_rows(W)
     s, p = _budget_search(_tilt, _tilt_slope, np.zeros(W.shape[0]), cost, alpha)
     history = []
     gap = np.inf

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from scipy.stats import norm
 
-from ltipc import DiscreteChannel
+from ltipc import ChannelSpec, DiscreteChannel, ImpulseResponse, InputGrid
 
 
 def poisson_mean_by_recurrence(pmf: np.ndarray) -> float:
@@ -143,3 +143,21 @@ def small_corpus(seed: int = 2024):
         random_channel(rng, 3, 4, cost=np.array([0.0, 2.0, 5.0])),
     ]
     return chans
+
+
+def seeded_stationary_set():
+    """The 24 seeded stationary instances as (ChannelSpec, InputGrid): from
+    default_rng(2026), instance i has k = i mod 3 and draws, in this order,
+    the grid size in {3, 4, 5}, Dirichlet(1) taps, lambda0 in U(0.5, 8),
+    amax in U(10, 60) and alpha = U(0.05, 0.6) * amax."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for i in range(24):
+        grid = int(rng.integers(3, 6))
+        taps = rng.dirichlet(np.ones(i % 3 + 1))
+        lambda0 = rng.uniform(0.5, 8)
+        amax = rng.uniform(10, 60)
+        alpha = rng.uniform(0.05, 0.6) * amax
+        out.append((ChannelSpec(ImpulseResponse(tuple(taps)), lambda0, amax, alpha),
+                    InputGrid.uniform(amax, grid)))
+    return out

@@ -1,4 +1,5 @@
 """Bound families: sandwich, stationary, symmetrized-KL."""
+import hashlib
 import itertools
 import math
 
@@ -17,8 +18,9 @@ from ltipc.bounds import (
     _stationarity_matrix,
     _wlogw_rows,
 )
+from ltipc.channel import DEFAULT_TAIL_EPS
 
-from helpers import bsc, grid_search_symkl, random_channel
+from helpers import bsc, grid_search_symkl, random_channel, seeded_stationary_set
 
 CFG = lp.SolverConfig(tol=1e-8)
 FW_CFG = lp.SolverConfig(tol=1e-7, max_iters=20000)
@@ -141,15 +143,78 @@ class TestStationaryBounds:
             lp.stationary_upper_bound(spec, grid,
                                       lp.SolverConfig(tol=1e-12, max_iters=3))
 
-    def test_grid4_upper_converges(self):
-        """The upper bound has no stall exit: on grid 4 at alpha 10 it runs
-        to the default gap tolerance and stays below C_1."""
-        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 10.0)
-        grid = lp.InputGrid.uniform(40.0, 4)
+    # (taps, lambda0, amax, alpha, grid points) and the upper bound that
+    # pairwise Frank-Wolfe reached on each at gap 1e-9, as float.hex.
+    PINNED_UPPER = {
+        "grid4-alpha10": (((0.7, 0.3), 5.0, 40.0, 10.0, 4), "0x1.01eecd5666438p+0"),
+        "grid4-alpha16": (((0.7, 0.3), 5.0, 40.0, 16.0, 4), "0x1.2205f55fd79c5p+0"),
+        "grid4-alpha22": (((0.7, 0.3), 5.0, 40.0, 22.0, 4), "0x1.23cd15f59e268p+0"),
+        "grid4-alpha30": (((0.7, 0.3), 5.0, 40.0, 30.0, 4), "0x1.23cd15f59e269p+0"),
+        "grid5-alpha5": (((0.7, 0.3), 5.0, 40.0, 5.0, 5), "0x1.795556f41d01ep-1"),
+        "grid5-alpha15": (((0.7, 0.3), 5.0, 40.0, 15.0, 5), "0x1.1fb346d6649b2p+0"),
+        "k2-grid5-a": (((0.4509, 0.2527, 0.2964), 2.4616, 45.042, 7.8977, 5),
+                       "0x1.0301e9c698282p+0"),
+        "k2-grid5-b": (((0.3507, 0.1531, 0.4962), 4.7302, 54.523, 30.267, 5),
+                       "0x1.4a8d8c5e6f6e8p+0"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED_UPPER))
+    def test_grid4_upper_converges(self, name):
+        """The upper bound runs to the default gap tolerance, stays below
+        C_1 and matches the value pairwise Frank-Wolfe reached within 1e-12;
+        the two k = 2 instances took Frank-Wolfe 15,000 and 56,000
+        iterations."""
+        (taps, lam0, amax, alpha, m), pinned = self.PINNED_UPPER[name]
+        spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lam0, amax, alpha)
+        grid = lp.InputGrid.uniform(amax, m)
         up = lp.stationary_upper_bound(spec, grid)
         c1 = lp.block_sandwich_bounds(lp.BlockChannelSpec(spec, grid, r=1), CFG)
         assert up.fw_gap <= 1e-9
         assert up.upper <= c1.upper + 1e-6
+        assert abs(up.upper - float.fromhex(pinned)) <= 1e-12
+
+    # The lower bound's value and iteration count as float.hex and int, and
+    # the SHA-256 of its law's bytes, on the alpha-sweep benchmark instance
+    # (taps 0.7/0.3, lambda0 5, amax 40, grid 3) and on A05's alpha-15
+    # instance (grid 5, tol 1e-7).
+    PINNED_LOWER = {
+        "sweep-0.1": ((0.1 * 40.0, 3, lp.SolverConfig()), "0x1.e6e20370a0460p-2", 67,
+                      "9e15cda2bb5fcb2ee78ca22c521adf2469824d7a5b64e74ca5b46c3540139b5c"),
+        "sweep-0.25": ((0.25 * 40.0, 3, lp.SolverConfig()), "0x1.8604d1d69f512p-1", 68,
+                       "f631ac5cac95cc09b9baf5c86dbf2286ae1579b37e853c3cdb42ad31c023611b"),
+        "sweep-0.55": ((0.55 * 40.0, 3, lp.SolverConfig()), "0x1.bcc64582c8adcp-1", 287,
+                       "353f20d9b088c5734f5928a426740d367a38a1e7c1de44959e4a2c9bb8155981"),
+        "a05-alpha15": ((15.0, 5, FW_CFG), "0x1.c1d0c165e69cap-1", 1952,
+                        "ec3ae8430e6a6fc60913a0c0b63331997194cc241c0a36d6178a6602c588bff1"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED_LOWER))
+    def test_lower_side_unchanged(self, name):
+        """The lower side of stationary_bounds runs pairwise Frank-Wolfe and
+        keeps its value, law and iteration count bit for bit."""
+        (alpha, m, config), value_hex, iterations, law_sha = self.PINNED_LOWER[name]
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, alpha)
+        grid = lp.InputGrid.uniform(40.0, m)
+        both = lp.stationary_bounds(spec, grid, config)
+        up = lp.stationary_upper_bound(spec, grid, config)
+        assert both.lower.hex() == value_hex
+        assert hashlib.sha256(both.lower_dist.tobytes()).hexdigest() == law_sha
+        assert both.iterations - up.iterations == iterations
+
+    def test_seeded_upper_bounds(self):
+        """All 24 instances of the seeded set converge, among them instance
+        11 (k = 2, grid 4), which Frank-Wolfe could not solve in 200,000
+        iterations.  Each law is a stationary pmf within budget whose mutual
+        information is the reported value."""
+        for i, (spec, grid) in enumerate(seeded_stationary_set()):
+            up = lp.stationary_upper_bound(spec, grid)
+            ch = _single_slot_channel(spec, grid, DEFAULT_TAIL_EPS)
+            p, k, m = up.upper_dist, spec.impulse.order, len(grid.points)
+            assert up.fw_gap <= 1e-9, i
+            assert abs(lp.mutual_information(ch, p) - up.upper) <= 1e-12, i
+            assert np.abs(_stationarity_matrix(m, k) @ p).max() <= 1e-12, i
+            assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12, i
+            assert p @ ch.cost <= spec.alpha, i
 
     def test_lower_stall_without_dead_group_resumes(self):
         """At alpha 22 on grid 3 the lower bound gains under 1e-12 over 80
