@@ -5,7 +5,8 @@ Three families:
 * sandwich bounds from the block channel: C_r upper, r/(k+r)*C_r lower;
 * single-letter stationary bounds over the polytope of shift-consistent
   joint laws: the upper by simplicial decomposition with Blahut-Arimoto as
-  its master solver, the lower by pairwise Frank-Wolfe;
+  its master solver, the lower by a log-barrier Newton method; both certify
+  their gap over the whole polytope;
 * symmetrized-KL upper bounds, generic (quadratic in the input law) and in
   closed form for the Poisson and Gaussian cases.
 
@@ -32,7 +33,7 @@ from .channel import (
     build_block_channel,
 )
 from .errors import BudgetExceededError, ConvergenceError
-from .solver import (_ROOT_STEPS, _TINY, SolverConfig, _blahut, _budget_search,
+from .solver import (_TINY, SolverConfig, _blahut, _budget_search,
                      _check_pmf, _cheapest_inputs, _duplicate_row_reps, _log0,
                      _wlogw_rows, ba_capacity)
 
@@ -93,13 +94,11 @@ class StationaryBound:
     """Single-letter stationary bounds; sides not computed are None.
 
     fw_gap is the raw linearization gap g.(s - p) of the returned law, with
-    s the exact linear maximizer over the windows still in use: value +
-    fw_gap bounds the optimum there, and only rounding makes it negative.
-    The upper bound uses the whole polytope; the lower bound drops the
-    windows of prefix groups that die (see _frank_wolfe).  iterations counts
-    Blahut-Arimoto steps over all master solves for the upper bound (see
-    _simplicial_upper), Frank-Wolfe steps for the lower.  With both sides,
-    fw_gap is the larger gap and iterations the sum.
+    s the exact linear maximizer over the whole polytope: value + fw_gap
+    bounds the optimum, and only rounding makes it negative.  iterations
+    counts master Blahut-Arimoto steps for the upper bound (_simplicial_upper)
+    and Newton steps for the lower (_barrier_lower).  With both sides, fw_gap
+    is the larger gap and iterations the sum.
     """
 
     upper: float | None
@@ -124,28 +123,43 @@ def _group_sums(Wr: np.ndarray, p: np.ndarray):
 def _cmi_value_grad(Wr: np.ndarray, wlogw_rows: np.ndarray, p: np.ndarray):
     """Conditional mutual information I(last coord; Y | prefix) and gradient.
 
-    Wr has shape (n_prefix, m, n_out); p is flattened (n_prefix*m,).  For
-    empty prefix groups the gradient uses the uniform-mixture limit, a valid
-    supergradient of this concave function.  With one prefix group,
-    Wr = W[None], this is I(X; Y) for the laws on W's rows.
+    Wr has shape (n_prefix, m, n_out); p is flattened (n_prefix*m,), with
+    mass in every prefix group.  With one prefix group, Wr = W[None], this
+    is I(X; Y) for the laws on W's rows.
     """
     A, pu = _group_sums(Wr, p)
     f = float(p @ wlogw_rows - np.sum(A * _log0(A)) + np.sum(pu * _log0(pu)))
-    q = np.empty_like(A)
-    alive = pu > 0
-    q[alive] = A[alive] / pu[alive, None]
-    if not np.all(alive):
-        q[~alive] = Wr[~alive].mean(axis=1)
-    logq = np.log(np.maximum(q, _TINY))
+    logq = np.log(np.maximum(A / pu[:, None], _TINY))
     grad = (wlogw_rows.reshape(Wr.shape[:2])
             - np.einsum("uvy,uy->uv", Wr, logq)).reshape(-1)
     return f, grad
+
+
+def _cmi_hessian(Wr: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The Hessian of _cmi_value_grad's objective, block-diagonal over
+    prefix groups: block u, shape (m, m), is -(W_u diag(1/q_u) W_u' - 11')/pu_u
+    with q_u = A_u/pu_u, since W's rows sum to 1.  Outputs with q_uy = 0 have
+    W_uvy = 0 in the whole group and add nothing."""
+    A, pu = _group_sums(Wr, p)
+    B = (Wr / np.maximum(A / pu[:, None], _TINY)[:, None, :]) @ Wr.transpose(0, 2, 1)
+    return (1.0 - B) / pu[:, None, None]
 
 
 def _stationarity_matrix(m: int, k: int) -> np.ndarray:
     """Rows enforce equality of the first-k and last-k marginals."""
     t, j = np.arange(m ** (k + 1)), np.arange(m ** k)[:, None]
     return (t // m == j).astype(float) - (t % m ** k == j)
+
+
+def _check_bytes(nbytes: int, needs: str, n_inputs: int, n_outputs: int, sizes: str):
+    """Refuse arrays alive at once, described by needs, whose nbytes exceed
+    DEFAULT_ENTRY_BUDGET float64 entries; called before they are allocated."""
+    budget = DEFAULT_ENTRY_BUDGET * np.dtype(np.float64).itemsize
+    if nbytes > budget:
+        raise BudgetExceededError(
+            f"{needs} at once, {nbytes} bytes, above the budget of {budget} bytes "
+            f"({sizes}); lower --grid or use fewer taps",
+            n_inputs=n_inputs, n_outputs=n_outputs, budget=DEFAULT_ENTRY_BUDGET)
 
 
 # Newton steps on the budget multiplier in one lp_max call; each swaps in a
@@ -165,8 +179,7 @@ class _StationaryPolytope:
     inputs) to node t % m^k (its last k).  So the vertices of the polytope
     without the budget are the uniform laws on simple cycles, and lp_max
     solves its linear program with a maximum-mean-cycle oracle (Karp 1978)
-    inside a Lagrangian on the budget; no LP solver is involved.  It keeps
-    no state: each call passes the mask of windows it may use.  Karp's two
+    inside a Lagrangian on the budget; no LP solver is involved.  Karp's two
     (V+1) x V tables on V = m^k nodes, D (float64) and pred (intp), are
     alive at once, so their bytes together must fit the byte budget of
     DEFAULT_ENTRY_BUDGET float64 entries.
@@ -174,24 +187,18 @@ class _StationaryPolytope:
 
     def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
         V = m ** k
-        entry_bytes = np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize
-        nbytes = (V + 1) * V * entry_bytes
-        budget = DEFAULT_ENTRY_BUDGET * np.dtype(np.float64).itemsize
-        if nbytes > budget:
-            raise BudgetExceededError(
-                f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
-                f"(float64 and intp) at once, {nbytes} bytes, above the budget of "
-                f"{budget} bytes ({m}-point grid, {k + 1} taps); lower --grid or use fewer taps",
-                n_inputs=V + 1, n_outputs=V, budget=DEFAULT_ENTRY_BUDGET)
+        _check_bytes((V + 1) * V * (np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize),
+                     f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
+                     f"(float64 and intp)", V + 1, V, f"{m}-point grid, {k + 1} taps")
         self.cost = cost
         self.n = cost.size
-        self.m, self.n_nodes = m, V
+        self.m, self.k, self.n_nodes = m, k, V
         self.alpha = alpha
         # Edge t = a*m^k + v enters node v; _src[a, v] is the node it leaves.
         self._src = (np.arange(self.n) // m).reshape(m, self.n_nodes)
 
-    def _max_mean_cycle(self, w: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Edges of an active cycle of maximum mean weight w (Karp 1978).
+    def _max_mean_cycle(self, w: np.ndarray) -> np.ndarray:
+        """Edges of a cycle of maximum mean weight w (Karp 1978).
 
         D_i(v), the heaviest i-edge walk ending at v, takes one max over
         v's m in-edges per level; the best mean is
@@ -200,7 +207,7 @@ class _StationaryPolytope:
         of that mean, read off at its first repeated node.
         """
         m, V = self.m, self.n_nodes
-        weights = np.where(active, w, -np.inf).reshape(m, V)
+        weights = w.reshape(m, V)
         D = np.zeros((V + 1, V))
         pred = np.empty((V + 1, V), dtype=np.intp)
         cols = np.arange(V)
@@ -208,13 +215,7 @@ class _StationaryPolytope:
             cand = D[i - 1][self._src] + weights
             pred[i] = cand.argmax(axis=0)
             D[i] = cand[pred[i], cols]
-        with np.errstate(invalid="ignore"):
-            means = (D[V] - D[:V]) / (V - np.arange(V))[:, None]
-        # nan is -inf - (-inf): no V-edge walk ends at v, so v has no cycle.
-        means = np.where(np.isnan(means), -np.inf, means).min(axis=0)
-        v = int(means.argmax())
-        if means[v] == -np.inf:
-            raise RuntimeError("LP step failed: no active window lies on a cycle")
+        v = int(((D[V] - D[:V]) / (V - np.arange(V))[:, None]).min(axis=0).argmax())
         # Walk back from level V; V + 1 nodes on V repeat before level 0.
         level, edges, i = {}, [], V
         while v not in level:
@@ -224,23 +225,23 @@ class _StationaryPolytope:
             v, i = t // m, i - 1
         return np.array(edges[V - level[v]:])
 
-    def lp_max(self, g: np.ndarray, active: np.ndarray):
-        """(key, law): a vertex maximizing g.p over the polytope's laws on
-        the active windows, and an exact name for it, a cycle's sorted edges
-        or the pair of the two cycles' keys for a budget mixture.  The same
-        key always comes with the same law, bit for bit.
+    def lp_max(self, g: np.ndarray):
+        """(key, law): a vertex maximizing g.p over the polytope, and an
+        exact name for it, a cycle's sorted edges or the pair of the two
+        cycles' keys for a budget mixture.  The same key always comes with
+        the same law, bit for bit.
 
         With cycle means g(C) and c(C), the maximum is
         min_{mu >= 0} max_C [g(C) - mu c(C)] + mu alpha.  If the best cycle
         at mu = 0 fits the budget it is the answer.  Otherwise it and the
-        cheapest cycle bracket the budget, and each Newton (Dinkelbach)
-        step moves mu to where the two ends' lines meet and swaps in the
-        oracle's cycle on its side of alpha, until no cycle rises above
-        the lines.  The answer is the mixture of the two ends that spends
-        exactly alpha.  Finitely many cycles make this finite.
+        cheapest cycle, of cost 0 <= alpha, bracket the budget, and each
+        Newton (Dinkelbach) step moves mu to where the two ends' lines meet
+        and swaps in the oracle's cycle on its side of alpha, until no cycle
+        rises above the lines.  The answer is the mixture of the two ends
+        that spends exactly alpha.  Finitely many cycles make this finite.
         """
         def cycle(w):
-            C = np.sort(self._max_mean_cycle(w, active))
+            C = np.sort(self._max_mean_cycle(w))
             return C, float(g[C].mean()), float(self.cost[C].mean())
 
         def law(C):
@@ -252,15 +253,13 @@ class _StationaryPolytope:
         if hi[2] <= self.alpha:
             return tuple(hi[0].tolist()), law(hi[0])
         lo = cycle(-self.cost)
-        if lo[2] > self.alpha:
-            raise RuntimeError("LP step failed: no active cycle fits the budget")
         for _ in range(_CYCLE_STEPS):
             mu = max((hi[1] - lo[1]) / (hi[2] - lo[2]), 0.0)
             line = lo[1] - mu * lo[2]
             w = g - mu * self.cost
             new = cycle(w)
             # A cycle within rounding of the lines is no better than its ends.
-            tol = 1e-14 * (1.0 + float(np.abs(w[active]).max()))
+            tol = 1e-14 * (1.0 + float(np.abs(w).max()))
             if new[1] - mu * new[2] <= line + tol:
                 theta = (self.alpha - lo[2]) / (hi[2] - lo[2])
                 key = (tuple(hi[0].tolist()), tuple(lo[0].tolist()))
@@ -287,123 +286,85 @@ class _StationaryPolytope:
         return p
 
 
-def _line_search(Wr, wlogw_rows, p0, p1):
-    """argmax over t in [0, 1] of _cmi_value_grad's objective at
-    (1 - t) p0 + t p1, a concave function of t.
+# The barrier weight tau starts on the scale of the objective (at most log m
+# nats); a tenfold cut keeps each centring to a few Newton steps (B&V 11.3.1).
+_TAU_START, _TAU_FACTOR = 1.0, 10.0
+_TO_BOUNDARY = 0.99  # share of the way to the nearest face: iterates stay > 0
+_HALVINGS = 60  # before the line search gives up; 2^-60 of a step moves nothing
 
-    The group sums A and pu are affine in t, so with d = p1 - p0,
-    phi'(t) = d.w - sum dA log A(t) + sum dpu log pu(t) and
-    phi''(t) = -sum dA^2/A(t) + sum dpu^2/pu(t) cost O(n_prefix*|Y|) once
-    the sums at both ends are known.  Newton steps on the non-increasing phi'
-    are kept inside the bracket [lo, hi] (bisection otherwise), as in
-    solver._budget_search.
+
+def _barrier_lower(Wr, wlogw_rows, polytope: _StationaryPolytope,
+                   config: SolverConfig):
+    """Maximize _cmi_value_grad's objective f over the polytope by a
+    log-barrier method (Boyd & Vandenberghe 2004, 11.3): damped Newton steps
+    on f(p) + tau (sum log p + log r) for tau = 1, 1/10, ..., from
+    polytope.interior_start(), under sum p = 1, shift consistency and
+    c.p + r = alpha; the budget's slack r is an unknown of its own.  Every
+    iterate is strictly positive, so every prefix group keeps mass.
+
+    After each centring g = grad f is priced over the whole polytope: the run
+    returns (p, f, gap, Newton steps) once gap = g.(lp_max(g) - p) <= tol.
+    On the central path the gap is at most (n + 1) tau, so tau stops
+    shrinking below tol / (n + 1).  ConvergenceError carries the last gap.
     """
-    (A0, pu0), (A1, pu1) = _group_sums(Wr, p0), _group_sums(Wr, p1)
-    dA, dpu = A1 - A0, pu1 - pu0
-    slope0 = float((p1 - p0) @ wlogw_rows)
-
-    def derivs(t):
-        # phi' = d.w - sum dA log q with q = A/pu, finite where pu is 0.
-        A, pu = (1.0 - t) * A0 + t * A1, (1.0 - t) * pu0 + t * pu1
-        logq = np.log(np.maximum(A / np.maximum(pu, _TINY)[:, None], _TINY))
-        live = pu > 0
-        curv = (np.sum(dpu[live] ** 2 / pu[live])
-                - np.sum(dA[live] ** 2 / np.maximum(A[live], _TINY)))
-        return slope0 - float(np.sum(dA * logq)), curv
-
-    if derivs(1.0)[0] >= 0:
-        return 1.0
-    lo, hi, t = 0.0, 1.0, 0.0
-    for _ in range(_ROOT_STEPS):
-        slope, curv = derivs(t)
-        lo, hi = (t, hi) if slope > 0 else (lo, t)
-        nxt = t - slope / curv if curv < 0 else np.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - t) <= 4e-16:
-            break
-        t = nxt
-    return t
-
-
-# The lower bound's objective is not differentiable where a prefix group
-# loses all mass, and its maximizer often kills whole grid values.  On the
-# full support such a run makes no progress while its gap stays high: taps
-# (0.7, 0.3), lambda0 5, amax 40, alpha 15, grid 5 is still at gap 6.4e-4
-# after 10,000 iterations.  So _frank_wolfe drops a group once its mass is
-# at most _GROUP_KILL_THRESHOLD; on the smaller polytope the objective is
-# smooth.
-_GROUP_KILL_THRESHOLD = 1e-9
-
-
-def _frank_wolfe(Wr, wlogw_rows, polytope: _StationaryPolytope,
-                 config: SolverConfig):
-    """Maximize _cmi_value_grad's objective over the polytope by pairwise
-    Frank-Wolfe (Lacoste-Julien & Jaggi 2015) with exact line search.
-
-    The iterate is a convex combination of vertices, a map from
-    polytope.lp_max's exact keys to (vertex, weight), starting from the
-    feasible interior point as a single pseudo-vertex under the key None.
-    Each step moves weight from the active vertex worst for the gradient g
-    to the exact linear maximizer s = polytope.lp_max(g, active), so only
-    those two weights change.  While the gap exceeds config.tol,
-    g.s > g.p >= g.v_away, so s is not the away vertex.
-
-    The window mask active starts full, and every iteration first narrows
-    it: windows that start or end in a prefix group of mass at most
-    _GROUP_KILL_THRESHOLD leave it, the vertices that use them are dropped
-    and the rest reweighted to sum to 1.  Each kept vertex is a feasible
-    cycle-oracle vertex, so every iterate stays shift-consistent and within
-    budget.
-
-    The linearization gap g.(s - p) certifies f* <= f + gap over the support
-    that is left.  Returns (p, f, gap, iterations) once the gap is at most
-    config.tol; raises ConvergenceError at config.max_iters.
-    """
-    n_prefix, m = Wr.shape[:2]
-    windows = np.arange(polytope.n)
-    prefix, suffix = windows // m, windows % n_prefix
+    n, V = polytope.n, polytope.n_nodes
+    size = n + V + 2  # unknowns (p, r), then V + 1 multipliers
+    # The KKT matrix and the copy that np.linalg.solve factors.
+    _check_bytes(2 * size * size * np.dtype(np.float64).itemsize,
+                 f"the stationary lower bound's Newton step needs two {size} x {size} "
+                 f"float64 arrays", size, size, f"{polytope.m}-point grid, {polytope.k + 1} taps")
     p = polytope.interior_start()
-    vertices = {None: (p, 1.0)}
-    active = np.ones(polytope.n, dtype=bool)
-    for it in range(1, config.max_iters + 1):
-        dead = np.bincount(prefix, weights=p, minlength=n_prefix) <= _GROUP_KILL_THRESHOLD
-        narrowed = active & ~(dead[prefix] | dead[suffix])
-        if narrowed.sum() < active.sum():
-            # Under a budget near 0 the interior start already has groups
-            # below the threshold, and it is the only vertex; the mask then
-            # waits until some vertex avoids the dead groups.
-            kept = {key: vw for key, vw in vertices.items() if not vw[0][~narrowed].any()}
-            if kept:
-                total = sum(w for _, w in kept.values())
-                vertices = {key: (v, w / total) for key, (v, w) in kept.items()}
-                p = sum(w * v for v, w in vertices.values())
-                active = narrowed
-        f, g = _cmi_value_grad(Wr, wlogw_rows, p)
-        key, s = polytope.lp_max(g, active)
-        gap = float(g @ (s - p))
-        if gap <= config.tol:
-            return p, f, gap, it
-        away = min(vertices, key=lambda k: float(g @ vertices[k][0]))
-        v_away, w_away = vertices.pop(away)
-        w_s = vertices.pop(key, (s, 0.0))[1]
-        # The far end is a sum of vertices, so coordinates that the step
-        # empties are exactly zero there; p + w_away (s - v_away) would leave
-        # rounding noise, and with it a noisy q = A/pu in emptied groups.
-        rest = sum((w * v for v, w in vertices.values()), np.zeros_like(p))
-        t = _line_search(Wr, wlogw_rows, p, rest + (w_s + w_away) * s)
-        # Drop step: the slope at t = 0 is at least w_away * gap > 0 in exact
-        # arithmetic, so t = 0 comes from rounding, and repeating the step
-        # would spin until max_iters.  Move all of v_away's weight instead.
-        if t == 0.0:
-            t = 1.0
-        for k, v, w in ((away, v_away, (1.0 - t) * w_away), (key, s, w_s + t * w_away)):
-            if w > 0:
-                vertices[k] = (v, w)
-        p = sum(w * v for v, w in vertices.values())
+    if not p.min() > 0:  # alpha = 0: the all-zero window is the only law
+        return p, 0.0, 0.0, 0
+    z = np.append(p, polytope.alpha - polytope.cost @ p)
+    # Rows: sum p = 1 in place of one stationarity row (they sum to 0), the
+    # others, and c.p + r = alpha.
+    K = np.zeros((size, size))
+    H, A = K[:n + 1, :n + 1], K[n + 1:, :n + 1]
+    A[:, :n] = np.vstack([np.ones(n), _stationarity_matrix(polytope.m, polytope.k)[1:],
+                          polytope.cost])
+    A[V, n] = 1.0
+    K[:n + 1, n + 1:] = A.T
+    b = np.r_[1.0, np.zeros(V - 1), polytope.alpha]
+    diag, blocks = np.arange(n + 1), np.arange(n).reshape(Wr.shape[:2])
+    tau, gap = _TAU_START, np.inf
+
+    def newton(z, g):  # the step that also closes A z = b, and its decrement
+        H[:] = 0.0
+        H[blocks[:, :, None], blocks[:, None, :]] = _cmi_hessian(Wr, z[:n])
+        H[diag, diag] -= tau / z ** 2
+        rhs = np.concatenate([-np.append(g, 0.0) - tau / z, b - A @ z])
+        d = np.linalg.solve(K, rhs)[:n + 1]
+        return d, -float(d @ H @ d)
+
+    for it in range(config.max_iters):
+        f, g = _cmi_value_grad(Wr, wlogw_rows, z[:n])
+        d, decrement = newton(z, g)
+        # Centred: the decrement is about twice the barrier objective's
+        # distance to its maximum for this tau (B&V 9.5.1).
+        if decrement <= config.tol:
+            gap = float(g @ (polytope.lp_max(g)[1] - z[:n]))
+            if gap <= config.tol:
+                return z[:n], f, gap, it
+            if (n + 1) * tau > config.tol:
+                tau /= _TAU_FACTOR
+                d, decrement = newton(z, g)
+        t = min(1.0, _TO_BOUNDARY * float(np.min(-z[d < 0] / d[d < 0], initial=np.inf)))
+        # Halve until the slope along d at y is >= -1/2 of that at z, the
+        # decrement: a gain of t/4 of it or more by the trapezoid rule.  Values
+        # stall in rounding near the optimum; slope >= 0 halves full steps.
+        for _ in range(_HALVINGS):
+            y = z + t * d
+            g_y = _cmi_value_grad(Wr, wlogw_rows, y[:n])[1]
+            if g_y @ d[:n] + tau * np.sum(d / y) >= -decrement / 2:
+                break
+            t /= 2
+        else:
+            break
+        z = z + t * d
     raise ConvergenceError(
-        f"Frank-Wolfe did not reach gap {config.tol} in {config.max_iters} "
-        f"iterations (last gap {gap:.3e})", gap=gap, iterations=config.max_iters)
+        f"log-barrier Newton stopped after {it + 1} steps at gap {gap:.3e}, above "
+        f"{config.tol}", gap=gap, iterations=it + 1)
 
 
 def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
@@ -416,9 +377,10 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
     with costs V cost.  polytope.lp_max prices g over the whole polytope and
     both cycles of its vertex join the atoms, until g.(s - p) <= config.tol.
     Returns (p, I(p), gap, master iterations in all); raises
-    ConvergenceError after config.max_iters masters or when no cycle joins.
+    ConvergenceError, with the last gap over the polytope (inf before the
+    first) and the master iterations in all, when a master solve fails,
+    after config.max_iters masters or when no cycle joins.
     """
-    every = np.ones(polytope.n, dtype=bool)
     cycles = {}  # insertion-ordered set of cycles, each its sorted edges
 
     def add(key):  # how many of key's cycles are new
@@ -426,22 +388,29 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         cycles.update(dict.fromkeys(new))
         return len(new)
 
-    add(polytope.lp_max(-polytope.cost, every)[0])
-    add(polytope.lp_max(wlogw_rows, every)[0])
+    add(polytope.lp_max(-polytope.cost)[0])
+    add(polytope.lp_max(wlogw_rows)[0])
     iterations, gap = 0, np.inf
-    for _ in range(config.max_iters):
+    for master in range(1, config.max_iters + 1):
         V = np.zeros((len(cycles), polytope.n))
         for j, C in enumerate(cycles):
             V[j, list(C)] = 1.0 / len(C)
         O, cost = V @ W, V @ polytope.cost
         keep, alpha = _cheapest_inputs(cost, polytope.alpha)
         keep &= _duplicate_row_reps(O, cost)
-        lam, its, _, _ = _blahut(O[keep], cost[keep], alpha, config.tol, config.max_iters,
-                                 wlogw=V[keep] @ wlogw_rows)
+        try:
+            lam, its, _, _ = _blahut(O[keep], cost[keep], alpha, config.tol, config.max_iters,
+                                     wlogw=V[keep] @ wlogw_rows)
+        except ConvergenceError as e:
+            raise ConvergenceError(
+                f"simplicial decomposition's master solve {master} did not reach gap "
+                f"{config.tol} in {e.iterations} Blahut-Arimoto steps (last gap over the "
+                f"polytope {gap:.3e}, {iterations + e.iterations} master steps in all)",
+                gap=gap, iterations=iterations + e.iterations) from e
         iterations += its
         p = lam @ V[keep]
         f, g = _cmi_value_grad(W[None], wlogw_rows, p)
-        key, s = polytope.lp_max(g, every)
+        key, s = polytope.lp_max(g)
         gap = float(g @ (s - p))
         if gap <= config.tol:
             return p, f, gap, iterations
@@ -460,9 +429,9 @@ def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
 def _stationary(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
                 tail_eps: float, sides: tuple) -> StationaryBound:
     """Solve each of sides on one build of the single-slot channel and
-    polytope: _simplicial_upper for the upper bound, _frank_wolfe with the
-    rows split by their k previous inputs for the lower.  A ConvergenceError
-    names the bound."""
+    polytope: _simplicial_upper for the upper bound, _barrier_lower with
+    the rows split by their k previous inputs for the lower.  A
+    ConvergenceError names the bound."""
     ch = _single_slot_channel(spec, grid, tail_eps)
     k, m = spec.impulse.order, len(grid.points)
     W = ch.transition
@@ -472,8 +441,8 @@ def _stationary(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
     for side in sides:
         try:
             runs[side] = (_simplicial_upper(W, wlogw_rows, poly, config) if side == "upper"
-                          else _frank_wolfe(W.reshape(m ** k, m, W.shape[1]),
-                                            wlogw_rows, poly, config))
+                          else _barrier_lower(W.reshape(m ** k, m, W.shape[1]),
+                                              wlogw_rows, poly, config))
         except ConvergenceError as e:
             raise ConvergenceError(f"stationary {side} bound: {e}", gap=e.gap,
                                    iterations=e.iterations) from e
@@ -499,9 +468,9 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
     """max I(current input; current output | k previous inputs) over the same
     polytope; any feasible law here yields a valid lower bound on capacity.
 
-    Frank-Wolfe drops the prefix groups that die as it goes (see
-    _frank_wolfe), so the reported law is shift-consistent and within
-    budget, and fw_gap certifies optimality over the support that is left.
+    The log-barrier method (see _barrier_lower) returns a strictly positive,
+    shift-consistent law within budget, and fw_gap certifies optimality
+    over the whole polytope to config.tol.
     """
     return _stationary(spec, grid, config, tail_eps, ("lower",))
 
@@ -509,8 +478,9 @@ def stationary_lower_bound(spec: ChannelSpec, grid: InputGrid,
 def stationary_bounds(spec: ChannelSpec, grid: InputGrid,
                       config: SolverConfig = SolverConfig(),
                       tail_eps: float = DEFAULT_TAIL_EPS) -> StationaryBound:
-    """Both stationary bounds on one instance, from one channel and polytope."""
-    return _stationary(spec, grid, config, tail_eps, ("upper", "lower"))
+    """Both stationary bounds on one instance, from one channel and polytope;
+    the lower first, so that its byte check comes before any solve."""
+    return _stationary(spec, grid, config, tail_eps, ("lower", "upper"))
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +507,9 @@ def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
     step computation.
     """
     n = W.shape[0]
-    itemsize = np.dtype(np.float64).itemsize
-    nbytes, budget = 4 * n * n * itemsize, DEFAULT_ENTRY_BUDGET * itemsize
-    if nbytes > budget:
-        raise BudgetExceededError(
-            f"the sym-KL matrix and its step need four {n} x {n} float64 arrays at once, "
-            f"{nbytes} bytes, above the budget of {budget} bytes ({n} inputs); "
-            f"lower --grid or use fewer taps",
-            n_inputs=n, n_outputs=n, budget=DEFAULT_ENTRY_BUDGET)
+    _check_bytes(4 * n * n * np.dtype(np.float64).itemsize,
+                 f"the sym-KL matrix and its step need four {n} x {n} float64 arrays",
+                 n, n, f"{n} inputs")
     G = _log0(W) @ W.T  # G[x, x'] = sum_y W[x', y] log W[x, y]
     d = np.diag(G).copy()
     D = d[:, None] + d[None, :]
