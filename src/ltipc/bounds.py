@@ -23,16 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    DEFAULT_ENTRY_BUDGET,
     DEFAULT_TAIL_EPS,
     BlockChannelSpec,
     ChannelSpec,
     DiscreteChannel,
     InputGrid,
+    _check_bytes,
     _freeze,
     build_block_channel,
 )
-from .errors import BudgetExceededError, ConvergenceError
+from .errors import ConvergenceError
 from .solver import (_TINY, SolverConfig, _blahut, _budget_search,
                      _check_pmf, _cheapest_inputs, _duplicate_row_reps, _log0,
                      _wlogw_rows, ba_capacity)
@@ -151,17 +151,6 @@ def _stationarity_matrix(m: int, k: int) -> np.ndarray:
     return (t // m == j).astype(float) - (t % m ** k == j)
 
 
-def _check_bytes(nbytes: int, needs: str, n_inputs: int, n_outputs: int, sizes: str):
-    """Refuse arrays alive at once, described by needs, whose nbytes exceed
-    DEFAULT_ENTRY_BUDGET float64 entries; called before they are allocated."""
-    budget = DEFAULT_ENTRY_BUDGET * np.dtype(np.float64).itemsize
-    if nbytes > budget:
-        raise BudgetExceededError(
-            f"{needs} at once, {nbytes} bytes, above the budget of {budget} bytes "
-            f"({sizes}); lower --grid or use fewer taps",
-            n_inputs=n_inputs, n_outputs=n_outputs, budget=DEFAULT_ENTRY_BUDGET)
-
-
 # Newton steps on the budget multiplier in one lp_max call; each swaps in a
 # new cycle, so this only guards against a cycle that rounding keeps
 # returning.
@@ -189,7 +178,8 @@ class _StationaryPolytope:
         V = m ** k
         _check_bytes((V + 1) * V * (np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize),
                      f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
-                     f"(float64 and intp)", V + 1, V, f"{m}-point grid, {k + 1} taps")
+                     f"(float64 and intp) at once ({m}-point grid, {k + 1} taps)",
+                     "lower --grid or use fewer taps", V + 1, V)
         self.cost = cost
         self.n = cost.size
         self.m, self.k, self.n_nodes = m, k, V
@@ -312,7 +302,8 @@ def _barrier_lower(Wr, wlogw_rows, polytope: _StationaryPolytope,
     # The KKT matrix and the copy that np.linalg.solve factors.
     _check_bytes(2 * size * size * np.dtype(np.float64).itemsize,
                  f"the stationary lower bound's Newton step needs two {size} x {size} "
-                 f"float64 arrays", size, size, f"{polytope.m}-point grid, {polytope.k + 1} taps")
+                 f"float64 arrays at once ({polytope.m}-point grid, {polytope.k + 1} taps)",
+                 "lower --grid or use fewer taps", size, size)
     p = polytope.interior_start()
     if not p.min() > 0:  # alpha = 0: the all-zero window is the only law
         return p, 0.0, 0.0, 0
@@ -508,8 +499,8 @@ def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
     """
     n = W.shape[0]
     _check_bytes(4 * n * n * np.dtype(np.float64).itemsize,
-                 f"the sym-KL matrix and its step need four {n} x {n} float64 arrays",
-                 n, n, f"{n} inputs")
+                 f"the sym-KL matrix and its step need four {n} x {n} float64 arrays "
+                 f"at once ({n} inputs)", "lower --grid or use fewer taps", n, n)
     G = _log0(W) @ W.T  # G[x, x'] = sum_y W[x', y] log W[x, y]
     d = np.diag(G).copy()
     D = d[:, None] + d[None, :]

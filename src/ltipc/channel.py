@@ -25,6 +25,17 @@ DEFAULT_ENTRY_BUDGET = 200_000_000
 _ROW_SUM_TOL = 1e-9
 
 
+def _check_bytes(nbytes: int, needs: str, hint: str, n_inputs: int, n_outputs: int):
+    """Refuse arrays alive at once, described by needs, whose nbytes exceed
+    DEFAULT_ENTRY_BUDGET float64 entries; called before they are allocated.
+    hint, the end of the message, names the setting to change."""
+    budget = DEFAULT_ENTRY_BUDGET * np.dtype(np.float64).itemsize
+    if nbytes > budget:
+        raise BudgetExceededError(
+            f"{needs}, {nbytes} bytes, above the budget of {budget} bytes; {hint}",
+            n_inputs=n_inputs, n_outputs=n_outputs, budget=DEFAULT_ENTRY_BUDGET)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -355,14 +366,13 @@ def _slot_intensities(tuples: np.ndarray, taps: np.ndarray, lambda0: float, r: i
     return lambda0 + lam
 
 
-def build_block_channel(bspec: BlockChannelSpec,
-                        entry_budget: int = DEFAULT_ENTRY_BUDGET) -> DiscreteChannel:
+def build_block_channel(bspec: BlockChannelSpec) -> DiscreteChannel:
     """Materialize the block channel: inputs are grid^(k+r) tuples, outputs
     are r-tuples of counts over a shared per-slot support.
 
     The transition probability factorizes over observed slots; the cost of an
     input tuple is its per-slot average intensity, so a single alpha serves
-    every r.
+    every r.  A matrix over the byte budget is refused before it is built.
     """
     spec = bspec.base
     _check_grid(spec, bspec.grid)
@@ -378,12 +388,10 @@ def build_block_channel(bspec: BlockChannelSpec,
     lam_max = spec.lambda0 + spec.amax * taps.sum()
     ymax = truncation_point(lam_max, bspec.tail_eps)
     n_outputs = (ymax + 1) ** r
-    if n_inputs * n_outputs > entry_budget:
-        raise BudgetExceededError(
-            f"block channel needs {n_inputs} x {n_outputs} = {n_inputs * n_outputs} "
-            f"entries, above the budget of {entry_budget} "
-            f"(m={m}, k={k}, r={r}, ymax={ymax})",
-            n_inputs=n_inputs, n_outputs=n_outputs, budget=entry_budget)
+    _check_bytes(n_inputs * n_outputs * np.dtype(np.float64).itemsize,
+                 f"the block channel needs {n_inputs} x {n_outputs} float64 entries "
+                 f"(m={m}, k={k}, r={r}, ymax={ymax})",
+                 "lower --grid or --r", n_inputs, n_outputs)
 
     tuples = np.array(list(itertools.product(pts, repeat=k + r)))
     lam = _slot_intensities(tuples, taps, spec.lambda0, r)

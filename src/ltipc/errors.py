@@ -2,7 +2,8 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A requested transition matrix would exceed the configured entry budget."""
+    """Arrays a computation needs at once would exceed the memory budget;
+    raised before they are allocated."""
 
     def __init__(self, message: str, n_inputs: int, n_outputs: int, budget: int):
         super().__init__(message)

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (DEFAULT_ENTRY_BUDGET, ChannelSpec, DiscreteChannel, NetworkSpec, _freeze,
-                      convolve)
-from .errors import BudgetExceededError
+from .channel import ChannelSpec, DiscreteChannel, NetworkSpec, _check_bytes, _freeze, convolve
 from .solver import _check_pmf, _log0
 
 _INVERSION_CUTOFF = 30.0
@@ -340,18 +338,6 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     return out.reshape(lam.shape if single else (len(streams),) + lam.shape)
 
 
-def _check_output_budget(sim: SimConfig, n_rx: int) -> None:
-    """The n_trials x n_rx x n_slots counts of a trace must fit
-    DEFAULT_ENTRY_BUDGET."""
-    entries = sim.n_trials * n_rx * sim.n_slots
-    if entries > DEFAULT_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"the simulated counts need trials x receivers x slots = {sim.n_trials} x {n_rx} "
-            f"x {sim.n_slots} = {entries} entries, above the budget of "
-            f"{DEFAULT_ENTRY_BUDGET}; simulate fewer slots (--values) or trials",
-            n_inputs=sim.n_trials * n_rx, n_outputs=sim.n_slots, budget=DEFAULT_ENTRY_BUDGET)
-
-
 def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
     """Simulate the point-to-point channel for a fixed input waveform.
 
@@ -364,7 +350,10 @@ def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
         raise ValueError("inputs must be a 1-D sequence of length n_slots")
     if np.any(x < 0) or np.any(x > spec.amax + 1e-12):
         raise ValueError("inputs must lie in [0, amax]")
-    _check_output_budget(sim, 1)
+    T, S = sim.n_trials, sim.n_slots
+    _check_bytes(T * S * np.dtype(np.int64).itemsize,
+                 f"the simulated counts need trials x receivers x slots = {T} x 1 x {S} = "
+                 f"{T * S} int64 entries", "simulate fewer trials or slots (--values)", T, S)
     lam = spec.lambda0 + convolve(x, spec.impulse)
     gens = [substream(sim.seed, (_STREAM_P2P << 32) + trial) for trial in range(sim.n_trials)]
     return Trace(inputs=x[None, :], outputs=poisson_draw(gens, lam)[:, None, :])
@@ -379,7 +368,11 @@ def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
         raise ValueError(f"inputs must have shape ({net.n_tx}, {sim.n_slots})")
     if np.any(x < 0) or np.any(x > net.amax[:, None] + 1e-12):
         raise ValueError("inputs must lie in [0, amax] per transmitter")
-    _check_output_budget(sim, net.n_rx)
+    T, R, S = sim.n_trials, net.n_rx, sim.n_slots
+    _check_bytes(T * R * S * np.dtype(np.int64).itemsize,
+                 f"the simulated counts need trials x receivers x slots = {T} x {R} x {S} = "
+                 f"{T * R * S} int64 entries", "simulate fewer trials or slots (--values)",
+                 T * R, S)
     lam = np.full((net.n_rx, sim.n_slots), float(net.lambda0))
     for j in range(net.n_rx):
         for l in range(net.n_tx):

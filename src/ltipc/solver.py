@@ -103,22 +103,21 @@ def _log0(a: np.ndarray) -> np.ndarray:
 
 
 def _wlogw_rows(W: np.ndarray) -> np.ndarray:
-    """sum_y W_xy log W_xy for every row x, with 0 log 0 = 0."""
-    return (W * _log0(W)).sum(axis=1)
-
-
-def _mi(W: np.ndarray, p: np.ndarray) -> float:
-    """I(X;Y) in nats for channel W and input p; 0*log0 terms are dropped."""
-    q = p @ W
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(W > 0, W / np.maximum(q[None, :], _TINY), 1.0)
-        contrib = np.where(W > 0, W * np.log(ratio), 0.0)
-    return float(p @ contrib.sum(axis=1))
+    """sum_y W_xy log W_xy for every row x, with 0 log 0 = 0.  One W-sized
+    temporary: 0 * log(_TINY) is 0, so no mask is needed."""
+    t = np.maximum(W, _TINY)
+    np.log(t, out=t)
+    t *= W
+    return t.sum(axis=1)
 
 
 def mutual_information(channel: DiscreteChannel, input_dist) -> float:
-    """Exact mutual information of the channel under the given input law."""
-    return _mi(channel.transition, _check_pmf(input_dist, channel.n_inputs))
+    """Exact mutual information of the channel under the given input law,
+    p.wlogw - q.log q with q = pW: the objective Blahut-Arimoto tracks."""
+    W = channel.transition
+    p = _check_pmf(input_dist, channel.n_inputs)
+    q = p @ W
+    return float(p @ _wlogw_rows(W) - q @ _log0(q))
 
 
 def _tilt(a: np.ndarray, cost: np.ndarray, s: float) -> np.ndarray:
@@ -260,9 +259,11 @@ def _kkt_polish(W: np.ndarray, wlogw: np.ndarray, cost: np.ndarray, alpha: float
         # drops one input, the next step reuses H on the smaller support.
         if dropped:
             H = H[np.ix_(on[idx], on[idx])]
-        else:
-            Ws = W[on]
-            H = (Ws / q) @ Ws.T
+        else:  # H = X Xᵀ with X = W_S / √q, one W_S-sized copy at a time
+            X = W[on]
+            X /= np.sqrt(q)
+            H = X @ X.T
+            del X
         idx = np.flatnonzero(on)
         A = np.vstack([np.ones(idx.size), cost[idx]]) if budget else np.ones((1, idx.size))
         K = np.block([[H, A.T], [A, np.zeros((b.size, b.size))]])
@@ -328,8 +329,9 @@ def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
     p, iterations, gap, history = _blahut(W, cost, alpha, config.tol, config.max_iters)
     p_full = np.zeros(channel.n_inputs)
     p_full[keep] = p
+    # history[-1] is I(p) of the law whose dual gap the loop tested.
     return CapacityResult(
-        value=_mi(W, p),
+        value=history[-1],
         input_dist=p_full,
         achieved_cost=float(p @ cost),
         iterations=iterations,

@@ -274,16 +274,18 @@ class TestStationaryBounds:
     def test_lower_budget_counts_newton_arrays(self, monkeypatch):
         """The KKT matrix of the Newton step and the copy that the solve
         factors are alive at once: a budget that holds one but not two is
-        refused, naming --grid, and leaves the upper bound alone."""
+        refused, naming --grid, and leaves the upper bound alone.  The
+        single-slot channel, 9 x 39 entries, is checked against the same
+        budget and fits it."""
         m, k = 3, 1
-        spec = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.5)), 5.0, 40.0, 10.0)
-        grid = lp.InputGrid.uniform(40.0, m)
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.5)), 1.0, 10.0, 2.5)
+        grid = lp.InputGrid.uniform(10.0, m)
         size = m ** (k + 1) + m ** k + 2  # windows, budget slack, multipliers
-        monkeypatch.setattr(lp.bounds, "DEFAULT_ENTRY_BUDGET", 2 * size * size - 1)
+        monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", 2 * size * size - 1)
         with pytest.raises(lp.BudgetExceededError, match=f"two {size} x {size} .*--grid"):
             lp.stationary_lower_bound(spec, grid)
         lp.stationary_upper_bound(spec, grid)
-        monkeypatch.setattr(lp.bounds, "DEFAULT_ENTRY_BUDGET", 2 * size * size)
+        monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", 2 * size * size)
         lp.stationary_lower_bound(spec, grid)
 
     def test_upper_master_failure_reports_polytope_gap(self):
@@ -364,10 +366,10 @@ class TestCycleOracle:
         cost = _single_slot_channel(spec, lp.InputGrid.uniform(40.0, m), 1e-10).cost
         V = m ** k
         one_table = (V + 1) * V  # float64 entries
-        monkeypatch.setattr(lp.bounds, "DEFAULT_ENTRY_BUDGET", one_table)
+        monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", one_table)
         with pytest.raises(lp.BudgetExceededError, match="two 4 x 3 tables"):
             _StationaryPolytope(cost, m, k, 10.0)
-        monkeypatch.setattr(lp.bounds, "DEFAULT_ENTRY_BUDGET", 2 * one_table)
+        monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", 2 * one_table)
         _StationaryPolytope(cost, m, k, 10.0)
 
 

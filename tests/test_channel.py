@@ -235,12 +235,12 @@ class TestBlockChannel:
             ref = np.kron(*[_pmf_on_support(l, ymax) for l in lam])
             np.testing.assert_allclose(block.transition[t], ref, rtol=1e-13, atol=0)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 5.0)
         grid = lp.InputGrid.uniform(40.0, 9)
+        monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", 1000)
         with pytest.raises(lp.BudgetExceededError) as exc:
-            lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=2),
-                                   entry_budget=1000)
+            lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=2))
         assert exc.value.n_inputs == 9 ** 3
 
 

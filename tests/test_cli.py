@@ -404,10 +404,15 @@ sys.exit(main(sys.argv[1:]))
     # the sym-KL step holds four such float64 arrays at once.
     ({"impulse": [0.4, 0.3, 0.2, 0.1], "lambda0": 2.0, "amax": 40.0, "alpha": 10.0},
      ["symkl", "--grid", "10"], "sym-KL matrix"),
+    # 3 taps on a 4-point grid at r = 3: the block channel would be
+    # 1,024 x 3,442,951.
+    ({"impulse": [0.5, 0.3, 0.2], "lambda0": 5.0, "amax": 80.0, "alpha": 20.0},
+     ["bounds", "--grid", "4", "--r", "3"], "block channel"),
 ])
 def test_over_budget_array_exits_1(doc, argv, what, tmp_path):
-    """An instance whose cycle-search tables or sym-KL arrays exceed the
-    budget exits 1 with one line naming --grid, before allocating them."""
+    """An instance whose block channel, cycle-search tables or sym-KL arrays
+    exceed the budget exits 1 with one line naming --grid, before allocating
+    them."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Blahut-Arimoto solver: closed forms, constraints, brute-force oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestBaCapacity:
             res = lp.ba_capacity(poisson9, alpha=alpha, config=cfg)
             recomputed = lp.mutual_information(poisson9, res.input_dist)
             assert abs(recomputed - res.value) < 1e-9
+
+    def test_peak_memory_near_one_transition_matrix(self):
+        """On a 16 x 59,319 on-off block channel (7.6 MB), a solve holds at
+        most one more W-sized array at a time: its peak above what was live
+        before the call stays under 1.5 W."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 1.0, 10.0, 5.0)
+        ch = lp.build_block_channel(lp.BlockChannelSpec(spec, lp.InputGrid.uniform(10.0, 2), r=3))
+        assert ch.transition.shape == (16, 59_319)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lp.ba_capacity(ch, alpha=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.5 * ch.transition.nbytes
 
     def test_running_objective_monotone(self, poisson9):
         res = lp.ba_capacity(poisson9)
