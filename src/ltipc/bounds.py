@@ -179,7 +179,7 @@ class _StationaryPolytope:
         _check_bytes((V + 1) * V * (np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize),
                      f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
                      f"(float64 and intp) at once ({m}-point grid, {k + 1} taps)",
-                     "lower --grid or use fewer taps", V + 1, V)
+                     "lower --grid or use fewer taps")
         self.cost = cost
         self.n = cost.size
         self.m, self.k, self.n_nodes = m, k, V
@@ -303,7 +303,7 @@ def _barrier_lower(Wr, wlogw_rows, polytope: _StationaryPolytope,
     _check_bytes(2 * size * size * np.dtype(np.float64).itemsize,
                  f"the stationary lower bound's Newton step needs two {size} x {size} "
                  f"float64 arrays at once ({polytope.m}-point grid, {polytope.k + 1} taps)",
-                 "lower --grid or use fewer taps", size, size)
+                 "lower --grid or use fewer taps")
     p = polytope.interior_start()
     if not p.min() > 0:  # alpha = 0: the all-zero window is the only law
         return p, 0.0, 0.0, 0
@@ -494,13 +494,13 @@ def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
 
     The byte budget, DEFAULT_ENTRY_BUDGET float64 entries, is checked before
     any n x n array is built, for the most such arrays alive at once here or
-    in sym_kl_max: four float64 arrays, D, P, P @ D and P @ D @ P, at its
-    step computation.
+    in sym_kl_max, the one caller: four float64 arrays, D, P, P @ D and
+    P @ D @ P, at its step computation.
     """
     n = W.shape[0]
     _check_bytes(4 * n * n * np.dtype(np.float64).itemsize,
                  f"the sym-KL matrix and its step need four {n} x {n} float64 arrays "
-                 f"at once ({n} inputs)", "lower --grid or use fewer taps", n, n)
+                 f"at once ({n} inputs)", "lower --grid or use fewer taps")
     G = _log0(W) @ W.T  # G[x, x'] = sum_y W[x', y] log W[x, y]
     d = np.diag(G).copy()
     D = d[:, None] + d[None, :]
@@ -514,14 +514,15 @@ def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
 
 def sym_kl_generic(channel: DiscreteChannel, input_dist) -> float:
     """Symmetrized KL divergence between the joint law and the product of its
-    marginals: F(p) = (1/2) p'Dp with D the row-pair matrix of _sym_kl_matrix.
+    marginals: sym_kl_reference_bound at the true output marginal pW, which
+    equals F(p) = (1/2) p'Dp with D the row-pair matrix of _sym_kl_matrix.
 
     Returns math.inf when two inputs of positive mass have rows with
     different supports (the reverse KL diverges).
     """
     p = _check_pmf(input_dist, channel.n_inputs)
-    live = p > 0
-    return float(0.5 * p[live] @ _sym_kl_matrix(channel.transition[live]) @ p[live])
+    q = p @ channel.transition  # sums to 1 only within both pmf tolerances
+    return sym_kl_reference_bound(channel, p, q / q.sum())
 
 
 def sym_kl_reference_bound(channel: DiscreteChannel, input_dist, ref_out) -> float:

@@ -25,15 +25,14 @@ DEFAULT_ENTRY_BUDGET = 200_000_000
 _ROW_SUM_TOL = 1e-9
 
 
-def _check_bytes(nbytes: int, needs: str, hint: str, n_inputs: int, n_outputs: int):
+def _check_bytes(nbytes: int, needs: str, hint: str):
     """Refuse arrays alive at once, described by needs, whose nbytes exceed
     DEFAULT_ENTRY_BUDGET float64 entries; called before they are allocated.
     hint, the end of the message, names the setting to change."""
     budget = DEFAULT_ENTRY_BUDGET * np.dtype(np.float64).itemsize
     if nbytes > budget:
         raise BudgetExceededError(
-            f"{needs}, {nbytes} bytes, above the budget of {budget} bytes; {hint}",
-            n_inputs=n_inputs, n_outputs=n_outputs, budget=DEFAULT_ENTRY_BUDGET)
+            f"{needs}, {nbytes} bytes, above the budget of {budget} bytes; {hint}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -141,7 +140,8 @@ class InputGrid:
 
 @dataclass(frozen=True)
 class DiscreteChannel:
-    """Row-stochastic transition matrix plus a per-input cost vector.
+    """Row-stochastic transition matrix (one row per input, outputs are its
+    column indices), a per-input cost vector and one label per input.
 
     The common currency of every solver in this package.  Immutable: the
     arrays are frozen so instances can be shared across threads.
@@ -150,7 +150,6 @@ class DiscreteChannel:
     transition: np.ndarray
     cost: np.ndarray
     input_labels: tuple
-    output_labels: tuple
 
     def __post_init__(self):
         w = np.asarray(self.transition, dtype=np.float64)
@@ -165,12 +164,11 @@ class DiscreteChannel:
             raise ValueError(f"rows must sum to 1 within {_ROW_SUM_TOL}, worst error {worst:.3e}")
         if c.shape != (w.shape[0],):
             raise ValueError("cost vector length must equal the number of inputs")
-        if len(self.input_labels) != w.shape[0] or len(self.output_labels) != w.shape[1]:
-            raise ValueError("label counts must match the matrix dimensions")
+        if len(self.input_labels) != w.shape[0]:
+            raise ValueError("input label count must equal the number of inputs")
         object.__setattr__(self, "transition", _freeze(w))
         object.__setattr__(self, "cost", _freeze(c))
         object.__setattr__(self, "input_labels", tuple(self.input_labels))
-        object.__setattr__(self, "output_labels", tuple(self.output_labels))
 
     @property
     def n_inputs(self) -> int:
@@ -367,12 +365,14 @@ def _slot_intensities(tuples: np.ndarray, taps: np.ndarray, lambda0: float, r: i
 
 
 def build_block_channel(bspec: BlockChannelSpec) -> DiscreteChannel:
-    """Materialize the block channel: inputs are grid^(k+r) tuples, outputs
-    are r-tuples of counts over a shared per-slot support.
+    """Materialize the block channel: inputs are grid^(k+r) tuples, labelled
+    by the tuples; outputs are r-tuples of counts, each in 0..ymax.
 
-    The transition probability factorizes over observed slots; the cost of an
-    input tuple is its per-slot average intensity, so a single alpha serves
-    every r.  A matrix over the byte budget is refused before it is built.
+    Column sum_s y_s (ymax+1)^(r-s) holds the counts (y_1, ..., y_r):
+    row-major over the r observed slots, the first slowest, so each row is
+    the np.kron of its slot pmfs.  The cost of an input tuple is its
+    per-slot average intensity, so a single alpha serves every r.  A matrix
+    over the byte budget is refused before it is built.
     """
     spec = bspec.base
     _check_grid(spec, bspec.grid)
@@ -391,7 +391,7 @@ def build_block_channel(bspec: BlockChannelSpec) -> DiscreteChannel:
     _check_bytes(n_inputs * n_outputs * np.dtype(np.float64).itemsize,
                  f"the block channel needs {n_inputs} x {n_outputs} float64 entries "
                  f"(m={m}, k={k}, r={r}, ymax={ymax})",
-                 "lower --grid or --r", n_inputs, n_outputs)
+                 "lower --grid or --r")
 
     tuples = np.array(list(itertools.product(pts, repeat=k + r)))
     lam = _slot_intensities(tuples, taps, spec.lambda0, r)
@@ -405,16 +405,10 @@ def build_block_channel(bspec: BlockChannelSpec) -> DiscreteChannel:
     for s in range(1, r):
         rows = (rows[:, :, None] * table[index[:, s]][:, None, :]).reshape(n_inputs, -1)
 
-    cost = tuples.mean(axis=1)
-    if r == 1:
-        out_labels = tuple(range(ymax + 1))
-    else:
-        out_labels = tuple(itertools.product(range(ymax + 1), repeat=r))
     return DiscreteChannel(
         transition=rows,
-        cost=cost,
+        cost=tuples.mean(axis=1),
         input_labels=tuple(map(tuple, tuples)),
-        output_labels=out_labels,
     )
 
 

@@ -3,13 +3,8 @@
 
 class BudgetExceededError(RuntimeError):
     """Arrays a computation needs at once would exceed the memory budget;
-    raised before they are allocated."""
-
-    def __init__(self, message: str, n_inputs: int, n_outputs: int, budget: int):
-        super().__init__(message)
-        self.n_inputs = n_inputs
-        self.n_outputs = n_outputs
-        self.budget = budget
+    raised before they are allocated.  The message names the arrays, their
+    bytes, the budget and the setting to change."""
 
 
 class ConvergenceError(RuntimeError):

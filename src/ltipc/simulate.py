@@ -338,6 +338,21 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     return out.reshape(lam.shape if single else (len(streams),) + lam.shape)
 
 
+def _draw_counts(lam: np.ndarray, sim: SimConfig, stream: int) -> np.ndarray:
+    """Counts of shape trials x receivers x slots for the intensity rows lam
+    (receivers x slots).  Trial t draws from the (seed, (stream << 32) + t)
+    substream, one `poisson_draw` call per receiver, rx 0 first."""
+    (R, S), T = lam.shape, sim.n_trials
+    _check_bytes(T * R * S * np.dtype(np.int64).itemsize,
+                 f"the simulated counts need trials x receivers x slots = {T} x {R} x {S} = "
+                 f"{T * R * S} int64 entries", "simulate fewer trials or slots (--values)")
+    gens = [substream(sim.seed, (stream << 32) + trial) for trial in range(T)]
+    outputs = np.empty((T, R, S), dtype=np.int64)
+    for j in range(R):
+        outputs[:, j] = poisson_draw(gens, lam[j])
+    return outputs
+
+
 def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
     """Simulate the point-to-point channel for a fixed input waveform.
 
@@ -350,13 +365,8 @@ def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
         raise ValueError("inputs must be a 1-D sequence of length n_slots")
     if np.any(x < 0) or np.any(x > spec.amax + 1e-12):
         raise ValueError("inputs must lie in [0, amax]")
-    T, S = sim.n_trials, sim.n_slots
-    _check_bytes(T * S * np.dtype(np.int64).itemsize,
-                 f"the simulated counts need trials x receivers x slots = {T} x 1 x {S} = "
-                 f"{T * S} int64 entries", "simulate fewer trials or slots (--values)", T, S)
     lam = spec.lambda0 + convolve(x, spec.impulse)
-    gens = [substream(sim.seed, (_STREAM_P2P << 32) + trial) for trial in range(sim.n_trials)]
-    return Trace(inputs=x[None, :], outputs=poisson_draw(gens, lam)[:, None, :])
+    return Trace(inputs=x[None, :], outputs=_draw_counts(lam[None, :], sim, _STREAM_P2P))
 
 
 def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
@@ -368,23 +378,12 @@ def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
         raise ValueError(f"inputs must have shape ({net.n_tx}, {sim.n_slots})")
     if np.any(x < 0) or np.any(x > net.amax[:, None] + 1e-12):
         raise ValueError("inputs must lie in [0, amax] per transmitter")
-    T, R, S = sim.n_trials, net.n_rx, sim.n_slots
-    _check_bytes(T * R * S * np.dtype(np.int64).itemsize,
-                 f"the simulated counts need trials x receivers x slots = {T} x {R} x {S} = "
-                 f"{T * R * S} int64 entries", "simulate fewer trials or slots (--values)",
-                 T * R, S)
     lam = np.full((net.n_rx, sim.n_slots), float(net.lambda0))
     for j in range(net.n_rx):
         for l in range(net.n_tx):
             taps = net.impulses[l, j]
             lam[j] += np.convolve(x[l], taps)[: sim.n_slots]
-    gens = [substream(sim.seed, (_STREAM_NETWORK << 32) + trial)
-            for trial in range(sim.n_trials)]
-    outputs = np.empty((sim.n_trials, net.n_rx, sim.n_slots), dtype=np.int64)
-    # Receivers outermost: each trial's generator draws rx 0 before rx 1.
-    for j in range(net.n_rx):
-        outputs[:, j] = poisson_draw(gens, lam[j])
-    return Trace(inputs=x, outputs=outputs)
+    return Trace(inputs=x, outputs=_draw_counts(lam, sim, _STREAM_NETWORK))
 
 
 @dataclass(frozen=True)

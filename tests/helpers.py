@@ -109,7 +109,7 @@ def gaussian_channel(support, sigma: float, mu: float = 0.0,
     rows = norm.pdf(y[None, :], loc=x[:, None] + mu, scale=sigma)
     rows = rows / rows.sum(axis=1, keepdims=True)
     return DiscreteChannel(transition=rows, cost=x.copy(),
-                           input_labels=tuple(x), output_labels=tuple(y))
+                           input_labels=tuple(x))
 
 
 def random_channel(rng, n_in: int, n_out: int, cost=None) -> DiscreteChannel:
@@ -118,14 +118,13 @@ def random_channel(rng, n_in: int, n_out: int, cost=None) -> DiscreteChannel:
     W = W / W.sum(axis=1, keepdims=True)
     c = np.arange(n_in, dtype=np.float64) if cost is None else np.asarray(cost)
     return DiscreteChannel(transition=W, cost=c,
-                           input_labels=tuple(range(n_in)),
-                           output_labels=tuple(range(n_out)))
+                           input_labels=tuple(range(n_in)))
 
 
 def bsc(p: float) -> DiscreteChannel:
     W = np.array([[1 - p, p], [p, 1 - p]])
     return DiscreteChannel(transition=W, cost=np.array([0.0, 1.0]),
-                           input_labels=(0, 1), output_labels=(0, 1))
+                           input_labels=(0, 1))
 
 
 def small_corpus(seed: int = 2024):
@@ -136,7 +135,7 @@ def small_corpus(seed: int = 2024):
         bsc(0.25),
         # zero-capacity: identical rows
         DiscreteChannel(np.tile(rng.dirichlet(np.ones(3)), (2, 1)),
-                        np.array([0.0, 1.0]), (0, 1), (0, 1, 2)),
+                        np.array([0.0, 1.0]), (0, 1)),
         random_channel(rng, 2, 3),
         random_channel(rng, 3, 3),
         random_channel(rng, 3, 4),

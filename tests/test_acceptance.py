@@ -160,8 +160,7 @@ def test_a07_intensity_sufficiency():
     uniq = np.unique(keys)
     groups = [np.flatnonzero(keys == u) for u in uniq]
     agg_rows = np.array([ch.transition[g[0]] for g in groups])
-    agg = lp.DiscreteChannel(agg_rows, np.zeros(len(groups)),
-                             tuple(range(len(groups))), ch.output_labels)
+    agg = lp.DiscreteChannel(agg_rows, np.zeros(len(groups)), tuple(range(len(groups))))
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(50):

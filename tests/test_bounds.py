@@ -420,7 +420,7 @@ class TestObjectiveGradients:
 class TestSymKlGeneric:
     def test_identical_rows_give_zero(self):
         row = np.array([0.2, 0.5, 0.3])
-        ch = lp.DiscreteChannel(np.tile(row, (2, 1)), np.zeros(2), (0, 1), (0, 1, 2))
+        ch = lp.DiscreteChannel(np.tile(row, (2, 1)), np.zeros(2), (0, 1))
         assert lp.sym_kl_generic(ch, [0.4, 0.6]) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_sum_of_two_divergences(self):
@@ -450,8 +450,17 @@ class TestSymKlGeneric:
 
     def test_infinite_on_support_mismatch(self):
         W = np.array([[1.0, 0.0], [0.5, 0.5]])
-        ch = lp.DiscreteChannel(W, np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(W, np.zeros(2), (0, 1))
         assert math.isinf(lp.sym_kl_generic(ch, [0.5, 0.5]))
+
+    def test_accepts_pmfs_at_their_tolerance(self):
+        """Rows and law each 0.9e-9 above a sum of 1, as the checks allow:
+        the output marginal sums to 1 + 1.8e-9, and the value stays finite."""
+        W = np.array([[0.3, 0.7 + 0.9e-9], [0.6, 0.4 + 0.9e-9]])
+        ch = lp.DiscreteChannel(W, np.zeros(2), (0, 1))
+        exact = lp.DiscreteChannel(W / W.sum(axis=1, keepdims=True), np.zeros(2), (0, 1))
+        got = lp.sym_kl_generic(ch, [0.5, 0.5 + 0.9e-9])
+        assert abs(got - lp.sym_kl_generic(exact, [0.5, 0.5])) < 1e-8
 
     def test_bsc_closed_form_in_bits(self):
         p = 0.11
@@ -464,8 +473,7 @@ class TestSymKlGeneric:
 class TestSymKlMax:
     def test_zero_capacity_channel(self):
         row = np.array([0.3, 0.7])
-        ch = lp.DiscreteChannel(np.tile(row, (3, 1)), np.arange(3.0),
-                                (0, 1, 2), (0, 1))
+        ch = lp.DiscreteChannel(np.tile(row, (3, 1)), np.arange(3.0), (0, 1, 2))
         res = lp.sym_kl_max(ch, alpha=1.0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
@@ -493,14 +501,13 @@ class TestSymKlMax:
                  (random_channel(rng, 2, 2), random_channel(rng, 2, 2))]
         for ch1, ch2 in pairs:
             W = np.kron(ch1.transition, ch2.transition)
-            prod = lp.DiscreteChannel(W, np.zeros(4), tuple(range(4)),
-                                      tuple(range(W.shape[1])))
+            prod = lp.DiscreteChannel(W, np.zeros(4), tuple(range(4)))
             total = lp.sym_kl_max(ch1).value + lp.sym_kl_max(ch2).value
             assert abs(lp.sym_kl_max(prod).value - total) < 1e-6
 
     def test_infinite_on_support_mismatch(self):
         W = np.array([[1.0, 0.0], [0.5, 0.5]])
-        ch = lp.DiscreteChannel(W, np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(W, np.zeros(2), (0, 1))
         res = lp.sym_kl_max(ch)
         assert math.isinf(res.value)
 
@@ -510,7 +517,7 @@ class TestSymKlMax:
     def test_budget_at_cheapest_cost_drops_costlier_rows(self):
         """alpha = 0 keeps inputs 0 and 1 only; F = D_01 / 4 at (1/2, 1/2)."""
         ch = lp.DiscreteChannel(self.MISMATCH_W, np.array([0.0, 0.0, 5.0]),
-                                (0, 1, 2), (0, 1, 2))
+                                (0, 1, 2))
         res = lp.sym_kl_max(ch, alpha=0.0)
         assert res.value == pytest.approx(0.15 * math.log(2.5), abs=1e-12)
         assert set(res.support) == {0, 1}
@@ -519,7 +526,7 @@ class TestSymKlMax:
     def test_infinite_witness_meets_budget(self, cost):
         """The witness of F = inf meets the budget; the half/half law on a
         mismatched pair would cost 2.5 > alpha."""
-        ch = lp.DiscreteChannel(self.MISMATCH_W, np.array(cost), (0, 1, 2), (0, 1, 2))
+        ch = lp.DiscreteChannel(self.MISMATCH_W, np.array(cost), (0, 1, 2))
         res = lp.sym_kl_max(ch, alpha=1.0)
         law = np.zeros(3)
         law[list(res.support)] = res.masses
@@ -548,7 +555,7 @@ class TestSymKlMax:
         p = rng.dirichlet(np.ones(3))
 
         def F(W):
-            ch = lp.DiscreteChannel(W, np.zeros(3), (0, 1, 2), (0, 1, 2, 3))
+            ch = lp.DiscreteChannel(W, np.zeros(3), (0, 1, 2))
             return lp.sym_kl_generic(ch, p)
 
         for t in (0.25, 0.5, 0.75):
@@ -663,7 +670,7 @@ class TestReferenceOutputBound:
 
     def test_identical_rows_with_common_row(self):
         row = np.array([0.25, 0.35, 0.4])
-        ch = lp.DiscreteChannel(np.tile(row, (2, 1)), np.zeros(2), (0, 1), (0, 1, 2))
+        ch = lp.DiscreteChannel(np.tile(row, (2, 1)), np.zeros(2), (0, 1))
         assert lp.sym_kl_reference_bound(ch, [0.5, 0.5], row) == pytest.approx(
             0.0, abs=1e-12)
 
@@ -677,7 +684,7 @@ class TestReferenceOutputBound:
                 lp.mutual_information(ch, p) - 1e-12
 
     def test_infinite_on_support_mismatch(self):
-        ch = lp.DiscreteChannel(np.array([[0.5, 0.5]]), np.zeros(1), (0,), (0, 1))
+        ch = lp.DiscreteChannel(np.array([[0.5, 0.5]]), np.zeros(1), (0,))
         assert math.isinf(lp.sym_kl_reference_bound(ch, [1.0], [1.0, 0.0]))
 
 
@@ -702,8 +709,7 @@ class TestIntensitySufficiency:
                 agg_p.append(p[mask].sum())
                 agg_rows.append(ch.transition[mask][0])
             agg = lp.DiscreteChannel(np.array(agg_rows), np.zeros(len(uniq)),
-                                     tuple(range(len(uniq))),
-                                     ch.output_labels)
+                                     tuple(range(len(uniq))))
             mi_agg = lp.mutual_information(agg, np.array(agg_p))
             assert abs(mi_full - mi_agg) < 1e-9
 

@@ -1,5 +1,6 @@
 """Channel construction: pmf truncation, convolution, discretization."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,7 +226,8 @@ class TestBlockChannel:
 
     def test_rows_are_products_of_slot_pmfs(self):
         """Reference loop: every row is the product of the per-slot pmfs of
-        its window intensities."""
+        its window intensities.  The np.kron also pins the output column
+        order: row-major over the observed slots, the first slowest."""
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.6, 0.3, 0.1)), 3.0, 20.0, 5.0)
         block = lp.build_block_channel(
             lp.BlockChannelSpec(spec, lp.InputGrid.uniform(20.0, 3), r=2))
@@ -239,9 +241,23 @@ class TestBlockChannel:
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 5.0)
         grid = lp.InputGrid.uniform(40.0, 9)
         monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", 1000)
-        with pytest.raises(lp.BudgetExceededError) as exc:
+        with pytest.raises(lp.BudgetExceededError, match="needs 729 x "):
             lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=2))
-        assert exc.value.n_inputs == 9 ** 3
+
+    def test_channel_holds_little_beyond_its_matrix(self):
+        """With the channel alive, the memory still allocated is at most 5%
+        above its transition matrix: no W-sized side structure is kept."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 1.0, 10.0, 1.0)
+        bspec = lp.BlockChannelSpec(spec, lp.InputGrid.uniform(10.0, 2), r=3)
+        lp.build_block_channel(bspec)  # warm the caches of the modules it calls
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            block = lp.build_block_channel(bspec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * block.transition.nbytes
 
 
 class TestScaleInvariance:
@@ -280,18 +296,18 @@ class TestScaleInvariance:
 class TestDiscreteChannelInvariants:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
-            lp.DiscreteChannel(np.array([[0.5, 0.4]]), np.array([0.0]), (0,), (0, 1))
+            lp.DiscreteChannel(np.array([[0.5, 0.4]]), np.array([0.0]), (0,))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            lp.DiscreteChannel(np.array([[1.1, -0.1]]), np.array([0.0]), (0,), (0, 1))
+            lp.DiscreteChannel(np.array([[1.1, -0.1]]), np.array([0.0]), (0,))
 
     def test_rejects_cost_mismatch(self):
         with pytest.raises(ValueError):
-            lp.DiscreteChannel(np.eye(2), np.array([0.0]), (0, 1), (0, 1))
+            lp.DiscreteChannel(np.eye(2), np.array([0.0]), (0, 1))
 
     def test_immutable(self):
-        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1))
         with pytest.raises(ValueError):
             ch.transition[0, 0] = 0.5
 

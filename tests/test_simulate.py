@@ -410,13 +410,13 @@ def sparse_table(shape, n):
 
 class TestPluginMi:
     def test_identity_channel(self):
-        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1))
         est = lp.plugin_mi_estimate(ch, [0.5, 0.5], 1_000_000, seed=21)
         assert abs(est.value - math.log(2)) < 0.003
 
     def test_identical_rows_near_zero(self):
         row = np.array([0.3, 0.7])
-        ch = lp.DiscreteChannel(np.tile(row, (2, 1)), np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(np.tile(row, (2, 1)), np.zeros(2), (0, 1))
         est = lp.plugin_mi_estimate(ch, [0.5, 0.5], 100_000, seed=22)
         assert est.value <= 3 * est.stderr + est.bias + 1e-9
 
@@ -463,7 +463,7 @@ class TestPluginMi:
         assert abs(stderr - ref_stderr) <= 1e-9 * ref_stderr
 
     def test_minimum_sample_guard(self):
-        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1))
         with pytest.raises(ValueError):
             lp.plugin_mi_estimate(ch, [0.5, 0.5], 10, seed=0)
 

@@ -23,7 +23,7 @@ def poisson9():
 
 class TestMutualInformation:
     def test_identity_uniform(self):
-        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1))
         assert abs(lp.mutual_information(ch, [0.5, 0.5]) - math.log(2)) < 1e-12
 
     def test_point_mass_gives_zero(self, poisson9):
@@ -74,14 +74,13 @@ def test_non_finite_law_rejected(entry, law):
 
 class TestBaCapacity:
     def test_identity_channel(self):
-        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1), (0, 1))
+        ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1))
         res = lp.ba_capacity(ch)
         assert abs(res.value - math.log(2)) < 1e-9
 
     def test_zero_capacity_channel(self):
         row = np.array([0.2, 0.5, 0.3])
-        ch = lp.DiscreteChannel(np.tile(row, (3, 1)), np.arange(3.0),
-                                (0, 1, 2), (0, 1, 2))
+        ch = lp.DiscreteChannel(np.tile(row, (3, 1)), np.arange(3.0), (0, 1, 2))
         res = lp.ba_capacity(ch, alpha=1.0)
         assert res.value < 1e-9
         assert res.achieved_cost <= 1.0 + 1e-9
@@ -174,7 +173,7 @@ class TestBaCapacity:
     def test_duplicate_rows_merge_onto_cheapest(self):
         base = bsc(0.11)
         W = np.vstack([base.transition, base.transition[0]])
-        ch = lp.DiscreteChannel(W, np.array([0.5, 1.0, 0.0]), (0, 1, 2), (0, 1))
+        ch = lp.DiscreteChannel(W, np.array([0.5, 1.0, 0.0]), (0, 1, 2))
         res = lp.ba_capacity(ch, alpha=0.5)
         cap = lp.ba_capacity(base).value
         assert res.input_dist[0] == 0.0
