@@ -228,7 +228,8 @@ class _StationaryPolytope:
         Newton (Dinkelbach) step moves mu to where the two ends' lines meet
         and swaps in the oracle's cycle on its side of alpha, until no cycle
         rises above the lines.  The answer is the mixture of the two ends
-        that spends exactly alpha.  Finitely many cycles make this finite.
+        that spends exactly alpha.  Finitely many cycles make this finite;
+        ConvergenceError (gap inf) guards the step count at _CYCLE_STEPS.
         """
         def cycle(w):
             C = np.sort(self._max_mean_cycle(w))
@@ -258,7 +259,8 @@ class _StationaryPolytope:
                 hi = new
             else:
                 lo = new
-        raise RuntimeError(f"LP step failed: no budget multiplier in {_CYCLE_STEPS} steps")
+        raise ConvergenceError(f"cycle oracle found no budget multiplier in {_CYCLE_STEPS} "
+                               f"Newton steps", gap=math.inf, iterations=_CYCLE_STEPS)
 
     def interior_start(self) -> np.ndarray:
         """Feasible point of full support: the uniform law, blended toward

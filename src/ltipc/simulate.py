@@ -36,7 +36,7 @@ _ROUND = 16  # fewest proposals in an Atkinson round
 # work it wastes.
 _SMALL = 8
 _BATCH = 64
-_TABLE_ENTRIES = 1 << 15  # cap on one block's inversion cdf table and one pass's proposals
+_TABLE_ENTRIES = 1 << 15  # cap on the Atkinson proposals one pass holds
 
 # Stream tags keep the trial substreams of different operations disjoint.
 _STREAM_P2P = 1
@@ -123,40 +123,20 @@ class _Uniforms:
         return out
 
 
-def _inversion(lam: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Poisson counts by inversion, one uniform per variate: u[..., i] draws
-    with intensity lam[row[i]], where lam holds distinct intensities in
-    (0, 30) and row is ascending; leading axes of u (one per trial) share
-    the cdf table.  The count is the smallest k <= kmax with u <= F(k), F
-    summing p_k = p_{k-1} * lam / k from p_0 = exp(-lam) in order, so it
-    matches a sequential search."""
+def _inversion(lam: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(lam) counts by inversion, one uniform per variate, for one
+    intensity 0 < lam < 30; every element of u (all trials' slots) is
+    found in the same cdf.  The count is the smallest k <= kmax with
+    u <= F(k), F summing p_k = p_{k-1} * lam / k from p_0 = exp(-lam) in
+    order, so it matches a sequential search."""
     # Search depth is bounded: the cdf reaches 1 - 1e-15 well before this cap.
-    kmax = (lam + 40.0 * np.sqrt(lam + 1.0) + 50).astype(np.int64)
-    depth = int(kmax.max()) + 1
-    counts = np.empty(u.shape, dtype=np.int64)
-    # The cdf table is built for a block of intensities at a time, so it
-    # stays small however many distinct intensities a call has.
-    step = max(1, _TABLE_ENTRIES // depth)
-    for lo in range(0, lam.size, step):
-        block = lam[lo: lo + step]
-        cdf = np.empty((block.size, depth))
-        cdf[:, 0] = [math.exp(-x) for x in block.tolist()]
-        np.divide(block[:, None], np.arange(1, depth), out=cdf[:, 1:])
-        np.multiply.accumulate(cdf, axis=1, out=cdf)
-        np.cumsum(cdf, axis=1, out=cdf)
-        # Complex numbers order by real part, then imaginary part, so one
-        # search over (row, F) keys finds each u in its own row's cdf.
-        keys = np.empty(cdf.shape, dtype=np.complex128)
-        keys.real = np.arange(block.size)[:, None]
-        keys.imag = cdf
-        a, b = np.searchsorted(row, [lo, lo + step])
-        local = row[a:b] - lo
-        query = np.empty(u[..., a:b].shape, dtype=np.complex128)
-        query.real = local
-        query.imag = u[..., a:b]
-        k = np.searchsorted(keys.ravel(), query, side="left") - local * depth
-        counts[..., a:b] = np.minimum(k, kmax[row[a:b]])
-    return counts
+    kmax = int(lam + 40.0 * math.sqrt(lam + 1.0) + 50)
+    cdf = np.empty(kmax + 1)
+    cdf[0] = math.exp(-lam)
+    np.divide(lam, np.arange(1, kmax + 1), out=cdf[1:])
+    np.multiply.accumulate(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    return np.minimum(np.searchsorted(cdf, u, side="left"), kmax)
 
 
 def _atkinson_constants(lam: np.ndarray) -> tuple:
@@ -172,7 +152,7 @@ def _atkinson_constants(lam: np.ndarray) -> tuple:
 
 def _atkinson_proposals(u, v, alpha, beta, k, log_lam):
     """Proposed counts for uniform pairs (u, v) in [0, 1) and whether each is
-    accepted; the constants may be scalars or arrays broadcasting against u.
+    accepted; the constants are arrays broadcasting against u.
     A u of 0 proposes -inf, which is never accepted."""
     # Imported on this path only, to keep SciPy off `import ltipc`.
     from scipy.special import gammaln
@@ -263,11 +243,8 @@ class _Atkinson:
                 drawn = streams[t].take(2 * kr)
                 uv[0, r, :kr] = drawn[:kr]
                 uv[1, r, :kr] = drawn[kr:]
-            # Rows at one group share its constants as scalars, the cheaper broadcast.
             groups = [g for _, g, _ in rows]
-            consts = (self.consts[:, groups[0]].tolist() if groups.count(groups[0]) == len(groups)
-                      else self.consts[:, groups, None])
-            n, accept = _atkinson_proposals(uv[0], uv[1], *consts)
+            n, accept = _atkinson_proposals(uv[0], uv[1], *self.consts[:, groups, None])
             stay = []
             for r, (t, g, d) in enumerate(rows):
                 drawn = n[r, accept[r]][: sizes[g] - d]
@@ -294,9 +271,10 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     Each trial takes the draws for the slots of each distinct intensity in
     turn, intensities in ascending order and slots in index order within
     each: inversion by sequential search below intensity 30 (one uniform
-    per variate), Atkinson's logistic-envelope accept-reject at or above
-    it.  The output, and the state each generator is left in, depend only
-    on the intensities and the state it is given.
+    per variate, each intensity's cdf built once for all trials), Atkinson's
+    logistic-envelope accept-reject at or above it.  The output, and the
+    state each generator is left in, depend only on the intensities and the
+    state it is given.
     """
     lam = np.asarray(lam, dtype=np.float64)
     bad = ~(np.isfinite(lam) & (lam >= 0))
@@ -311,23 +289,23 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     # then inversion, then Atkinson.
     order = np.argsort(lam, axis=None, kind="stable")
     lam_sorted = lam.ravel()[order]
-    new_run = np.diff(lam_sorted, prepend=-1.0) != 0
-    starts = np.flatnonzero(new_run)
+    starts = np.flatnonzero(np.diff(lam_sorted, prepend=-1.0) != 0)
+    ends = np.append(starts[1:], lam_sorted.size)
     values = lam_sorted[starts]
-    n_zero = int(np.searchsorted(lam_sorted, 0.0, side="right"))
-    n_low = int(np.searchsorted(lam_sorted, _INVERSION_CUTOFF, side="left"))
     counts = np.zeros((len(streams), lam_sorted.size), dtype=np.int64)
-    if n_low > n_zero:
-        row = np.cumsum(new_run[n_zero:n_low]) - 1
-        low = values[(values > 0) & (values < _INVERSION_CUTOFF)]
-        u = np.empty((len(streams), n_low - n_zero))
+    low = (values > 0) & (values < _INVERSION_CUTOFF)
+    if low.any():
+        # Each trial's uniforms for all inversion slots, then one cdf per
+        # intensity, searched for every trial's slots at once.
+        a, b = starts[low][0], ends[low][-1]
+        u = np.empty((len(streams), b - a))
         for t, stream in enumerate(streams):
-            u[t] = stream.take(n_low - n_zero)
-        counts[:, n_zero:n_low] = _inversion(low, row, u)
-    high = starts >= n_low
+            u[t] = stream.take(b - a)
+        for lo, hi, x in zip(starts[low].tolist(), ends[low].tolist(), values[low].tolist()):
+            counts[:, lo:hi] = _inversion(x, u[:, lo - a: hi - a])
+    high = values >= _INVERSION_CUTOFF
     if high.any():
-        sizes = np.diff(np.append(starts, lam_sorted.size))[high]
-        atkinson = _Atkinson(starts[high], sizes, values[high])
+        atkinson = _Atkinson(starts[high], (ends - starts)[high], values[high])
         # Trials go in chunks so that one pass holds at most _TABLE_ENTRIES
         # proposals.
         chunk = max(1, _TABLE_ENTRIES // atkinson.width)

@@ -13,6 +13,7 @@ from ltipc.bounds import (
     _single_slot_channel,
     _StationaryPolytope,
     _stationarity_matrix,
+    _sym_kl_matrix,
     _wlogw_rows,
 )
 from ltipc.channel import DEFAULT_TAIL_EPS
@@ -358,6 +359,19 @@ class TestCycleOracle:
             assert abs(p.sum() - 1.0) <= 1e-12
             assert p.min() >= 0.0 and cost @ p <= alpha + 1e-12
 
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_step_guard_is_a_convergence_error(self, side, monkeypatch):
+        """With no Newton step on the budget multiplier allowed, a binding
+        budget trips the guard; each bound reports it as a ConvergenceError
+        that names its side."""
+        monkeypatch.setattr(lp.bounds, "_CYCLE_STEPS", 0)
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 4.0)
+        bound = {"upper": lp.stationary_upper_bound, "lower": lp.stationary_lower_bound}[side]
+        with pytest.raises(lp.ConvergenceError, match=f"stationary {side} bound: cycle oracle"
+                           ) as err:
+            bound(spec, lp.InputGrid.uniform(40.0, 3))
+        assert err.value.gap == math.inf and err.value.iterations == 0
+
     def test_budget_counts_both_tables(self, monkeypatch):
         """Karp's D (float64) and pred (intp) tables are alive at once: a
         budget that holds one (V+1) x V table but not two is refused."""
@@ -415,6 +429,32 @@ class TestObjectiveGradients:
                 fd = (_cmi_value_grad(Wr, d, p + e)[0]
                       - _cmi_value_grad(Wr, d, p - e)[0]) / (2 * h)
                 assert abs(fd - g[i]) / max(abs(fd), 1e-9) < 1e-4
+
+
+class TestSymKlMatrix:
+    @pytest.mark.parametrize("taps, m, r", [((0.7, 0.3), 9, 1), ((0.5, 0.3, 0.2), 5, 1),
+                                            ((0.7, 0.3), 3, 2)])
+    def test_block_channel_exponential_family_form(self, taps, m, r):
+        """On a common support each slot's truncated Poisson row has
+        log W(y) = y log lam - log y! - A(lam), so the pair's divergence is
+        sum over slots of (mu - mu')(log lam - log lam'), mu the truncated
+        mean."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse(taps), 5.0, 40.0, 40.0)
+        ch = lp.build_block_channel(lp.BlockChannelSpec(spec, lp.InputGrid.uniform(40.0, m), r=r))
+        W = ch.transition
+        side = round(W.shape[1] ** (1.0 / r))
+        assert side ** r == W.shape[1]
+        counts = np.arange(side)
+        slots = W.reshape((-1,) + (side,) * r)
+        k = len(taps) - 1
+        tuples = np.array(ch.input_labels)
+        expected = np.zeros((W.shape[0],) * 2)
+        for s in range(r):
+            mu = slots.sum(axis=tuple(a for a in range(1, r + 1) if a != s + 1)) @ counts
+            log_lam = np.log(5.0 + tuples[:, s: s + k + 1] @ np.array(taps[::-1]))
+            expected += (mu[:, None] - mu[None, :]) * (log_lam[:, None] - log_lam[None, :])
+        D = _sym_kl_matrix(W)
+        assert np.abs(D - expected).max() <= 1e-12 * D.max()
 
 
 class TestSymKlGeneric:

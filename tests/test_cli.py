@@ -344,6 +344,18 @@ class TestErrorPaths:
         assert rc == 2
         assert "LTIPC-ERROR non-convergence:" in capsys.readouterr().err
 
+    def test_cycle_oracle_guard_exits_2(self, tmp_path, monkeypatch, capsys):
+        doc = {"impulse": [0.7, 0.3], "lambda0": 5.0, "amax": 40.0, "alpha": 4.0,
+               "grid_points": 3, "tail_eps": 1e-10}
+        path = tmp_path / "binding.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("ltipc.bounds._CYCLE_STEPS", 0)
+        rc = main(["sweep", "--instance", str(path), "--out", str(tmp_path / "o.csv"),
+                   "--axis", "alpha", "--values", "4", "--grid", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR non-convergence:")
+
 
 @pytest.mark.parametrize("argv, writer, n_rows", [
     (["capacity"], "write_bound_report", 1),

@@ -86,8 +86,9 @@ ARRAY_FORM_CASES = [
     [55.0] * 40 + [31.0] * 17 + [12.0] * 5,          # Atkinson groups > 16
     list(np.resize([30.5, 33.0, 64.0, 90.0, 0.5], 80)),  # groups of exactly 16
     [60.0] * 3 + [75.0] * 600,                       # many rounds
-    list(np.linspace(29.99, 0.01, 400)),             # several inversion cdf blocks
+    list(np.linspace(29.99, 0.01, 400)),             # many inversion cdfs
     list(np.resize(np.linspace(30.0, 31.0, 70), 560)),  # first rounds falling short
+    list(np.linspace(0.01, 29.99, 1000)),            # 1,000 inversion cdfs
 ]
 
 MIXED_INTENSITIES = (st.sampled_from([0.0, 0.3, 4.0, 17.5, 29.5, 30.0, 33.3, 58.0, 95.0, 240.0])
@@ -127,21 +128,19 @@ class TestArrayForm:
                               + gen.random(8).tobytes()).hexdigest() == digest
 
     def test_inversion_with_trial_axis_matches_rows(self):
-        lam = np.linspace(29.99, 0.01, 400)
-        row = np.repeat(np.arange(lam.size), 2)
-        u = substream(4, 0).random((5, row.size))
-        counts = _inversion(lam, row, u)
-        assert counts.shape == u.shape
-        for t in range(u.shape[0]):
-            np.testing.assert_array_equal(counts[t], _inversion(lam, row, u[t]))
+        u = substream(4, 0).random((400, 5, 2))
+        for lam, u_lam in zip(np.linspace(29.99, 0.01, 400).tolist(), u):
+            counts = _inversion(lam, u_lam)
+            assert counts.shape == u_lam.shape
+            for t in range(u_lam.shape[0]):
+                np.testing.assert_array_equal(counts[t], _inversion(lam, u_lam[t]))
 
     def test_inversion_takes_smallest_k_with_u_at_most_cdf(self):
         lam = 2.0
         f0 = math.exp(-lam)
         f1 = f0 + f0 * (lam / 1)
         u = np.array([0.0, f0, np.nextafter(f0, 1.0), f1, np.nextafter(f1, 1.0)])
-        np.testing.assert_array_equal(_inversion(np.array([lam]), np.zeros(5, dtype=int), u),
-                                      [0, 0, 1, 1, 2])
+        np.testing.assert_array_equal(_inversion(lam, u), [0, 0, 1, 1, 2])
 
     def test_keeps_shape(self):
         lam = np.array([[1.0, 40.0, 0.0], [40.0, 1.0, 5.0]])
