@@ -8,7 +8,7 @@ import numpy as np
 
 from .bounds import SandwichBound, block_sandwich_bounds
 from .channel import (DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse,
-                      InputGrid, _freeze)
+                      InputGrid, _checked_grid, _freeze)
 from .solver import SolverConfig
 
 
@@ -130,7 +130,7 @@ def _sweep(spec: ChannelSpec, axis: str, values, grid_points: int, rs,
     points = [replace(spec, **{axis: v}) for v in values]
     columns = {f"{side}_r{r}": [] for r in rs for side in ("lower", "upper")}
     for point in points:
-        grid = InputGrid.uniform(point.amax, grid_points)
+        grid = _checked_grid(point, grid_points, tail_eps)
         for r in dict.fromkeys(rs):
             bound = block_sandwich_bounds(
                 BlockChannelSpec(point, grid, r=r, tail_eps=tail_eps), config)

@@ -28,19 +28,22 @@ from .channel import (
     ChannelSpec,
     DiscreteChannel,
     InputGrid,
+    _block_factors,
     _check_bytes,
     _freeze,
+    _kron_rows,
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import (_TINY, SolverConfig, _blahut, _budget_search,
-                     _check_pmf, _cheapest_inputs, _duplicate_row_reps, _log0,
+from .solver import (_TINY, SolverConfig, _blahut, _budget_search, _capacity,
+                     _check_pmf, _cheapest_inputs, _Dense, _log0, _SlotFactors,
                      _wlogw_rows, ba_capacity)
 
 
-# No bound calls an LP solver, but perfbench/tracing.py still wraps
-# `ltipc.bounds.linprog`.  The name resolves on first read, so SciPy stays
-# off `import ltipc`; remove this once the tracer stops wrapping it.
+# No bound calls ba_capacity or an LP solver, but perfbench/tracing.py still
+# wraps `ltipc.bounds.ba_capacity` and `ltipc.bounds.linprog`, so both names
+# stay.  linprog resolves on first read, so SciPy stays off `import ltipc`;
+# remove both once the tracer stops wrapping them.
 def __getattr__(name):
     if name == "linprog":
         from scipy.optimize import linprog
@@ -73,12 +76,20 @@ def block_sandwich_bounds(bspec: BlockChannelSpec,
     """Solve the block channel at budget alpha and normalize by r.
 
     The block input cost is the per-slot average intensity, so the single
-    scalar alpha of the instance constrains every r the same way.
+    scalar alpha of the instance constrains every r the same way.  The solve
+    is ba_capacity's on build_block_channel(bspec), done from the channel's
+    slot factors (solver._SlotFactors), so the dense matrix is not built.
+    The factored products pass over the Λ^r grid of slot-index tuples, so
+    the rare channel whose grid outsizes its dense matrix (many distinct
+    intensities, few counts) is solved on the matrix, within the same
+    byte budget.
     """
-    channel = build_block_channel(bspec)
-    res = ba_capacity(channel, alpha=bspec.base.alpha, config=config)
+    table, index, tuples = _block_factors(bspec)
     k = bspec.base.impulse.order
     r = bspec.r
+    n_grid, n_dense = table.shape[0] ** r, len(index) * table.shape[1] ** r
+    W = _SlotFactors(table, index) if n_grid <= n_dense else _Dense(_kron_rows(table, index))
+    res = _capacity(W, tuples.mean(axis=1), bspec.base.alpha, config)
     upper = res.value / r
     return SandwichBound(
         r=r, k=k, upper=upper, lower=upper * r / (k + r),
@@ -388,11 +399,11 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         V = np.zeros((len(cycles), polytope.n))
         for j, C in enumerate(cycles):
             V[j, list(C)] = 1.0 / len(C)
-        O, cost = V @ W, V @ polytope.cost
+        O, cost = _Dense(V @ W), V @ polytope.cost
         keep, alpha = _cheapest_inputs(cost, polytope.alpha)
-        keep &= _duplicate_row_reps(O, cost)
+        keep &= O.reps(cost)
         try:
-            lam, its, _, _ = _blahut(O[keep], cost[keep], alpha, config.tol, config.max_iters,
+            lam, its, _, _ = _blahut(O.take(keep), cost[keep], alpha, config.tol, config.max_iters,
                                      wlogw=V[keep] @ wlogw_rows)
         except ConvergenceError as e:
             raise ConvergenceError(

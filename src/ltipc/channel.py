@@ -364,49 +364,71 @@ def _slot_intensities(tuples: np.ndarray, taps: np.ndarray, lambda0: float, r: i
     return lambda0 + lam
 
 
-def build_block_channel(bspec: BlockChannelSpec) -> DiscreteChannel:
-    """Materialize the block channel: inputs are grid^(k+r) tuples, labelled
-    by the tuples; outputs are r-tuples of counts, each in 0..ymax.
+def _block_ymax(spec: ChannelSpec, m: int, r: int, tail_eps: float) -> int:
+    """The block channel's largest count ymax, after refusing a dense matrix
+    of m^(k+r) x (ymax+1)^r float64 entries over the byte budget.  Needs
+    only m, so it can run before the grid is built."""
+    k = spec.impulse.order
+    ymax = truncation_point(spec.lambda0 + spec.amax * spec.impulse.as_array().sum(), tail_eps)
+    n_inputs, n_outputs = m ** (k + r), (ymax + 1) ** r
+    _check_bytes(n_inputs * n_outputs * np.dtype(np.float64).itemsize,
+                 f"the block channel needs {n_inputs} x {n_outputs} float64 entries "
+                 f"(m={m}, k={k}, r={r}, ymax={ymax})",
+                 "lower --grid or --r")
+    return ymax
 
-    Column sum_s y_s (ymax+1)^(r-s) holds the counts (y_1, ..., y_r):
-    row-major over the r observed slots, the first slowest, so each row is
-    the np.kron of its slot pmfs.  The cost of an input tuple is its
-    per-slot average intensity, so a single alpha serves every r.  A matrix
-    over the byte budget is refused before it is built.
+
+def _checked_grid(spec: ChannelSpec, m: int, tail_eps: float) -> InputGrid:
+    """InputGrid.uniform(spec.amax, m), after the r = 1 block channel's byte
+    check: a grid too fine for any block is refused before its m points are
+    made."""
+    _block_ymax(spec, m, 1, tail_eps)
+    return InputGrid.uniform(spec.amax, m)
+
+
+def _block_factors(bspec: BlockChannelSpec):
+    """The block channel's factors: (table, index, tuples).
+
+    table holds one truncated pmf per distinct slot intensity, on the shared
+    support 0..ymax; index[x, s] is the table row of input x's observed slot
+    s; tuples[x] is input x, a grid^(k+r) tuple.  Row x of the block channel
+    is the np.kron of table[index[x, s]] over s.  A dense matrix over the
+    byte budget is refused before anything is built.
     """
     spec = bspec.base
     _check_grid(spec, bspec.grid)
     # Trailing zero taps are honored: they enlarge the committed window and
     # its cost structure, which callers use to compare impulse responses at
     # a common memory order.
-    taps = spec.impulse.as_array()
-    k, r = spec.impulse.order, bspec.r
     pts = bspec.grid.as_array()
-    m = pts.size
-
-    n_inputs = m ** (k + r)
-    lam_max = spec.lambda0 + spec.amax * taps.sum()
-    ymax = truncation_point(lam_max, bspec.tail_eps)
-    n_outputs = (ymax + 1) ** r
-    _check_bytes(n_inputs * n_outputs * np.dtype(np.float64).itemsize,
-                 f"the block channel needs {n_inputs} x {n_outputs} float64 entries "
-                 f"(m={m}, k={k}, r={r}, ymax={ymax})",
-                 "lower --grid or --r")
-
-    tuples = np.array(list(itertools.product(pts, repeat=k + r)))
-    lam = _slot_intensities(tuples, taps, spec.lambda0, r)
-
-    # One pmf per distinct intensity on the shared support, then per slot a
-    # lookup into that table.
+    ymax = _block_ymax(spec, pts.size, bspec.r, bspec.tail_eps)
+    tuples = np.array(list(itertools.product(pts, repeat=spec.impulse.order + bspec.r)))
+    lam = _slot_intensities(tuples, spec.impulse.as_array(), spec.lambda0, bspec.r)
     values, index = np.unique(lam, return_inverse=True)
-    index = index.reshape(lam.shape)
-    table = _pmf_rows(values, ymax)
-    rows = table[index[:, 0]]
-    for s in range(1, r):
-        rows = (rows[:, :, None] * table[index[:, s]][:, None, :]).reshape(n_inputs, -1)
+    return _pmf_rows(values, ymax), index.reshape(lam.shape), tuples
 
+
+def _kron_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row x is the np.kron of table[index[x, s]] over the columns s."""
+    rows = table[index[:, 0]]
+    for s in range(1, index.shape[1]):
+        rows = (rows[:, :, None] * table[index[:, s]][:, None, :]).reshape(index.shape[0], -1)
+    return rows
+
+
+def build_block_channel(bspec: BlockChannelSpec) -> DiscreteChannel:
+    """Materialize the block channel: inputs are grid^(k+r) tuples, labelled
+    by the tuples; outputs are r-tuples of counts, each in 0..ymax.
+
+    Column sum_s y_s (ymax+1)^(r-s) holds the counts (y_1, ..., y_r):
+    row-major over the r observed slots, the first slowest, so each row is
+    the np.kron of its slot pmfs (_block_factors).  The cost of an input
+    tuple is its per-slot average intensity, so a single alpha serves every
+    r.  A matrix over the byte budget is refused before it is built.
+    """
+    table, index, tuples = _block_factors(bspec)
     return DiscreteChannel(
-        transition=rows,
+        transition=_kron_rows(table, index),
         cost=tuples.mean(axis=1),
         input_labels=tuple(map(tuple, tuples)),
     )

@@ -34,6 +34,7 @@ from .channel import (
     ChannelSpec,
     ImpulseResponse,
     InputGrid,
+    _checked_grid,
     build_block_channel,
     parse_instance,
 )
@@ -108,7 +109,7 @@ class Loaded:
     config_desc: str
 
     def grid(self, spec: ChannelSpec) -> InputGrid:
-        return InputGrid.uniform(spec.amax, self.grid_points)
+        return _checked_grid(spec, self.grid_points, self.tail_eps)
 
     def block(self, spec: ChannelSpec, r: int) -> BlockChannelSpec:
         return BlockChannelSpec(spec, self.grid(spec), r=r, tail_eps=self.tail_eps)

@@ -33,6 +33,10 @@ same dual gap over all inputs is at most tol, I(p) is no lower than BA's
 last value, and the law meets the budget as computed.  Otherwise it is
 discarded and BA goes on from its own iterate: the multiplicative update
 cannot revive an input the polish zeroed.
+
+Both see the channel only through p ↦ pW, v ↦ Wv, that Gram and the row
+terms Σ_y W log W: ``_Dense`` computes them from a matrix, ``_SlotFactors``
+from a block channel's slot factors without building its matrix.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DiscreteChannel, _freeze
+from .channel import DiscreteChannel, _freeze, _kron_rows
 from .errors import ConvergenceError
 
 _TINY = 1e-300  # floor for logarithms; relative BA weights below it become zero
@@ -109,6 +113,112 @@ def _wlogw_rows(W: np.ndarray) -> np.ndarray:
     np.log(t, out=t)
     t *= W
     return t.sum(axis=1)
+
+
+class _Dense:
+    """A transition matrix W, seen through the four operations _blahut and
+    _kkt_polish use: p -> pW, v -> Wv, the support Gram W_S diag(1/q) W_Sᵀ
+    and the row terms sum_y W log W."""
+
+    def __init__(self, W: np.ndarray):
+        self.W, self.n = W, W.shape[0]
+
+    def take(self, keep: np.ndarray) -> "_Dense":
+        return _Dense(self.W[keep])
+
+    def reps(self, cost: np.ndarray) -> np.ndarray:
+        """Mask of one representative, the cheapest member, of each group
+        of bit-identical rows.
+
+        Identical rows (windows filtering to the same intensity, or inputs
+        the filter ignores) create flat optimal faces that stall the
+        iteration, and make the Newton polish's H singular.  The reduction
+        is exact: moving a group's mass onto its cheapest member keeps the
+        mutual information and can only lower the cost, so some optimizer
+        of the original problem lives on the representatives.
+        """
+        groups = {}
+        for x, row in enumerate(self.W):
+            groups.setdefault(row.tobytes(), []).append(x)
+        reps = np.zeros(self.n, dtype=bool)
+        for members in groups.values():
+            reps[min(members, key=cost.__getitem__)] = True
+        return reps
+
+    def wlogw(self) -> np.ndarray:
+        return _wlogw_rows(self.W)
+
+    def pW(self, p: np.ndarray) -> np.ndarray:
+        return p @ self.W
+
+    def Wv(self, v: np.ndarray) -> np.ndarray:
+        return self.W @ v
+
+    def gram(self, on: np.ndarray, q: np.ndarray) -> np.ndarray:
+        X = self.W[on]  # H = X Xᵀ with X = W_S / √q, one W_S-sized copy
+        X /= np.sqrt(q)
+        return X @ X.T
+
+
+def _contract(a: np.ndarray, m: np.ndarray, r: int) -> np.ndarray:
+    """Contract the r leading axes of a, each of length m.shape[0], with m,
+    one matrix product per axis.  Each product moves its new axis to the
+    back, so after r of them the axes of a that were not contracted come
+    first, then the r new ones in their original order."""
+    for _ in range(r):
+        a = a.reshape(m.shape[0], -1).T @ m
+    return a
+
+
+class _SlotFactors:
+    """The block channel from its factors (channel._block_factors): row x is
+    the np.kron of table[index[x, s]] over its r slots, so it is fixed by
+    the table's Λ distinct slot pmfs and x's slot indices.
+
+    The four operations of _Dense, without the n x (ymax+1)^r matrix.  pW
+    scatters p onto the Λ^r grid of slot-index tuples and contracts one
+    slot axis at a time with the table; Wv contracts v with the table's
+    transpose and reads the grid at each input's tuple; the Gram does the
+    same for one support row W_a/q at a time; a row's sum W log W is the
+    sum of its slots' terms.
+    """
+
+    def __init__(self, table: np.ndarray, index: np.ndarray):
+        self.table, self.index = table, index
+        self.n, self.r = index.shape
+        self.flat = np.ravel_multi_index(index.T, (table.shape[0],) * self.r)
+
+    def take(self, keep: np.ndarray) -> "_SlotFactors":
+        return _SlotFactors(self.table, self.index[keep])
+
+    def reps(self, cost: np.ndarray) -> np.ndarray:
+        """_Dense.reps for the factored rows: inputs with equal slot indices
+        have equal rows, and distinct intensities give distinct pmfs.
+        lexsort is stable, so a cost tie keeps the lowest input."""
+        order = np.lexsort((cost, self.flat))
+        first = np.unique(self.flat[order], return_index=True)[1]
+        reps = np.zeros(self.n, dtype=bool)
+        reps[order[first]] = True
+        return reps
+
+    def wlogw(self) -> np.ndarray:
+        return _wlogw_rows(self.table)[self.index].sum(axis=1)
+
+    def pW(self, p: np.ndarray) -> np.ndarray:
+        grid = np.bincount(self.flat, weights=p, minlength=self.table.shape[0] ** self.r)
+        return _contract(grid, self.table, self.r).ravel()
+
+    def Wv(self, v: np.ndarray) -> np.ndarray:
+        return _contract(v, self.table.T, self.r).ravel()[self.flat]
+
+    def gram(self, on: np.ndarray, q: np.ndarray) -> np.ndarray:
+        index, flat = self.index[on], self.flat[on]
+        H = np.empty((flat.size, flat.size))
+        for a in range(flat.size):  # row a is W_S (W_a / q): one W-row temporary
+            x = _kron_rows(self.table, index[a:a + 1]).ravel()
+            x /= q
+            H[a] = _contract(x, self.table.T, self.r).ravel()[flat]
+        return H
 
 
 def mutual_information(channel: DiscreteChannel, input_dist) -> float:
@@ -194,20 +304,21 @@ def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
     return np.ones(cost.size, dtype=bool), alpha
 
 
-def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
+def _blahut(W, cost: np.ndarray, alpha: float | None,
             tol: float, max_iters: int, wlogw: np.ndarray | None = None):
-    """Blahut-Arimoto with an optional budget, from the feasible tilt of the
-    uniform law, on the objective p.wlogw - H(pW), which is I(p) when wlogw
-    is W's own.  Returns (p, iterations, dual gap, history of the objective)."""
+    """Blahut-Arimoto with an optional budget on the rows W (_Dense or
+    _SlotFactors), from the feasible tilt of the uniform law, on the
+    objective p.wlogw - H(pW), which is I(p) when wlogw is W's own.  Returns
+    (p, iterations, dual gap, history of the objective)."""
     if wlogw is None:
-        wlogw = _wlogw_rows(W)
-    s, p = _budget_search(_tilt, _tilt_slope, np.zeros(W.shape[0]), cost, alpha)
+        wlogw = W.wlogw()
+    s, p = _budget_search(_tilt, _tilt_slope, np.zeros(W.n), cost, alpha)
     history = []
     gap = np.inf
     next_polish = _FIRST_POLISH
     with np.errstate(divide="ignore"):  # log p is -inf off the support
         for it in range(1, max_iters + 1):
-            d = wlogw - W @ np.log(np.maximum(p @ W, _TINY))
+            d = wlogw - W.Wv(np.log(np.maximum(W.pW(p), _TINY)))
             f = float(p @ d)
             history.append(f)
             s, p_next = _budget_search(_tilt, _tilt_slope, np.log(p) + d, cost, alpha, s)
@@ -227,7 +338,7 @@ def _blahut(W: np.ndarray, cost: np.ndarray, alpha: float | None,
         f"(last gap {gap:.3e}, cost multiplier {s:.3e})", gap=gap, iterations=max_iters)
 
 
-def _kkt_polish(W: np.ndarray, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
+def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
                 p: np.ndarray, s: float, floor: float, tol: float):
     """Active-set Newton solve of the KKT system from BA's law p and
     multiplier s (see the module docstring).  Returns (law, I(law), gap) when
@@ -241,9 +352,9 @@ def _kkt_polish(W: np.ndarray, wlogw: np.ndarray, cost: np.ndarray, alpha: float
     on = p > 0
     p = p.copy()
     dropped = False
-    for _ in range(W.shape[0] + _NEWTON_STEPS):
-        q = np.maximum(p @ W, _TINY)
-        d = wlogw - W @ np.log(q)
+    for _ in range(W.n + _NEWTON_STEPS):
+        q = np.maximum(W.pW(p), _TINY)
+        d = wlogw - W.Wv(np.log(q))
         f = float(p @ d)
         g = d - s * cost
         shift = s * alpha if budget else 0.0
@@ -257,13 +368,7 @@ def _kkt_polish(W: np.ndarray, wlogw: np.ndarray, cost: np.ndarray, alpha: float
             dropped = False
         # Building H costs |S|²·|outputs|, so after a boundary step, which
         # drops one input, the next step reuses H on the smaller support.
-        if dropped:
-            H = H[np.ix_(on[idx], on[idx])]
-        else:  # H = X Xᵀ with X = W_S / √q, one W_S-sized copy at a time
-            X = W[on]
-            X /= np.sqrt(q)
-            H = X @ X.T
-            del X
+        H = H[np.ix_(on[idx], on[idx])] if dropped else W.gram(on, q)
         idx = np.flatnonzero(on)
         A = np.vstack([np.ones(idx.size), cost[idx]]) if budget else np.ones((1, idx.size))
         K = np.block([[H, A.T], [A, np.zeros((b.size, b.size))]])
@@ -289,26 +394,6 @@ def _kkt_polish(W: np.ndarray, wlogw: np.ndarray, cost: np.ndarray, alpha: float
     return None
 
 
-def _duplicate_row_reps(W: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Mask of one representative, the cheapest member, of each group of
-    bit-identical transition rows.
-
-    Identical rows (windows filtering to the same intensity, or inputs the
-    filter ignores) create flat optimal faces that stall the iteration, and
-    make the Newton polish's H singular.  The reduction is exact: moving a
-    group's mass onto its cheapest member keeps the mutual information and can
-    only lower the cost, so some optimizer of the original problem lives on
-    the representatives.
-    """
-    groups = {}
-    for x, row in enumerate(W):
-        groups.setdefault(row.tobytes(), []).append(x)
-    reps = np.zeros(W.shape[0], dtype=bool)
-    for members in groups.values():
-        reps[min(members, key=cost.__getitem__)] = True
-    return reps
-
-
 def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
                 config: SolverConfig = SolverConfig()) -> CapacityResult:
     """Capacity (alpha=None) or capacity-cost value at average budget alpha.
@@ -321,13 +406,18 @@ def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
     as computed (achieved_cost <= alpha), and value + gap is a certified
     upper bound on the optimum.
     """
-    W, cost = channel.transition, channel.cost
+    return _capacity(_Dense(channel.transition), channel.cost, alpha, config)
+
+
+def _capacity(W, cost: np.ndarray, alpha: float | None,
+              config: SolverConfig) -> CapacityResult:
+    """ba_capacity on the rows W, _Dense or _SlotFactors."""
     keep, alpha = _cheapest_inputs(cost, alpha)
-    keep &= _duplicate_row_reps(W, cost)
+    keep &= W.reps(cost)
     if not keep.all():
-        W, cost = W[keep], cost[keep]
+        W, cost = W.take(keep), cost[keep]
     p, iterations, gap, history = _blahut(W, cost, alpha, config.tol, config.max_iters)
-    p_full = np.zeros(channel.n_inputs)
+    p_full = np.zeros(keep.size)
     p_full[keep] = p
     # history[-1] is I(p) of the law whose dual gap the loop tested.
     return CapacityResult(

@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import ltipc as lp
 import ltipc.cli as cli
 from ltipc import ImpulseResponse, monotonicity_sweep
+from ltipc.channel import _block_factors
 from ltipc.cli import _parse_values, main
 from ltipc.errors import ConvergenceError
 from ltipc.report import BOUND_COLUMNS, GRID_UPPER_LABEL
@@ -164,11 +166,12 @@ class TestSweepCommand:
 
     def test_one_stationary_build_per_point(self, isi_instance, tmp_path, monkeypatch):
         """Per point: one channel for each block length and one single-slot
-        channel shared by both stationary bounds."""
+        channel shared by both stationary bounds.  _block_factors is the one
+        builder under both: the sandwich solves from its factors and
+        build_block_channel multiplies them out."""
         calls = []
-        build = cli.build_block_channel
-        monkeypatch.setattr("ltipc.bounds.build_block_channel",
-                            lambda bspec: calls.append(bspec.r) or build(bspec))
+        for target in ("ltipc.channel._block_factors", "ltipc.bounds._block_factors"):
+            monkeypatch.setattr(target, lambda bspec: calls.append(bspec.r) or _block_factors(bspec))
         rc = main(["sweep", "--instance", isi_instance, "--out", str(tmp_path / "s.csv"),
                    "--axis", "alpha", "--values", "2,6", "--r", "1", "--r", "2"])
         assert rc == 0
@@ -332,6 +335,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
         assert "tol" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity"], ["sweep", "--axis", "alpha", "--values", "2"]])
+    def test_oversized_grid_refused_before_it_is_built(self, argv, isi_instance, tmp_path,
+                                                       monkeypatch, capsys):
+        """--grid 3000000 is refused by the r = 1 block channel's byte count,
+        from m alone, before the grid's points are made."""
+        def explode(*args, **kwargs):
+            raise AssertionError("InputGrid.uniform called")
+
+        monkeypatch.setattr(lp.InputGrid, "uniform", explode)
+        rc = main(argv + ["--instance", isi_instance, "--out", str(tmp_path / "o.csv"),
+                          "--grid", "3000000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
+        assert "the block channel needs" in err and "--grid" in err
 
     def test_nonconvergence_exit_code(self, memoryless_instance, tmp_path,
                                       monkeypatch, capsys):

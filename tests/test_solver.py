@@ -7,6 +7,8 @@ import pytest
 from scipy.special import rel_entr
 
 import ltipc as lp
+from ltipc.channel import _block_factors
+from ltipc.solver import _Dense, _SlotFactors
 
 from helpers import bsc, grid_search_capacity, small_corpus
 
@@ -294,3 +296,88 @@ class TestNewtonPolish:
         for r, expected in zip((1, 2), plain):
             res = lp.ba_capacity(_block_channel(taps, lambda0, amax, alpha, 3, r), alpha=alpha)
             assert abs(res.value - expected) <= 1e-9
+
+
+def _block_spec(taps, lambda0, amax, alpha, grid, r):
+    spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lambda0, amax, alpha)
+    return lp.BlockChannelSpec(spec, lp.InputGrid.uniform(amax, grid), r=r)
+
+
+def _close(got, want, rel=1e-13):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestSlotFactors:
+    """Block channels solved from their slot factors (_SlotFactors) against
+    the dense matrix build_block_channel multiplies out of the same
+    factors."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("taps", [(0.8,), (0.6, 0.0), (0.7, 0.3), (0.5, 0.3, 0.0),
+                                      (0.5, 0.3, 0.2)])
+    def test_operations_match_dense(self, taps, r):
+        """pW, Wv, the support Gram, the row terms sum W log W and the
+        duplicate-row representatives, at k = 0, 1, 2, trailing zero taps
+        included."""
+        bspec = _block_spec(taps, 1.0, 4.0, 2.0, 3 if r < 3 else 2, r)
+        table, index, _ = _block_factors(bspec)
+        ch = lp.build_block_channel(bspec)
+        factors, dense = _SlotFactors(table, index), _Dense(ch.transition)
+        rng = np.random.default_rng(len(taps) * 10 + r)
+        p = rng.dirichlet(np.ones(ch.n_inputs))
+        v = rng.normal(size=ch.n_outputs)
+        on = rng.random(ch.n_inputs) < 0.6
+        q = dense.pW(p)
+        assert _close(factors.pW(p), q)
+        assert _close(factors.Wv(v), dense.Wv(v))
+        assert _close(factors.gram(on, q), dense.gram(on, q))
+        assert _close(factors.wlogw(), dense.wlogw())
+        np.testing.assert_array_equal(factors.reps(ch.cost), dense.reps(ch.cost))
+
+    @pytest.mark.parametrize("taps, lambda0, amax, alpha, grid, rs", [
+        ((0.7, 0.3), 5.0, 40.0, 5.0, 3, (1, 2)),
+        ((0.8, 0.2), 2.0, 24.0, 14.0, 3, (1, 2)),
+        ((0.65, 0.35), 8.0, 50.0, 30.0, 3, (1, 2)),
+        ((0.6, 0.4, 0.0), 3.0, 30.0, 6.0, 3, (1,)),
+        ((0.36, 0.48, 0.16), 3.0, 30.0, 6.0, 3, (1,)),
+        ((0.7, 0.3), 1.0, 10.0, 5.0, 2, (3,)),
+        ((0.7, 0.3), 5.0, 40.0, 5.0, 5, (1, 2)),
+        ((0.5, 0.3, 0.2), 5.0, 40.0, 10.0, 3, (2,)),
+    ], ids=["b1", "b2", "b3", "degrade-p", "degrade-p'", "on-off", "A04", "taps3"])
+    def test_sandwich_matches_dense_solve(self, taps, lambda0, amax, alpha, grid, rs):
+        """block_sandwich_bounds against ba_capacity on the dense matrix, on
+        the benchmark's block instances, A04's and a 3-tap one."""
+        for r in rs:
+            bspec = _block_spec(taps, lambda0, amax, alpha, grid, r)
+            bound = lp.block_sandwich_bounds(bspec)
+            res = lp.ba_capacity(lp.build_block_channel(bspec), alpha=alpha)
+            assert abs(bound.upper * r - res.value) <= 1e-12
+            assert abs(bound.gap * r - res.gap) <= 1e-12
+            assert np.abs(bound.input_dist - res.input_dist).max() <= 1e-9
+
+    def test_grid_larger_than_matrix_solves_dense(self):
+        """Generic taps and tiny intensities: 64 distinct slot pmfs of 3
+        counts, so the 64^2 grid of slot-index pairs outsizes the 256 x 9
+        matrix, which is then solved as it stands, bit for bit."""
+        bspec = _block_spec((0.41, 0.33, 0.26), 1e-4, 4e-4, 1e-4, 4, 2)
+        table, index, _ = _block_factors(bspec)
+        assert table.shape[0] ** 2 > index.shape[0] * table.shape[1] ** 2
+        bound = lp.block_sandwich_bounds(bspec)
+        res = lp.ba_capacity(lp.build_block_channel(bspec), alpha=1e-4)
+        assert (bound.upper * 2).hex() == res.value.hex()
+
+    def test_sandwich_peak_memory_below_half_the_matrix(self):
+        """On the 16 x 59,319 on-off block channel (7.6 MB) the sandwich
+        solve never holds the matrix: its peak stays under half of it."""
+        bspec = _block_spec((0.7, 0.3), 1.0, 10.0, 5.0, 2, 3)
+        nbytes = 16 * 59_319 * np.dtype(np.float64).itemsize
+        lp.block_sandwich_bounds(bspec)  # warm the caches of the modules it calls
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lp.block_sandwich_bounds(bspec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 0.5 * nbytes
