@@ -35,7 +35,7 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import (_TINY, SolverConfig, _blahut, _budget_search, _capacity,
+from .solver import (_COST_WINDOW, _ROOT_STEPS, _TINY, SolverConfig, _blahut, _capacity,
                      _check_pmf, _cheapest_inputs, _Dense, _log0, _SlotFactors,
                      _wlogw_rows, ba_capacity)
 
@@ -507,8 +507,12 @@ def _sym_kl_matrix(W: np.ndarray) -> np.ndarray:
 
     The byte budget, DEFAULT_ENTRY_BUDGET float64 entries, is checked before
     any n x n array is built, for the most such arrays alive at once here or
-    in sym_kl_max, the one caller: four float64 arrays, D, P, P @ D and
-    P @ D @ P, at its step computation.
+    in sym_kl_max, the one caller: four float64 arrays, D, C, C @ D and
+    C @ D @ C, at its step computation.  The ascent after it holds D and
+    about twenty (2 + _SYMKL_RANDOM_STARTS) x n arrays (laws, gradients,
+    projection scratch), some 360·n entries: they fit in the three freed
+    n x n arrays once n >= 120, far below the n = 7,072 the budget first
+    refuses, so the count covers them too.
     """
     n = W.shape[0]
     _check_bytes(4 * n * n * np.dtype(np.float64).itemsize,
@@ -556,31 +560,72 @@ def sym_kl_reference_bound(channel: DiscreteChannel, input_dist, ref_out) -> flo
     return float(p @ (fwd + rev))
 
 
-def _project_simplex(v: np.ndarray, cost: np.ndarray, mu: float) -> np.ndarray:
-    """Euclidean projection of v − mu·c onto the probability simplex."""
-    if mu:
-        v = v - mu * cost
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.max(np.where(u - css / idx > 0, idx, 0))
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+def _project_simplex(V: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of V − mu·c onto the probability
+    simplex, mu holding one multiplier per row (Duchi et al., ICML 2008)."""
+    V = V - mu[:, None] * cost
+    U = np.sort(V, axis=-1)[:, ::-1]
+    css = np.cumsum(U, axis=-1) - 1.0
+    idx = np.arange(1, V.shape[-1] + 1)
+    rho = np.max(np.where(U - css / idx > 0, idx, 0), axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
+    return np.maximum(V - theta, 0.0)
 
 
-def _project_feasible(v: np.ndarray, cost: np.ndarray, alpha) -> np.ndarray:
-    """Euclidean projection onto the simplex intersected with cost.p <= alpha
-    (alpha >= min cost): the simplex projection p(mu) of v − mu·c at the
-    smallest mu >= 0 that meets the budget, found by solver._budget_search.
-    """
-    return _budget_search(_project_simplex, _projection_slope, v, cost, alpha)[1]
-
-
-def _projection_slope(p: np.ndarray, cost: np.ndarray, m: float) -> float:
+def _projection_slope(P: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """On a fixed support S the cost of the projection of v − mu·c is linear
-    in mu with slope −|S|·Var_S(c)."""
-    c_s = cost[p > 0]
-    return c_s.size * float(np.var(c_s))
+    in mu with slope −|S|·Var_S(c); this is |S|·Var_S(c) for each row of P."""
+    on = P > 0
+    size = on.sum(axis=-1)
+    dev = np.where(on, cost - (np.where(on, cost, 0.0).sum(axis=-1) / size)[:, None], 0.0)
+    return np.vecdot(dev, dev)
+
+
+def _project_feasible(V: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarray:
+    """Euclidean projection of each row of V (a 1-D V is one row) onto the
+    simplex intersected with cost.p <= alpha (alpha >= min cost): the simplex
+    projection p(mu) of v − mu·c at the smallest mu >= 0 that meets the budget.
+
+    Each row gets its own mu, found by the safeguarded Newton search of
+    solver._budget_search, run on the rows still searching: a row whose
+    plain projection meets the budget never enters it, and a row leaves it
+    once its law, as computed, costs within the window [alpha − w, alpha].
+    Blahut-Arimoto keeps its own scalar search, which array bookkeeping
+    would slow on its one-row calls.
+    """
+    rows = V.reshape(-1, V.shape[-1])
+    P = _project_simplex(rows, cost, np.zeros(rows.shape[0]))
+    m = np.vecdot(P, cost)
+    act = np.flatnonzero(m > alpha)
+    if act.size:
+        window = _COST_WINDOW * float(np.max(np.abs(cost)))
+        A, Pa, m = rows[act], P[act], m[act]
+        t, lo, hi = np.zeros(act.size), np.zeros(act.size), np.full(act.size, np.inf)
+        for _ in range(_ROOT_STEPS):
+            under = ~(m > alpha)
+            lo = np.where(under, lo, t)
+            hi = np.where(under, t, hi)
+            P[act[under]] = Pa[under]
+            done = under & ((m >= alpha - window) | (hi - lo <= 4e-16 * hi))
+            if done.any():
+                act, A, Pa, m, t, lo, hi = (x[~done] for x in (act, A, Pa, m, t, lo, hi))
+                if not act.size:
+                    break
+            d = _projection_slope(Pa, cost)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(d > 0, t + (m - alpha + 0.5 * window) / d, np.inf)
+            out = ~((lo < t) & (t < hi))
+            t[out] = np.where(np.isfinite(hi), 0.5 * (lo + hi), np.maximum(2.0 * lo, 1.0))[out]
+            Pa = _project_simplex(A, cost, t)
+            m = np.vecdot(Pa, cost)
+        else:
+            stuck = np.isinf(hi)
+            if stuck.any():
+                r = int(np.argmax(stuck))
+                raise ConvergenceError(
+                    f"no cost multiplier meets the budget alpha={alpha} "
+                    f"(mean cost {m[r]:.6g} at s={t[r]:.3e})", gap=np.inf, iterations=0)
+    return P.reshape(V.shape)
 
 
 _SYMKL_RANDOM_STARTS = 16
@@ -625,11 +670,14 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     search over one- and two-point laws (on a pair, F = t(1 − t)·D_ij) comes
     first; F is infinite once two rows with different supports both carry
     mass, and the result is then such a two-point law within the budget.
-    Otherwise projected gradient ascent follows, from 2 + _SYMKL_RANDOM_STARTS
-    starts, the random ones drawn from seed, each until a step no longer
-    raises F or for at most config.max_iters steps; config.tol is not read.
-    The result is the best law found; global optimality is only guaranteed
-    when two-point supports suffice.
+    Otherwise projected gradient ascent follows from 2 + _SYMKL_RANDOM_STARTS
+    starts (uniform, the best two-point law, and random ones drawn from
+    seed).  The starts ascend together as the rows of one array, each
+    projected with its own budget multiplier; a start leaves the batch at its
+    first step that does not raise its F, and none takes more than
+    config.max_iters steps; config.tol is not read.  The result is the best
+    law found, the two-point law unless ascent beats it by more than 1e-10;
+    global optimality is only guaranteed when two-point supports suffice.
     """
     keep, alpha = _cheapest_inputs(channel.cost, alpha)
     idx = np.flatnonzero(keep)
@@ -649,29 +697,38 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     if math.isinf(pair_best):
         return result(pair_best, two_point, 0)
 
-    # Gradient D·p.  Step 1/||PDP||, the curvature on the simplex's tangent
-    # space, with P = I − 11'/n the centring matrix: such a step never lowers
-    # F in exact arithmetic, so the first step that does not raise it marks
-    # the float-level fixed point.
-    P = np.eye(n) - 1.0 / n
-    step = 1.0 / max(float(np.linalg.norm(P @ D @ P, 2)), 1e-12)
+    # Gradient D·p, taken for all starts at once as P @ D (D is symmetric).
+    # Step 1/||CDC||, the curvature on the simplex's tangent space, with
+    # C = I − 11'/n the centring matrix: such a step never lowers F in exact
+    # arithmetic, so the first step that does not raise it marks the
+    # float-level fixed point, where that start leaves the batch.
+    C = np.eye(n) - 1.0 / n
+    step = 1.0 / max(float(np.linalg.norm(C @ D @ C, 2)), 1e-12)
+    del C
     rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / n), two_point]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(_SYMKL_RANDOM_STARTS)]
-    best_val, best_p = -np.inf, None
-    for p in starts:
-        p = _project_feasible(p, cost, budget)
-        grad = D @ p
-        val = 0.5 * float(p @ grad)
-        for _ in range(config.max_iters):
-            p_next = _project_feasible(p + step * grad, cost, budget)
-            grad_next = D @ p_next
-            val_next = 0.5 * float(p_next @ grad_next)
-            if not val_next > val:
+    starts = np.array([np.full(n, 1.0 / n), two_point]
+                      + [rng.dirichlet(np.ones(n)) for _ in range(_SYMKL_RANDOM_STARTS)])
+    P = _project_feasible(starts, cost, budget)
+    G = P @ D
+    F = 0.5 * np.vecdot(P, G)
+    live = np.arange(len(starts))
+    P_live, G_live, F_live = P, G, F
+    for _ in range(config.max_iters):
+        P_next = _project_feasible(P_live + step * G_live, cost, budget)
+        G_next = P_next @ D
+        F_next = 0.5 * np.vecdot(P_next, G_next)
+        rise = F_next > F_live
+        if not rise.all():
+            stop = live[~rise]
+            P[stop], F[stop] = P_live[~rise], F_live[~rise]
+            live = live[rise]
+            if not live.size:
                 break
-            p, grad, val = p_next, grad_next, val_next
-        if val > best_val:
-            best_val, best_p = val, p
+        P_live, G_live, F_live = P_next[rise], G_next[rise], F_next[rise]
+    else:
+        P[live], F[live] = P_live, F_live
+    best = int(np.argmax(F))
+    best_val, best_p = float(F[best]), P[best]
 
     # Prefer the exact two-point law unless gradient ascent is strictly better.
     if best_val > pair_best + 1e-10:

@@ -18,7 +18,8 @@ from ltipc.bounds import (
 )
 from ltipc.channel import DEFAULT_TAIL_EPS
 
-from helpers import bsc, grid_search_symkl, random_channel, seeded_stationary_set
+from helpers import (bsc, grid_search_symkl, random_channel, seeded_stationary_set,
+                     symkl_ascent_per_start)
 
 CFG = lp.SolverConfig(tol=1e-8)
 FW_CFG = lp.SolverConfig(tol=1e-7, max_iters=20000)
@@ -588,6 +589,31 @@ class TestSymKlMax:
             assert cost @ law <= alpha + 1e-12
             assert res.value >= grid_search_symkl(ch.transition, 1e-2, cost, alpha) - 1e-9
 
+    def test_batch_matches_per_start_ascent(self):
+        """The batched ascent against its starts run one at a time, on random
+        budgeted channels with tied costs and on alpha-sweep's channel (taps
+        0.7/0.3, lambda0 5, amax 40, grid 3) at its three budgets.  Every
+        other random case caps the ascent at 40 steps, so starts leave both
+        at the cap and at their first non-rising step."""
+        rng = np.random.default_rng(23)
+        cases = []
+        for trial in range(40):
+            n = int(rng.integers(2, 10))
+            cost = rng.integers(0, 4, n).astype(np.float64)
+            ch = random_channel(rng, n, int(rng.integers(2, 6)), cost=cost)
+            alpha = float(rng.uniform(cost.min(), cost.max()))
+            cases.append((ch, alpha, trial, 40 if trial % 2 else CFG.max_iters))
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 4.0)
+        sweep = lp.build_block_channel(
+            lp.BlockChannelSpec(spec, lp.InputGrid.uniform(40.0, 3), r=1))
+        cases += [(sweep, alpha, 0, CFG.max_iters) for alpha in (4.0, 10.0, 22.0)]
+        beyond_pairs = 0
+        for ch, alpha, seed, max_iters in cases:
+            res = lp.sym_kl_max(ch, alpha, lp.SolverConfig(max_iters=max_iters), seed)
+            assert abs(res.value - symkl_ascent_per_start(ch, alpha, seed, max_iters)) <= 1e-12
+            beyond_pairs += len(res.support) > 2
+        assert beyond_pairs >= 10  # the ascent, not the two-point law, decides
+
     def test_convex_in_channel_for_fixed_input(self):
         rng = np.random.default_rng(6)
         W1 = random_channel(rng, 3, 4).transition
@@ -612,28 +638,52 @@ class TestSymKlMax:
             assert lhs >= -float(q @ np.log(q)) - 1e-12
 
 
+def _assert_exact_projection(v, p, cost, alpha):
+    """Feasible, and (v - p).(z - p) <= 0 at every vertex z of the simplex
+    cut by cost.p <= alpha: the feasible single inputs and the budget-tight
+    pairs."""
+    n = v.size
+    assert p.min() >= 0 and abs(p.sum() - 1.0) < 1e-12
+    assert cost @ p <= alpha + 1e-12
+    eye = np.eye(n)
+    vertices = [eye[i] for i in range(n) if cost[i] <= alpha]
+    for i, j in itertools.product(range(n), repeat=2):
+        if cost[i] > alpha > cost[j]:
+            t = (alpha - cost[j]) / (cost[i] - cost[j])
+            vertices.append(t * eye[i] + (1.0 - t) * eye[j])
+    for z in vertices:
+        assert (v - p) @ (z - p) <= 1e-12
+
+
 class TestProjectFeasible:
     def test_projection_is_exact(self):
-        """Feasible, and (v - p).(z - p) <= 0 at every vertex z of the simplex
-        cut by cost.p <= alpha: the feasible single inputs and the
-        budget-tight pairs.  Costs tie and alpha sits on a cost value."""
+        """Costs tie and alpha sits on a cost value."""
         rng = np.random.default_rng(12)
         for _ in range(300):
             n = int(rng.integers(2, 7))
             cost = rng.integers(0, 4, n).astype(np.float64)
             alpha = float(rng.choice(cost))
             v = 3.0 * rng.normal(size=n)
-            p = _project_feasible(v, cost, alpha)
-            assert p.min() >= 0 and abs(p.sum() - 1.0) < 1e-12
-            assert cost @ p <= alpha + 1e-12
-            eye = np.eye(n)
-            vertices = [eye[i] for i in range(n) if cost[i] <= alpha]
-            for i, j in itertools.product(range(n), repeat=2):
-                if cost[i] > alpha > cost[j]:
-                    t = (alpha - cost[j]) / (cost[i] - cost[j])
-                    vertices.append(t * eye[i] + (1.0 - t) * eye[j])
-            for z in vertices:
-                assert (v - p) @ (z - p) <= 1e-12
+            _assert_exact_projection(v, _project_feasible(v, cost, alpha), cost, alpha)
+
+    def test_batch_rows_match_single_projections(self):
+        """300 random vectors in five n-groups, each projected as one array:
+        every row is exact and equals its own 1-D projection bit for bit.
+        Each group mixes rows whose plain simplex projection meets the budget
+        (no search) with rows that take one Newton step and rows that take
+        several, so rows leave the search at different steps."""
+        rng = np.random.default_rng(12)
+        for n in range(2, 7):
+            cost = ((np.arange(n) + 1) // 2).astype(np.float64)  # ties from n = 3
+            alpha = 0.5 * cost.max()  # on a cost value for n = 4, 5
+            V = 3.0 * rng.normal(size=(60, n))
+            P = _project_feasible(V, cost, alpha)
+            plain = _project_feasible(V, cost, math.inf)
+            searched = plain @ cost > alpha
+            assert 0 < searched.sum() < len(V)
+            for v, p in zip(V, P):
+                _assert_exact_projection(v, p, cost, alpha)
+                assert np.array_equal(p, _project_feasible(v, cost, alpha))
 
 
 class TestPoissonClosedForms:
