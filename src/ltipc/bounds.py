@@ -36,7 +36,7 @@ from .channel import (
 )
 from .errors import ConvergenceError
 from .solver import (_COST_WINDOW, _ROOT_STEPS, _TINY, SolverConfig, _blahut, _capacity,
-                     _check_pmf, _cheapest_inputs, _Dense, _log0, _SlotFactors,
+                     _check_pmf, _cheapest_inputs, _log0, _SlotFactors,
                      _wlogw_rows, ba_capacity)
 
 
@@ -81,14 +81,15 @@ def block_sandwich_bounds(bspec: BlockChannelSpec,
     slot factors (solver._SlotFactors), so the dense matrix is not built.
     The factored products pass over the Λ^r grid of slot-index tuples, so
     the rare channel whose grid outsizes its dense matrix (many distinct
-    intensities, few counts) is solved on the matrix, within the same
-    byte budget.
+    intensities, few counts) is solved on the matrix (_SlotFactors.rows),
+    within the same byte budget.
     """
     table, index, tuples = _block_factors(bspec)
     k = bspec.base.impulse.order
     r = bspec.r
     n_grid, n_dense = table.shape[0] ** r, len(index) * table.shape[1] ** r
-    W = _SlotFactors(table, index) if n_grid <= n_dense else _Dense(_kron_rows(table, index))
+    W = (_SlotFactors(table, index) if n_grid <= n_dense
+         else _SlotFactors.rows(_kron_rows(table, index)))
     res = _capacity(W, tuples.mean(axis=1), bspec.base.alpha, config)
     upper = res.value / r
     return SandwichBound(
@@ -227,10 +228,10 @@ class _StationaryPolytope:
         return np.array(edges[V - level[v]:])
 
     def lp_max(self, g: np.ndarray):
-        """(key, law): a vertex maximizing g.p over the polytope, and an
-        exact name for it, a cycle's sorted edges or the pair of the two
-        cycles' keys for a budget mixture.  The same key always comes with
-        the same law, bit for bit.
+        """(cycles, law): a vertex maximizing g.p over the polytope, and
+        the cycles it mixes, a tuple of one or, for a budget mixture, two
+        cycles, each a tuple of its sorted edges.  The same cycles always
+        come with the same law, bit for bit.
 
         With cycle means g(C) and c(C), the maximum is
         min_{mu >= 0} max_C [g(C) - mu c(C)] + mu alpha.  If the best cycle
@@ -253,7 +254,7 @@ class _StationaryPolytope:
 
         hi = cycle(g)
         if hi[2] <= self.alpha:
-            return tuple(hi[0].tolist()), law(hi[0])
+            return (tuple(hi[0].tolist()),), law(hi[0])
         lo = cycle(-self.cost)
         for _ in range(_CYCLE_STEPS):
             mu = max((hi[1] - lo[1]) / (hi[2] - lo[2]), 0.0)
@@ -264,8 +265,8 @@ class _StationaryPolytope:
             tol = 1e-14 * (1.0 + float(np.abs(w).max()))
             if new[1] - mu * new[2] <= line + tol:
                 theta = (self.alpha - lo[2]) / (hi[2] - lo[2])
-                key = (tuple(hi[0].tolist()), tuple(lo[0].tolist()))
-                return key, theta * law(hi[0]) + (1.0 - theta) * law(lo[0])
+                cycles = (tuple(hi[0].tolist()), tuple(lo[0].tolist()))
+                return cycles, theta * law(hi[0]) + (1.0 - theta) * law(lo[0])
             if new[2] > self.alpha:
                 hi = new
             else:
@@ -387,8 +388,8 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
     """
     cycles = {}  # insertion-ordered set of cycles, each its sorted edges
 
-    def add(key):  # how many of key's cycles are new
-        new = [C for C in (key if isinstance(key[0], tuple) else (key,)) if C not in cycles]
+    def add(found):  # how many of the found cycles are new
+        new = [C for C in found if C not in cycles]
         cycles.update(dict.fromkeys(new))
         return len(new)
 
@@ -399,7 +400,7 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         V = np.zeros((len(cycles), polytope.n))
         for j, C in enumerate(cycles):
             V[j, list(C)] = 1.0 / len(C)
-        O, cost = _Dense(V @ W), V @ polytope.cost
+        O, cost = _SlotFactors.rows(V @ W), V @ polytope.cost
         keep, alpha = _cheapest_inputs(cost, polytope.alpha)
         keep &= O.reps(cost)
         try:
@@ -414,11 +415,11 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         iterations += its
         p = lam @ V[keep]
         f, g = _cmi_value_grad(W[None], wlogw_rows, p)
-        key, s = polytope.lp_max(g)
+        found, s = polytope.lp_max(g)
         gap = float(g @ (s - p))
         if gap <= config.tol:
             return p, f, gap, iterations
-        if not add(key):
+        if not add(found):
             break
     raise ConvergenceError(
         f"simplicial decomposition did not reach gap {config.tol} "

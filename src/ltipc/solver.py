@@ -35,8 +35,8 @@ discarded and BA goes on from its own iterate: the multiplicative update
 cannot revive an input the polish zeroed.
 
 Both see the channel only through p ↦ pW, v ↦ Wv, that Gram and the row
-terms Σ_y W log W: ``_Dense`` computes them from a matrix, ``_SlotFactors``
-from a block channel's slot factors without building its matrix.
+terms Σ_y W log W, all from ``_SlotFactors``: a block channel's slot
+factors, without its matrix, or a matrix as the one-slot case.
 """
 from __future__ import annotations
 
@@ -115,20 +115,58 @@ def _wlogw_rows(W: np.ndarray) -> np.ndarray:
     return t.sum(axis=1)
 
 
-class _Dense:
-    """A transition matrix W, seen through the four operations _blahut and
-    _kkt_polish use: p -> pW, v -> Wv, the support Gram W_S diag(1/q) W_Sᵀ
-    and the row terms sum_y W log W."""
+def _contract(a: np.ndarray, m: np.ndarray, r: int) -> np.ndarray:
+    """Contract the flat array a over its r axes, each of length m.shape[0],
+    with m, one matrix product per axis.  Each product moves its new axis to
+    the back, so after r of them the new axes are in their original order;
+    r = 1 is the plain product a @ m."""
+    if r == 1:
+        return a @ m
+    for _ in range(r):
+        a = a.reshape(m.shape[0], -1).T @ m
+    return a
 
-    def __init__(self, W: np.ndarray):
-        self.W, self.n = W, W.shape[0]
 
-    def take(self, keep: np.ndarray) -> "_Dense":
-        return _Dense(self.W[keep])
+class _SlotFactors:
+    """A channel seen through the four operations _blahut and _kkt_polish
+    use: p -> pW, v -> Wv, the support Gram W_S diag(1/q) W_Sᵀ and the row
+    terms sum_y W log W.
+
+    Row x is the np.kron of table[index[x, s]] over its r slots.  A block
+    channel comes from its factors (channel._block_factors), the table's Λ
+    distinct slot pmfs; a matrix is the one-slot case (rows).  The n x
+    (ymax+1)^r matrix is never built: pW scatters p onto the Λ^r grid of
+    slot-index tuples and contracts one slot axis at a time with the table;
+    Wv contracts v with the table's transpose and reads the grid at each
+    input's tuple; for r >= 2 the Gram does the same for one support row
+    W_a/q at a time; a row's sum W log W is the sum of its slots' terms.
+    """
+
+    def __init__(self, table: np.ndarray, index: np.ndarray):
+        self.table, self.index = table, index
+        self.n, self.r = index.shape
+        self.flat = np.ravel_multi_index(index.T, (table.shape[0],) * self.r)
+
+    @classmethod
+    def rows(cls, W: np.ndarray) -> "_SlotFactors":
+        """The matrix W with r = 1: the table holds W's distinct rows in
+        first-occurrence order, W itself when they all differ, and
+        index[x, 0] is row x's place in it."""
+        place = {}
+        index = np.array([place.setdefault(row.tobytes(), len(place)) for row in W])
+        if len(place) < len(W):
+            W = W[np.unique(index, return_index=True)[1]]
+        return cls(W, index[:, None])
+
+    def take(self, keep: np.ndarray) -> "_SlotFactors":
+        return _SlotFactors(self.table, self.index[keep])
 
     def reps(self, cost: np.ndarray) -> np.ndarray:
         """Mask of one representative, the cheapest member, of each group
-        of bit-identical rows.
+        of equal rows; lexsort is stable, so a cost tie keeps the lowest
+        input.  Inputs with equal slot indices have equal rows, and the
+        table's rows differ: distinct intensities give distinct pmfs, and
+        rows() keeps one copy of each row.
 
         Identical rows (windows filtering to the same intensity, or inputs
         the filter ignores) create flat optimal faces that stall the
@@ -137,64 +175,6 @@ class _Dense:
         mutual information and can only lower the cost, so some optimizer
         of the original problem lives on the representatives.
         """
-        groups = {}
-        for x, row in enumerate(self.W):
-            groups.setdefault(row.tobytes(), []).append(x)
-        reps = np.zeros(self.n, dtype=bool)
-        for members in groups.values():
-            reps[min(members, key=cost.__getitem__)] = True
-        return reps
-
-    def wlogw(self) -> np.ndarray:
-        return _wlogw_rows(self.W)
-
-    def pW(self, p: np.ndarray) -> np.ndarray:
-        return p @ self.W
-
-    def Wv(self, v: np.ndarray) -> np.ndarray:
-        return self.W @ v
-
-    def gram(self, on: np.ndarray, q: np.ndarray) -> np.ndarray:
-        X = self.W[on]  # H = X Xᵀ with X = W_S / √q, one W_S-sized copy
-        X /= np.sqrt(q)
-        return X @ X.T
-
-
-def _contract(a: np.ndarray, m: np.ndarray, r: int) -> np.ndarray:
-    """Contract the r leading axes of a, each of length m.shape[0], with m,
-    one matrix product per axis.  Each product moves its new axis to the
-    back, so after r of them the axes of a that were not contracted come
-    first, then the r new ones in their original order."""
-    for _ in range(r):
-        a = a.reshape(m.shape[0], -1).T @ m
-    return a
-
-
-class _SlotFactors:
-    """The block channel from its factors (channel._block_factors): row x is
-    the np.kron of table[index[x, s]] over its r slots, so it is fixed by
-    the table's Λ distinct slot pmfs and x's slot indices.
-
-    The four operations of _Dense, without the n x (ymax+1)^r matrix.  pW
-    scatters p onto the Λ^r grid of slot-index tuples and contracts one
-    slot axis at a time with the table; Wv contracts v with the table's
-    transpose and reads the grid at each input's tuple; the Gram does the
-    same for one support row W_a/q at a time; a row's sum W log W is the
-    sum of its slots' terms.
-    """
-
-    def __init__(self, table: np.ndarray, index: np.ndarray):
-        self.table, self.index = table, index
-        self.n, self.r = index.shape
-        self.flat = np.ravel_multi_index(index.T, (table.shape[0],) * self.r)
-
-    def take(self, keep: np.ndarray) -> "_SlotFactors":
-        return _SlotFactors(self.table, self.index[keep])
-
-    def reps(self, cost: np.ndarray) -> np.ndarray:
-        """_Dense.reps for the factored rows: inputs with equal slot indices
-        have equal rows, and distinct intensities give distinct pmfs.
-        lexsort is stable, so a cost tie keeps the lowest input."""
         order = np.lexsort((cost, self.flat))
         first = np.unique(self.flat[order], return_index=True)[1]
         reps = np.zeros(self.n, dtype=bool)
@@ -212,6 +192,10 @@ class _SlotFactors:
         return _contract(v, self.table.T, self.r).ravel()[self.flat]
 
     def gram(self, on: np.ndarray, q: np.ndarray) -> np.ndarray:
+        if self.r == 1:  # H = X Xᵀ with X = W_S / √q, a copy no larger than W
+            X = self.table[self.flat[on]]
+            X /= np.sqrt(q)
+            return X @ X.T
         index, flat = self.index[on], self.flat[on]
         H = np.empty((flat.size, flat.size))
         for a in range(flat.size):  # row a is W_S (W_a / q): one W-row temporary
@@ -239,19 +223,18 @@ def _tilt(a: np.ndarray, cost: np.ndarray, s: float) -> np.ndarray:
     return w
 
 
-def _budget_search(law, slope, a: np.ndarray, cost: np.ndarray, alpha: float | None,
-                   t: float = 0.0):
-    """Smallest multiplier t >= 0 whose law(a, cost, t) has mean cost
-    <= alpha, and that law.
+def _budget_search(a: np.ndarray, cost: np.ndarray, alpha: float | None, t: float = 0.0):
+    """Smallest multiplier t >= 0 whose tilt _tilt(a, cost, t) has mean
+    cost <= alpha, and that law.
 
-    The law's mean cost m(t) is non-increasing in t, and slope(w, cost, m)
-    is −m'(t) at w = law(a, cost, t).  Newton steps from the warm start t
-    aim at the middle of the window [alpha − w, alpha] and are kept inside
-    the bracket [lo, hi] (bisection, or doubling while no t is known to meet
-    the budget).  The returned law is the one at hi, so its mean cost, as
+    The tilt's mean cost m(t) is non-increasing in t, and −m'(t) is its
+    cost variance w.(c − m)².  Newton steps from the warm start t aim at the
+    middle of the window [alpha − w, alpha] and are kept inside the bracket
+    [lo, hi] (bisection, or doubling while no t is known to meet the
+    budget).  The returned law is the one at hi, so its mean cost, as
     computed, is at most alpha.
     """
-    w = law(a, cost, 0.0)
+    w = _tilt(a, cost, 0.0)
     if alpha is None:
         return 0.0, w
     m = float(w @ cost)
@@ -260,7 +243,7 @@ def _budget_search(law, slope, a: np.ndarray, cost: np.ndarray, alpha: float | N
     window = _COST_WINDOW * float(np.max(np.abs(cost)))
     lo, hi, w_hi = 0.0, np.inf, None
     if t > 0:
-        w = law(a, cost, t)
+        w = _tilt(a, cost, t)
         m = float(w @ cost)
     for _ in range(_ROOT_STEPS):
         if m > alpha:
@@ -269,22 +252,17 @@ def _budget_search(law, slope, a: np.ndarray, cost: np.ndarray, alpha: float | N
             hi, w_hi = t, w
             if m >= alpha - window or hi - lo <= 4e-16 * hi:
                 return hi, w_hi
-        d = slope(w, cost, m)
+        d = float(w @ (cost - m) ** 2)
         t = t + (m - alpha + 0.5 * window) / d if d > 0 else np.inf
         if not lo < t < hi:
             t = 0.5 * (lo + hi) if np.isfinite(hi) else max(2.0 * lo, 1.0)
-        w = law(a, cost, t)
+        w = _tilt(a, cost, t)
         m = float(w @ cost)
     if w_hi is None:
         raise ConvergenceError(
             f"no cost multiplier meets the budget alpha={alpha} "
             f"(mean cost {m:.6g} at s={t:.3e})", gap=np.inf, iterations=0)
     return hi, w_hi
-
-
-def _tilt_slope(w: np.ndarray, cost: np.ndarray, m: float) -> float:
-    """−d/dt of the tilt's mean cost m: the cost variance Var_t(c)."""
-    return float(w @ (cost - m) ** 2)
 
 
 def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
@@ -306,13 +284,13 @@ def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
 
 def _blahut(W, cost: np.ndarray, alpha: float | None,
             tol: float, max_iters: int, wlogw: np.ndarray | None = None):
-    """Blahut-Arimoto with an optional budget on the rows W (_Dense or
-    _SlotFactors), from the feasible tilt of the uniform law, on the
-    objective p.wlogw - H(pW), which is I(p) when wlogw is W's own.  Returns
+    """Blahut-Arimoto with an optional budget on the rows W (_SlotFactors),
+    from the feasible tilt of the uniform law, on the objective
+    p.wlogw - H(pW), which is I(p) when wlogw is W's own.  Returns
     (p, iterations, dual gap, history of the objective)."""
     if wlogw is None:
         wlogw = W.wlogw()
-    s, p = _budget_search(_tilt, _tilt_slope, np.zeros(W.n), cost, alpha)
+    s, p = _budget_search(np.zeros(W.n), cost, alpha)
     history = []
     gap = np.inf
     next_polish = _FIRST_POLISH
@@ -321,7 +299,7 @@ def _blahut(W, cost: np.ndarray, alpha: float | None,
             d = wlogw - W.Wv(np.log(np.maximum(W.pW(p), _TINY)))
             f = float(p @ d)
             history.append(f)
-            s, p_next = _budget_search(_tilt, _tilt_slope, np.log(p) + d, cost, alpha, s)
+            s, p_next = _budget_search(np.log(p) + d, cost, alpha, s)
             gap = float(np.max(d - s * cost)) + s * alpha - f if s else float(d.max()) - f
             if gap <= tol:
                 return p, it, gap, history
@@ -406,12 +384,12 @@ def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
     as computed (achieved_cost <= alpha), and value + gap is a certified
     upper bound on the optimum.
     """
-    return _capacity(_Dense(channel.transition), channel.cost, alpha, config)
+    return _capacity(_SlotFactors.rows(channel.transition), channel.cost, alpha, config)
 
 
 def _capacity(W, cost: np.ndarray, alpha: float | None,
               config: SolverConfig) -> CapacityResult:
-    """ba_capacity on the rows W, _Dense or _SlotFactors."""
+    """ba_capacity on the rows W (_SlotFactors)."""
     keep, alpha = _cheapest_inputs(cost, alpha)
     keep &= W.reps(cost)
     if not keep.all():

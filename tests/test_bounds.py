@@ -330,7 +330,7 @@ class TestStationaryBounds:
 
 class TestCycleOracle:
     """_StationaryPolytope.lp_max against HiGHS on the same linear program;
-    its key names the returned law exactly."""
+    the cycles it returns name the returned law exactly."""
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -348,10 +348,12 @@ class TestCycleOracle:
             alpha = (0.0, amax, rng.uniform(0.0, amax))[trial % 3]
             poly = _StationaryPolytope(cost, m, k, alpha)
             g = rng.normal(size=n)
-            key, p = poly.lp_max(g)
-            key_again, p_again = poly.lp_max(g)
-            assert key_again == key
+            cycles, p = poly.lp_max(g)
+            cycles_again, p_again = poly.lp_max(g)
+            assert cycles_again == cycles
             assert p_again.tobytes() == p.tobytes()
+            assert len(cycles) in (1, 2) and all(list(C) == sorted(C) for C in cycles)
+            assert set(np.flatnonzero(p)) <= {t for C in cycles for t in C}
             ref = linprog(-g, A_eq=A_eq, b_eq=b_eq, A_ub=cost[None], b_ub=[alpha],
                           bounds=(0, None), method="highs")
             assert ref.success

@@ -8,7 +8,7 @@ from scipy.special import rel_entr
 
 import ltipc as lp
 from ltipc.channel import _block_factors
-from ltipc.solver import _Dense, _SlotFactors
+from ltipc.solver import _SlotFactors
 
 from helpers import bsc, grid_search_capacity, small_corpus
 
@@ -307,10 +307,21 @@ def _close(got, want, rel=1e-13):
     return np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
+def _reps_by_row_bytes(W, cost):
+    """Mask of the cheapest member, the lowest input on a cost tie, of each
+    group of bit-identical rows of W."""
+    groups = {}
+    for x, row in enumerate(W):
+        groups.setdefault(row.tobytes(), []).append(x)
+    reps = np.zeros(len(W), dtype=bool)
+    for members in groups.values():
+        reps[min(members, key=cost.__getitem__)] = True
+    return reps
+
+
 class TestSlotFactors:
-    """Block channels solved from their slot factors (_SlotFactors) against
-    the dense matrix build_block_channel multiplies out of the same
-    factors."""
+    """Channels seen through _SlotFactors, from a block channel's slot
+    factors or from a matrix (rows), against plain NumPy on the matrix."""
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize("taps", [(0.8,), (0.6, 0.0), (0.7, 0.3), (0.5, 0.3, 0.0),
@@ -322,17 +333,56 @@ class TestSlotFactors:
         bspec = _block_spec(taps, 1.0, 4.0, 2.0, 3 if r < 3 else 2, r)
         table, index, _ = _block_factors(bspec)
         ch = lp.build_block_channel(bspec)
-        factors, dense = _SlotFactors(table, index), _Dense(ch.transition)
+        W, factors = ch.transition, _SlotFactors(table, index)
         rng = np.random.default_rng(len(taps) * 10 + r)
         p = rng.dirichlet(np.ones(ch.n_inputs))
         v = rng.normal(size=ch.n_outputs)
         on = rng.random(ch.n_inputs) < 0.6
-        q = dense.pW(p)
+        q = p @ W
         assert _close(factors.pW(p), q)
-        assert _close(factors.Wv(v), dense.Wv(v))
-        assert _close(factors.gram(on, q), dense.gram(on, q))
-        assert _close(factors.wlogw(), dense.wlogw())
-        np.testing.assert_array_equal(factors.reps(ch.cost), dense.reps(ch.cost))
+        assert _close(factors.Wv(v), W @ v)
+        assert _close(factors.gram(on, q), (W[on] / q) @ W[on].T)
+        assert _close(factors.wlogw(), rel_entr(W, 1.0).sum(axis=1))
+        np.testing.assert_array_equal(factors.reps(ch.cost), _reps_by_row_bytes(W, ch.cost))
+
+    def test_rows_merge_duplicates_onto_the_cheapest(self):
+        """rows() tables a matrix's distinct rows in first-occurrence order;
+        bit-identical rows share an index, and reps keeps the cheapest of
+        each group, the lowest input on a cost tie.  After take, the
+        operations are those of the kept rows."""
+        rng = np.random.default_rng(5)
+        A, B, C = rng.dirichlet(np.ones(6), size=3)
+        W = np.array([A, B, A, C, B, A, B])
+        cost = np.array([2.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.5])
+        factors = _SlotFactors.rows(W)
+        np.testing.assert_array_equal(factors.table, [A, B, C])
+        np.testing.assert_array_equal(factors.index[:, 0], [0, 1, 0, 2, 1, 0, 1])
+        reps = factors.reps(cost)
+        np.testing.assert_array_equal(reps, [False, False, True, True, False, False, True])
+        np.testing.assert_array_equal(reps, _reps_by_row_bytes(W, cost))
+        kept = factors.take(reps)
+        assert kept.table is factors.table
+        p = np.array([0.2, 0.5, 0.3])
+        v = rng.normal(size=6)
+        assert _close(kept.pW(p), p @ W[reps])
+        assert _close(kept.Wv(v), W[reps] @ v)
+        assert _close(kept.wlogw(), rel_entr(W[reps], 1.0).sum(axis=1))
+
+    def test_rows_all_distinct_is_the_matrix(self):
+        """With every row distinct, the table is W itself, not a copy."""
+        W = np.random.default_rng(6).dirichlet(np.ones(5), size=8)
+        factors = _SlotFactors.rows(W)
+        assert factors.table is W
+        np.testing.assert_array_equal(factors.index[:, 0], np.arange(8))
+
+    def test_rows_gram_is_x_xt(self):
+        """The one-slot Gram is X Xᵀ with X = W_S / √q, bit for bit."""
+        rng = np.random.default_rng(7)
+        W = rng.dirichlet(np.ones(9), size=12)
+        on = rng.random(12) < 0.6
+        q = rng.dirichlet(np.ones(12)) @ W
+        X = W[on] / np.sqrt(q)
+        np.testing.assert_array_equal(_SlotFactors.rows(W).gram(on, q), X @ X.T)
 
     @pytest.mark.parametrize("taps, lambda0, amax, alpha, grid, rs", [
         ((0.7, 0.3), 5.0, 40.0, 5.0, 3, (1, 2)),
