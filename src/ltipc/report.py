@@ -78,27 +78,30 @@ def write_sweep_report(path, axis: str, values, columns: dict,
 
 def write_trace(prefix, trace, inst_hash: str, config_desc: str):
     """Two tables: <prefix>.inputs.csv and <prefix>.outputs.csv, holding
-    the rows of trace.input_rows() and trace.output_rows()."""
+    the rows of trace.input_rows() and trace.output_rows().
+
+    A trial's text is built by one join, plus one %-format for its counts:
+    the text after "trial," of each input row is the same in every trial,
+    and so is the "slot,rx_id," of each output row, so the trial number
+    goes in the join's separator."""
     n_trials, n_rx, n_slots = trace.outputs.shape
-    # The text after "trial," of each input row is the same in every trial,
-    # and so is the "slot,rx_id," of each output row.
     inputs = [f"{slot},{tx},{fmt(x)}" for tx, row in enumerate(trace.inputs.tolist())
               for slot, x in enumerate(row)]
     keys = [f"{slot},{rx}," for rx in range(n_rx) for slot in range(n_slots)]
     outputs = trace.outputs.reshape(n_trials, -1)
     tables = (
         ("inputs", "trial,slot,tx_id,x",
-         lambda trial: (f"{trial},{rest}\n" for rest in inputs)),
+         lambda t: f"{t}," + f"\n{t},".join(inputs) + "\n"),
         ("outputs", "trial,slot,rx_id,y",
-         lambda trial: (f"{trial},{key}{y}\n" for key, y in zip(keys, outputs[trial].tolist()))),
+         lambda t: (f"{t}," + f"%d\n{t},".join(keys) + "%d\n") % tuple(outputs[t].tolist())),
     )
     paths = []
-    for name, header, trial_rows in tables:
+    for name, header, trial_text in tables:
         path = f"{prefix}.{name}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"{provenance_line(inst_hash, config_desc)}\n{header}\n")
             for trial in range(n_trials):
-                fh.write("".join(trial_rows(trial)))
+                fh.write(trial_text(trial))
         paths.append(path)
     return tuple(paths)
 

@@ -29,13 +29,14 @@ from .solver import _check_pmf, _log0
 _INVERSION_CUTOFF = 30.0
 _ROUND = 16  # fewest proposals in an Atkinson round
 # Atkinson groups of at most _SMALL slots have their first rounds evaluated
-# ahead, up to _BATCH groups at once.  The sampler accepts about 65% of its
-# proposals at intensity 30, and more above, so a first round of 16 fills a
-# group of 8 with probability above 0.93, one of 12 below 0.31.  A trial's
+# ahead, up to _BATCH groups at once.  The sampler accepts about _ACCEPT of
+# its proposals at intensity 30, and more above, so a first round of 16 fills
+# a group of 8 with probability above 0.93, one of 12 below 0.31.  A trial's
 # pass is redone from the first group it does not fill, so _BATCH bounds the
 # work it wastes.
 _SMALL = 8
 _BATCH = 64
+_ACCEPT = 0.65
 _TABLE_ENTRIES = 1 << 15  # cap on the Atkinson proposals one pass holds
 
 # Stream tags keep the trial substreams of different operations disjoint.
@@ -177,11 +178,18 @@ class _Atkinson:
     uniforms, and no more than that is read ahead per group, so all that a
     trial reads ahead gets used.  Its generator therefore ends where drawing
     each group in turn leaves it.
+
+    The accept test of those first rounds is evaluated on their heads, then
+    on the rest of a round only where its head leaves the group open:
+    proposals after the last one a group keeps never change its counts.  A
+    head is as many proposals as the pass's smallest group needs at the
+    lowest acceptance rate, _ACCEPT, plus one; one width for the pass keeps
+    the heads one block.
     """
 
     def __init__(self, start: np.ndarray, size: np.ndarray, lam: np.ndarray):
         self.size = size
-        self.start = start.tolist() + [int(start[-1] + size[-1])]  # and the end
+        self.start = np.append(start, start[-1] + size[-1])  # and the end
         self.consts = np.array(_atkinson_constants(lam))  # rows alpha, beta, k, log lam
         # run[g]: small groups from g to the next large one, at most _BATCH;
         # 0 at a large group and at the end.
@@ -214,9 +222,16 @@ class _Atkinson:
                              for t, k in zip(at.tolist(), m.tolist())]).reshape(-1, 2, _ROUND)
         first = m.cumsum() - m
         grp = (p - first).repeat(m) + np.arange(uv.shape[0])  # trial by trial, ascending
-        n, accept = _atkinson_proposals(uv[:, 0].copy(), uv[:, 1].copy(),
-                                        *self.consts[:, grp, None])
         size = self.size[grp]
+        h = math.ceil(int(size.min()) / _ACCEPT) + 1  # the head of every round
+        n = np.empty((grp.size, _ROUND))
+        accept = np.zeros((grp.size, _ROUND), dtype=bool)
+        n[:, :h], accept[:, :h] = _atkinson_proposals(
+            np.ascontiguousarray(uv[:, 0, :h]), np.ascontiguousarray(uv[:, 1, :h]),
+            *self.consts[:, grp, None])
+        rest = (np.count_nonzero(accept[:, :h], axis=1) < size).nonzero()[0]
+        n[rest, h:], accept[rest, h:] = _atkinson_proposals(
+            uv[rest, 0, h:], uv[rest, 1, h:], *self.consts[:, grp[rest], None])
         rank = accept.cumsum(axis=1)
         stop = np.minimum(np.minimum.reduceat(np.where(rank[:, -1] < size, grp, self.size.size),
                                               first), p + m)
@@ -231,32 +246,28 @@ class _Atkinson:
     def _rounds(self, streams, counts, pos, short) -> None:
         """Rounds in lockstep for every trial at a large group or at a small
         one marked short, until each has reached a small group or the end."""
-        at = ((pos < self.size.size) & (short | (self.run[pos] == 0))).nonzero()[0]
-        short[at] = False
-        rows = [(t, g, 0) for t, g in zip(at.tolist(), pos[at].tolist())]  # trial, group, drawn
-        sizes, run = self.size.tolist(), self.run.tolist()
-        while rows:
-            k = [max(sizes[g] - d, _ROUND) for _, g, d in rows]
+        t = ((pos < self.size.size) & (short | (self.run[pos] == 0))).nonzero()[0]
+        short[t] = False
+        g, d = pos[t], np.zeros(t.size, dtype=np.int64)  # each row's group, counts drawn
+        while t.size:
+            need = self.size[g] - d
+            k = np.maximum(need, _ROUND)
             # Zero-padded rows: a u of 0 is never accepted.
-            uv = np.zeros((2, len(rows), max(k)))
-            for r, ((t, _, _), kr) in enumerate(zip(rows, k)):
-                drawn = streams[t].take(2 * kr)
+            uv = np.zeros((2, t.size, int(k.max())))
+            for r, (tr, kr) in enumerate(zip(t.tolist(), k.tolist())):
+                drawn = streams[tr].take(2 * kr)
                 uv[0, r, :kr] = drawn[:kr]
                 uv[1, r, :kr] = drawn[kr:]
-            groups = [g for _, g, _ in rows]
-            n, accept = _atkinson_proposals(uv[0], uv[1], *self.consts[:, groups, None])
-            stay = []
-            for r, (t, g, d) in enumerate(rows):
-                drawn = n[r, accept[r]][: sizes[g] - d]
-                counts[t, self.start[g] + d: self.start[g] + d + drawn.size] = drawn
-                d += drawn.size
-                if d == sizes[g]:
-                    g, d = g + 1, 0
-                    if g == len(sizes) or run[g]:  # the end, or a small group
-                        pos[t] = g
-                        continue
-                stay.append((t, g, d))
-            rows = stay
+            n, accept = _atkinson_proposals(uv[0], uv[1], *self.consts[:, g, None])
+            rank = accept.cumsum(axis=1)
+            r, c = (accept & (rank <= need[:, None])).nonzero()
+            counts[t[r], self.start[g[r]] + d[r] + rank[r, c] - 1] = n[r, c]
+            d += np.minimum(rank[:, -1], need)
+            done = d == self.size[g]
+            g, d = g + done, np.where(done, 0, d)
+            leave = done & ((g == self.size.size) | (self.run[g] > 0))  # the end, or a small group
+            pos[t[leave]] = g[leave]
+            t, g, d = t[~leave], g[~leave], d[~leave]
 
 
 def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
@@ -318,13 +329,16 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
 
 def _draw_counts(lam: np.ndarray, sim: SimConfig, stream: int) -> np.ndarray:
     """Counts of shape trials x receivers x slots for the intensity rows lam
-    (receivers x slots).  Trial t draws from the (seed, (stream << 32) + t)
-    substream, one `poisson_draw` call per receiver, rx 0 first."""
+    (receivers x slots); with one receiver, a view of its draw.  Trial t
+    draws from the (seed, (stream << 32) + t) substream, one `poisson_draw`
+    call per receiver, rx 0 first."""
     (R, S), T = lam.shape, sim.n_trials
     _check_bytes(T * R * S * np.dtype(np.int64).itemsize,
                  f"the simulated counts need trials x receivers x slots = {T} x {R} x {S} = "
                  f"{T * R * S} int64 entries", "simulate fewer trials or slots (--values)")
     gens = [substream(sim.seed, (stream << 32) + trial) for trial in range(T)]
+    if R == 1:
+        return poisson_draw(gens, lam[0])[:, None, :]
     outputs = np.empty((T, R, S), dtype=np.int64)
     for j in range(R):
         outputs[:, j] = poisson_draw(gens, lam[j])
@@ -407,7 +421,12 @@ def _plugin_mi_jackknife(counts: np.ndarray):
 def plugin_mi_estimate(channel: DiscreteChannel, input_dist, n_samples: int,
                        seed: int) -> PluginMiEstimate:
     """Sample (x, y) pairs iid from p(x)W(y|x), return the mutual information
-    of the empirical joint histogram plus a jackknife standard error."""
+    of the empirical joint histogram plus a jackknife standard error.
+
+    The x are drawn by inversion of p's cdf, then the y of each x by
+    inversion of W(.|x)'s cdf: the samples are grouped by input with one
+    stable sort, and each input's y are searched and counted by bincount
+    into its row of the histogram."""
     p = _check_pmf(input_dist, channel.n_inputs)
     min_n = 10 * channel.n_inputs * channel.n_outputs
     if n_samples < min_n:
@@ -420,13 +439,15 @@ def plugin_mi_estimate(channel: DiscreteChannel, input_dist, n_samples: int,
     cum_w = np.cumsum(channel.transition, axis=1)
     cum_w[:, -1] = 1.0
     u = gen.random(n_samples)
-    ys = np.empty(n_samples, dtype=np.int64)
-    for xv in np.unique(xs):
-        mask = xs == xv
-        ys[mask] = np.searchsorted(cum_w[xv], u[mask], side="right")
-
-    counts = np.zeros((channel.n_inputs, channel.n_outputs), dtype=np.int64)
-    np.add.at(counts, (xs, ys), 1)
+    # Samples grouped by input, each group's y searched in its input's cdf
+    # and counted into its row.  The keys are cast to the narrowest integer
+    # type, which NumPy's stable sort radix-sorts up to 16 bits.
+    order = np.argsort(xs.astype(np.min_scalar_type(channel.n_inputs)), kind="stable")
+    bounds = np.searchsorted(xs[order], np.arange(channel.n_inputs + 1)).tolist()
+    counts = np.empty((channel.n_inputs, channel.n_outputs), dtype=np.int64)
+    for xv, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        ys = np.searchsorted(cum_w[xv], u[order[lo:hi]], side="right")
+        counts[xv] = np.bincount(ys, minlength=channel.n_outputs)
 
     mi, stderr = _plugin_mi_jackknife(counts)
     bias = (channel.n_inputs - 1) * (channel.n_outputs - 1) / (2.0 * n_samples)

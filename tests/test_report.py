@@ -78,10 +78,26 @@ class TestSandwichRows:
         assert rows[0].r == rows[1].r == 1
 
 
+def assert_trace_rows_written(trace, prefix):
+    """The data rows written are the trace's own row streams."""
+    paths = write_trace(prefix, trace, "abc123", "config: test")
+    expected = (
+        [f"{t},{s},{n},{fmt(float(v))}" for t, s, n, v in trace.input_rows()],
+        [f"{t},{s},{n},{y}" for t, s, n, y in trace.output_rows()],
+    )
+    for path, header, rows in zip(paths, ("trial,slot,tx_id,x", "trial,slot,rx_id,y"),
+                                  expected):
+        lines = open(path, encoding="utf-8").read().split("\n")
+        assert lines[0] == provenance_line("abc123", "config: test")
+        assert lines[1] == header
+        assert lines[2:] == rows + [""]
+
+
 class TestWriteTrace:
     def test_rows_match_trace_row_streams(self, tmp_path):
-        """The data rows written are the trace's own row streams, for a
-        network with more receivers than transmitters."""
+        """A network with more receivers than transmitters, over 12 trials,
+        so trial numbers of two digits sit in each trial's join separator,
+        and counts of two digits."""
         impulses = np.zeros((2, 3, 2))
         impulses[0, 0] = (0.6, 0.4)
         impulses[1, 1] = (1.0, 0.0)
@@ -89,15 +105,14 @@ class TestWriteTrace:
         net = lp.NetworkSpec(impulses=impulses, lambda0=2.0, amax=np.array([60.0, 60.0]),
                              alpha=np.array([10.0, 10.0]))
         x = np.vstack([np.resize([0.0, 60.0, 0.1], 7), np.resize([60.0, 1.0 / 3.0], 7)])
-        trace = lp.simulate_network(net, x, lp.SimConfig(seed=4, n_slots=7, n_trials=3))
-        paths = write_trace(tmp_path / "t", trace, "abc123", "config: test")
-        expected = (
-            [f"{t},{s},{n},{fmt(float(v))}" for t, s, n, v in trace.input_rows()],
-            [f"{t},{s},{n},{y}" for t, s, n, y in trace.output_rows()],
-        )
-        for path, header, rows in zip(paths, ("trial,slot,tx_id,x", "trial,slot,rx_id,y"),
-                                      expected):
-            lines = open(path, encoding="utf-8").read().split("\n")
-            assert lines[0] == provenance_line("abc123", "config: test")
-            assert lines[1] == header
-            assert lines[2:] == rows + [""]
+        trace = lp.simulate_network(net, x, lp.SimConfig(seed=4, n_slots=7, n_trials=12))
+        assert trace.outputs.max() >= 10
+        assert_trace_rows_written(trace, tmp_path / "t")
+
+    def test_one_slot_trace(self, tmp_path):
+        """One row per trial: the join has no separator to place."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((1.0,)), 40.0, 5.0, 1.0)
+        trace = lp.simulate_p2p(spec, np.array([2.5]), lp.SimConfig(seed=5, n_slots=1,
+                                                                     n_trials=11))
+        assert trace.outputs.shape == (11, 1, 1) and trace.outputs.max() >= 10
+        assert_trace_rows_written(trace, tmp_path / "t")

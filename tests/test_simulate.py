@@ -11,7 +11,9 @@ from scipy import stats
 
 import ltipc as lp
 from ltipc.channel import DEFAULT_ENTRY_BUDGET
-from ltipc.simulate import (_TABLE_ENTRIES, _inversion, _plugin_mi_jackknife, poisson_draw,
+import ltipc.simulate
+from ltipc.simulate import (_ROUND, _STREAM_PLUGIN, _TABLE_ENTRIES, _Atkinson,
+                            _atkinson_proposals, _inversion, _plugin_mi_jackknife, poisson_draw,
                             substream)
 from ltipc.solver import _TINY, _log0
 
@@ -174,6 +176,17 @@ def benchmark_waveforms():
     return 5.0 + np.convolve(iid, taps)[:128], 5.0 + np.convolve(ook, taps)[:256]
 
 
+def open_groups_waveform():
+    """Atkinson groups of 1-8 slots at intensities in [30, 31), where the
+    sampler accepts least, between groups of 9-40 slots, in [30, 31) and
+    above, which are drawn in rounds; 1,072 slots, shuffled."""
+    small = [(30.0 + i / 64, 1 + i % 8) for i in range(64)]
+    large = ([(30.0 + (2 * i + 1) / 64, 9 + i) for i in range(16)]
+             + [(40.0 + 3 * i, 9 + i) for i in range(16, 32)])
+    lam = np.concatenate([np.full(size, value) for value, size in small + large])
+    return np.random.default_rng(20141014).permutation(lam)
+
+
 class TestTrialBatch:
     @pytest.mark.parametrize("n_trials", [1, 3, 17])
     @pytest.mark.parametrize("lam", ARRAY_FORM_CASES)
@@ -216,6 +229,30 @@ class TestTrialBatch:
         for g in gens:
             h.update(g.random(8).tobytes())
         assert h.hexdigest() == digest
+
+    def test_open_groups_pinned(self, monkeypatch):
+        """Digest of 40 trials' draws and each generator's next 8 uniforms,
+        recorded before the accept test was evaluated head first.  A trial
+        is sent to rounds at a small group only when the group's whole first
+        round falls short, so a round the head leaves open is evaluated to
+        its end."""
+        rounds, sent = _Atkinson._rounds, []
+
+        def checked_rounds(self, streams, counts, pos, short):
+            for t in short.nonzero()[0].tolist():
+                # The trial's stream is at the group's first round.
+                uv = streams[t].peek(2 * _ROUND)
+                _, accept = _atkinson_proposals(uv[:_ROUND], uv[_ROUND:], *self.consts[:, pos[t]])
+                sent.append(np.count_nonzero(accept) < self.size[pos[t]])
+            rounds(self, streams, counts, pos, short)
+
+        monkeypatch.setattr(_Atkinson, "_rounds", checked_rounds)
+        gens = trial_generators(13, 40)
+        h = hashlib.sha256(poisson_draw(gens, open_groups_waveform()).astype(np.int64).tobytes())
+        for g in gens:
+            h.update(g.random(8).tobytes())
+        assert h.hexdigest() == "ac0c1a032070f9bd9d9f2091894498986c52af1f7b722d82d233e57f51f73cca"
+        assert sent and all(sent)
 
 
 def outputs_digest(trace):
@@ -460,6 +497,36 @@ class TestPluginMi:
         ref_value, ref_stderr = self.per_cell_jackknife(counts)
         assert abs(value - ref_value) <= 1e-13
         assert abs(stderr - ref_stderr) <= 1e-9 * ref_stderr
+
+    def test_nine_inputs_pinned(self, monkeypatch):
+        """value and stderr by float.hex on a 9-input Poisson channel,
+        recorded when samples were grouped by per-input masks and counted by
+        np.add.at; the histogram is checked against that construction."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((1.0,)), 5.0, 80.0, 40.0)
+        ch = lp.build_memoryless_channel(spec, lp.InputGrid(tuple(np.linspace(0.0, 80.0, 9))))
+        p, n = np.full(9, 1.0 / 9.0), 200_000
+        tables = []
+        monkeypatch.setattr(ltipc.simulate, "_plugin_mi_jackknife",
+                            lambda counts: tables.append(counts) or _plugin_mi_jackknife(counts))
+        est = lp.plugin_mi_estimate(ch, p, n, seed=31)
+        assert (est.value.hex(), est.stderr.hex()) == ("0x1.63601b32b4d94p+0",
+                                                       "0x1.b0bc62ecf9830p-10")
+        gen = substream(31, _STREAM_PLUGIN << 32)
+        cum_p = np.cumsum(p)
+        cum_p[-1] = 1.0
+        xs = np.searchsorted(cum_p, gen.random(n), side="right")
+        cum_w = np.cumsum(ch.transition, axis=1)
+        cum_w[:, -1] = 1.0
+        u = gen.random(n)
+        ys = np.empty(n, dtype=np.int64)
+        for xv in np.unique(xs):
+            mask = xs == xv
+            ys[mask] = np.searchsorted(cum_w[xv], u[mask], side="right")
+        expected = np.zeros((ch.n_inputs, ch.n_outputs), dtype=np.int64)
+        np.add.at(expected, (xs, ys), 1)
+        [counts] = tables
+        assert counts.shape == expected.shape
+        np.testing.assert_array_equal(counts, expected)
 
     def test_minimum_sample_guard(self):
         ch = lp.DiscreteChannel(np.eye(2), np.zeros(2), (0, 1))
