@@ -249,9 +249,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once: parse_args keeps no state between calls, and a fresh list
+# serves each call's --r.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         run = _load(args)
         rows = COMMANDS[args.command](run)
         if rows is not None:

@@ -19,20 +19,24 @@ whose first two terms bound the optimum from above for any p and any s ≥ 0,
 so ``value + gap`` certifies the grid capacity-cost value.
 
 When the optimal law gives some inputs weight 0, that gap decays only like
-O(1/t).  So at iterations 16, 32, 64, ... the loop hands its law to a
+O(1/t).  So at iterations 8, 16, 32, ... the loop hands its law to a
 Newton polish: an active-set Newton solve of the KKT system
 
     D_x(p) − s·c_x = ν on the support,  Σp = 1,  c·p = alpha (when s > 0),
 
 whose Jacobian is −H with H = W_S·diag(1/q)·W_Sᵀ, bordered by the two
-constraint rows.  A step that would make a weight negative stops at the
-boundary and drops that input, and the next step reuses its H on the smaller
-support; once Newton has converged on the support, the outside input with
-the largest D_x − s·c_x enters.  The polished law is kept only if s ≥ 0, the
-same dual gap over all inputs is at most tol, I(p) is no lower than BA's
-last value, and the law meets the budget as computed.  Otherwise it is
-discarded and BA goes on from its own iterate: the multiplicative update
-cannot revive an input the polish zeroed.
+constraint rows.  The polish starts from the inputs that BA's next update,
+to first order, does not shrink (score D_x − s·c_x at least the mean score)
+and the cheapest input, with their weights tilted to meet the budget.  A
+step that would make a weight negative stops at the boundary and drops that
+input, and the next step reuses its H on the smaller support.  After a full
+step the constraints hold, and the gap splits into the support's part and
+the outside inputs' excess over it; once the outside part is the larger,
+the outside input with the largest D_x − s·c_x enters.  The polished law is
+kept only if s ≥ 0, the same dual gap over all inputs is at most tol, I(p)
+is no lower than BA's last value, and the law meets the budget as computed.
+Otherwise it is discarded and BA goes on from its own iterate: the
+multiplicative update cannot revive an input the polish zeroed.
 
 Both see the channel only through p ↦ pW, v ↦ Wv, that Gram and the row
 terms Σ_y W log W, all from ``_SlotFactors``: a block channel's slot
@@ -44,13 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DiscreteChannel, _freeze, _kron_rows
+from .channel import DiscreteChannel, _freeze
 from .errors import ConvergenceError
 
 _TINY = 1e-300  # floor for logarithms; relative BA weights below it become zero
 _COST_WINDOW = 1e-14  # width of the accepted budget window, relative to max |cost|
 _ROOT_STEPS = 200  # multiplier-search steps; doubling alone reaches s = 2**199
-_FIRST_POLISH = 16  # BA iteration of the first Newton polish; then every doubling
+_FIRST_POLISH = 8  # BA iteration of the first Newton polish; then every doubling
 _NEWTON_STEPS = 20  # polish steps beyond one ratio-test drop per input
 
 
@@ -138,8 +142,14 @@ class _SlotFactors:
     (ymax+1)^r matrix is never built: pW scatters p onto the Λ^r grid of
     slot-index tuples and contracts one slot axis at a time with the table;
     Wv contracts v with the table's transpose and reads the grid at each
-    input's tuple; for r >= 2 the Gram does the same for one support row
-    W_a/q at a time; a row's sum W log W is the sum of its slots' terms.
+    input's tuple; a row's sum W log W is the sum of its slots' terms.
+
+    For r >= 2 the Gram walks the tree of the support's slot-index
+    prefixes.  A node a_1..a_j holds 1/q contracted over its first j slot
+    axes with the pair tables T[a_t]·T[u] for every u, one GEMM per node;
+    the last slot is done for all of a node's children at once, read at the
+    support's own tuples.  The walk holds one node per depth, at most Λ^j
+    (ymax+1)^(r-j) entries each, and no W row.
     """
 
     def __init__(self, table: np.ndarray, index: np.ndarray):
@@ -151,12 +161,20 @@ class _SlotFactors:
     def rows(cls, W: np.ndarray) -> "_SlotFactors":
         """The matrix W with r = 1: the table holds W's distinct rows in
         first-occurrence order, W itself when they all differ, and
-        index[x, 0] is row x's place in it."""
-        place = {}
-        index = np.array([place.setdefault(row.tobytes(), len(place)) for row in W])
-        if len(place) < len(W):
-            W = W[np.unique(index, return_index=True)[1]]
-        return cls(W, index[:, None])
+        index[x, 0] is row x's place in it.  Rows are grouped by a hash of
+        their bytes and compared within a group, so no copy of W is held."""
+        groups, first, index = {}, [], []  # hash -> places; place -> row
+        for row in W:
+            places = groups.setdefault(hash(row.tobytes()), [])
+            j = next((j for j in places if np.array_equal(W[first[j]], row)), None)
+            if j is None:
+                j = len(first)
+                places.append(j)
+                first.append(len(index))
+            index.append(j)
+        if len(first) < len(W):
+            W = W[first]
+        return cls(W, np.array(index)[:, None])
 
     def take(self, keep: np.ndarray) -> "_SlotFactors":
         return _SlotFactors(self.table, self.index[keep])
@@ -196,12 +214,30 @@ class _SlotFactors:
             X = self.table[self.flat[on]]
             X /= np.sqrt(q)
             return X @ X.T
+        T, (n_slot, n_out) = self.table, self.table.shape
         index, flat = self.index[on], self.flat[on]
         H = np.empty((flat.size, flat.size))
-        for a in range(flat.size):  # row a is W_S (W_a / q): one W-row temporary
-            x = _kron_rows(self.table, index[a:a + 1]).ravel()
-            x /= q
-            H[a] = _contract(x, self.table.T, self.r).ravel()[flat]
+        head = flat // n_slot  # each support row's first r − 1 slot indices, raveled
+        last = T[index[:, -1]]
+
+        def walk(G, depth, rows):
+            """G holds Σ over y_1..y_depth of Π T[a_t, y_t] T[u_t, y_t] / q
+            for the rows' common prefix a_1..a_depth, with axes
+            (y_depth+1, ..., y_r, u_1, ..., u_depth)."""
+            G = G.reshape(n_out, -1)
+            if depth == self.r - 1:  # the last slot for all children at once
+                M = G[:, head].T
+                M *= last
+                H[rows] = T[index[rows, -1]] @ M.T
+                return
+            slot = index[rows, depth]
+            # One GEMM per child a, with the pair table T[a]·T[u]; bincount
+            # lists the distinct slot indices without np.unique's import of
+            # numpy.ma.
+            for a in np.flatnonzero(np.bincount(slot)):
+                walk(G.T @ (T * T[a]).T, depth + 1, rows[slot == a])
+
+        walk(1.0 / q, 0, np.arange(flat.size))
         return H
 
 
@@ -305,7 +341,7 @@ def _blahut(W, cost: np.ndarray, alpha: float | None,
                 return p, it, gap, history
             if it == next_polish and it < max_iters:
                 next_polish *= 2
-                polished = _kkt_polish(W, wlogw, cost, alpha, p, s, f, tol)
+                polished = _kkt_polish(W, wlogw, cost, alpha, p, d, s, f, tol)
                 if polished is not None:
                     p, f, gap = polished
                     history.append(f)
@@ -317,19 +353,26 @@ def _blahut(W, cost: np.ndarray, alpha: float | None,
 
 
 def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
-                p: np.ndarray, s: float, floor: float, tol: float):
-    """Active-set Newton solve of the KKT system from BA's law p and
-    multiplier s (see the module docstring).  Returns (law, I(law), gap) when
-    the law passes the acceptance test, with floor as BA's last I(p_t);
-    otherwise None."""
+                p: np.ndarray, d: np.ndarray, s: float, floor: float, tol: float):
+    """Active-set Newton solve of the KKT system from BA's law p, its row
+    divergences d and multiplier s (see the module docstring).  Returns
+    (law, I(law), gap) when the law passes the acceptance test, with floor
+    as BA's last I(p_t); otherwise None."""
     budget = s > 0
     # Right-hand sides of Σp = 1 and, with a budget, c·p = the middle of
     # _budget_search's window, so that the law meets the budget as computed.
     b = np.array([1.0, alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))]
                  if budget else [1.0])
-    on = p > 0
-    p = p.copy()
-    dropped = False
+    # Start from the inputs that BA's next update, to first order, does not
+    # shrink: those whose score g = d − s·c is at least the mean score p·g.
+    # The cheapest input joins them, at weight _TINY or more, so that their
+    # tilt can meet the budget.
+    g = d - s * cost
+    on = g >= p @ g
+    if alpha is not None:
+        on[np.argmin(cost)] = True
+    p = _budget_search(np.where(on, np.log(np.maximum(p, _TINY)), -np.inf), cost, alpha, s)[1]
+    dropped = full = False  # full: the last step was a full Newton step
     for _ in range(W.n + _NEWTON_STEPS):
         q = np.maximum(W.pW(p), _TINY)
         d = wlogw - W.Wv(np.log(q))
@@ -341,21 +384,28 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
             if s >= 0 and f >= floor and (alpha is None or float(p @ cost) <= alpha):
                 return p, f, gap
             return None
-        if float(g[on].max()) + shift - f <= tol:  # converged on the support
+        # After a full step p meets the constraints, so the gap is the
+        # support's part plus the outside inputs' excess over it.  Once the
+        # outside part is the larger, its largest input enters.
+        if full and 2.0 * (float(g[on].max()) + shift - f) <= gap:
             on[np.argmax(np.where(on, -np.inf, g))] = True
-            dropped = False
         # Building H costs |S|²·|outputs|, so after a boundary step, which
         # drops one input, the next step reuses H on the smaller support.
         H = H[np.ix_(on[idx], on[idx])] if dropped else W.gram(on, q)
         idx = np.flatnonzero(on)
-        A = np.vstack([np.ones(idx.size), cost[idx]]) if budget else np.ones((1, idx.size))
-        K = np.block([[H, A.T], [A, np.zeros((b.size, b.size))]])
-        rhs = np.concatenate([d[idx], b - A @ p[idx]])
+        m = idx.size
+        K = np.zeros((m + b.size, m + b.size))  # H bordered by the constraint rows
+        K[:m, :m] = H
+        K[m, :m] = 1.0
+        if budget:
+            K[m + 1, :m] = cost[idx]
+        K[:m, m:] = K[m:, :m].T
+        rhs = np.concatenate([d[idx], b - K[m:, :m] @ p[idx]])
         try:
             sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             return None
-        dp = sol[:idx.size]
+        dp = sol[:m]
         shrink = dp < 0
         ratios = -p[idx][shrink] / dp[shrink]
         t = min(1.0, float(ratios.min())) if ratios.size else 1.0
@@ -363,6 +413,7 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
         if budget:
             s += t * (sol[-1] - s)
         dropped = t < 1.0
+        full = not dropped
         if dropped:  # the ratio test stopped at the boundary: drop that input
             drop = idx[shrink][np.argmin(ratios)]
             p[drop] = 0.0

@@ -117,6 +117,20 @@ class TestBoundsCommand:
 
         assert strip_wallclock(out1) == strip_wallclock(out2)
 
+    def test_calls_in_one_process_share_no_state(self, isi_instance, tmp_path, capsys):
+        """main reuses one parser: a call with --r 1 --r 2, a usage error and
+        a call without --r, in that order, each parse their own arguments,
+        so the last solves only the default r = 1."""
+        both, bad, one = (str(tmp_path / f"{n}.csv") for n in ("both", "bad", "one"))
+        assert main(["bounds", "--instance", isi_instance, "--out", both,
+                     "--r", "1", "--r", "2"]) == 0
+        assert main(["bounds", "--instance", isi_instance, "--out", bad, "--r", "x"]) == 1
+        assert "LTIPC-ERROR invalid-input:" in capsys.readouterr().err
+        assert main(["bounds", "--instance", isi_instance, "--out", one]) == 0
+        assert [r["r"] for r in read_report(both)[1]] == ["1", "1", "2", "2"]
+        assert [r["r"] for r in read_report(one)[1]] == ["1", "1"]
+        assert not os.path.exists(bad)
+
 
 class TestSymklCommand:
     def test_closed_form_row_for_memoryless(self, memoryless_instance, tmp_path):

@@ -107,15 +107,7 @@ class TestBaCapacity:
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 1.0, 10.0, 5.0)
         ch = lp.build_block_channel(lp.BlockChannelSpec(spec, lp.InputGrid.uniform(10.0, 2), r=3))
         assert ch.transition.shape == (16, 59_319)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            lp.ba_capacity(ch, alpha=5.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 1.5 * ch.transition.nbytes
+        assert _traced_peak(lambda: lp.ba_capacity(ch, alpha=5.0)) < 1.5 * ch.transition.nbytes
 
     def test_running_objective_monotone(self, poisson9):
         res = lp.ba_capacity(poisson9)
@@ -297,6 +289,29 @@ class TestNewtonPolish:
             res = lp.ba_capacity(_block_channel(taps, lambda0, amax, alpha, 3, r), alpha=alpha)
             assert abs(res.value - expected) <= 1e-9
 
+    def test_many_collinear_rows_certified_early(self):
+        """343 inputs, 84 outputs (k = 2, grid 7) and 8 inputs in the
+        optimal support: started from BA's whole support, the polish's adds
+        and drops alternated until each attempt hit its step cap, and BA
+        finished alone after thousands of iterations."""
+        ch = _block_channel((0.4874, 0.2245, 0.2881), 0.9117, 37.0572, 18.759, 7)
+        res = lp.ba_capacity(ch, alpha=18.759)
+        assert res.iterations <= 65
+        assert res.gap <= 1e-9
+        assert abs(res.value - 1.2493686798253196) <= 1e-9
+
+
+def _traced_peak(fn) -> int:
+    """Bytes fn() allocates at its peak above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
 
 def _block_spec(taps, lambda0, amax, alpha, grid, r):
     spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lambda0, amax, alpha)
@@ -384,6 +399,31 @@ class TestSlotFactors:
         X = W[on] / np.sqrt(q)
         np.testing.assert_array_equal(_SlotFactors.rows(W).gram(on, q), X @ X.T)
 
+    def test_rows_hold_no_copy_of_the_matrix(self):
+        """Tabling the 16 x 59,319 on-off block matrix (7.6 MB) peaks at
+        under a tenth of it: rows are grouped by hash, not by their bytes."""
+        W = lp.build_block_channel(_block_spec((0.7, 0.3), 1.0, 10.0, 5.0, 2, 3)).transition
+        _SlotFactors.rows(W)
+        assert _traced_peak(lambda: _SlotFactors.rows(W)) <= 0.1 * W.nbytes
+
+    @pytest.mark.parametrize("instance, size, bound", [
+        (((0.7, 0.3), 1.0, 10.0, 5.0, 2, 3), None, 0.15),
+        (((0.7, 0.3), 5.0, 40.0, 5.0, 9, 2), 200, 0.1),
+    ], ids=["on-off-r3-full", "readme-r2-200"])
+    def test_gram_peak_memory(self, instance, size, bound):
+        """The factored Gram's peak, as a share of the dense block matrix W:
+        the on-off r = 3 channel over its whole support, and README's r = 2
+        channel (729 x 9,025) over 200 of its inputs."""
+        table, index, _ = _block_factors(_block_spec(*instance))
+        factors = _SlotFactors(table, index)
+        nbytes = factors.n * table.shape[1] ** factors.r * np.dtype(np.float64).itemsize
+        rng = np.random.default_rng(8)
+        q = factors.pW(rng.dirichlet(np.ones(factors.n)))
+        on = np.zeros(factors.n, dtype=bool)
+        on[rng.permutation(factors.n)[:size]] = True
+        factors.gram(on, q)
+        assert _traced_peak(lambda: factors.gram(on, q)) <= bound * nbytes
+
     @pytest.mark.parametrize("taps, lambda0, amax, alpha, grid, rs", [
         ((0.7, 0.3), 5.0, 40.0, 5.0, 3, (1, 2)),
         ((0.8, 0.2), 2.0, 24.0, 14.0, 3, (1, 2)),
@@ -422,12 +462,4 @@ class TestSlotFactors:
         bspec = _block_spec((0.7, 0.3), 1.0, 10.0, 5.0, 2, 3)
         nbytes = 16 * 59_319 * np.dtype(np.float64).itemsize
         lp.block_sandwich_bounds(bspec)  # warm the caches of the modules it calls
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            lp.block_sandwich_bounds(bspec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before <= 0.5 * nbytes
+        assert _traced_peak(lambda: lp.block_sandwich_bounds(bspec)) <= 0.5 * nbytes
