@@ -306,10 +306,16 @@ def _barrier_lower(Wr, wlogw_rows, polytope: _StationaryPolytope,
     c.p + r = alpha; the budget's slack r is an unknown of its own.  Every
     iterate is strictly positive, so every prefix group keeps mass.
 
-    After each centring g = grad f is priced over the whole polytope: the run
-    returns (p, f, gap, Newton steps) once gap = g.(lp_max(g) - p) <= tol.
-    On the central path the gap is at most (n + 1) tau, so tau stops
-    shrinking below tol / (n + 1).  ConvergenceError carries the last gap.
+    tau is cut once the Newton decrement is at most max(tol, tau): the
+    central point for tau is itself (n + 1) tau from the optimum, so
+    centring closer than tau is wasted (B&V 11.3.1: centring need not be
+    exact).  Only at a decrement of at most tol is g = grad f priced over
+    the whole polytope: the run returns (p, f, gap, Newton steps) once
+    gap = g.(lp_max(g) - p) <= tol.  On the central path the gap is at most
+    (n + 1) tau, so tau stops shrinking below tol / (n + 1).  A step of
+    decrement at most tol skips the line search's slope test, which would
+    compare rounding against rounding there.  ConvergenceError carries the
+    last gap.
     """
     n, V = polytope.n, polytope.n_nodes
     size = n + V + 2  # unknowns (p, r), then V + 1 multipliers
@@ -334,39 +340,44 @@ def _barrier_lower(Wr, wlogw_rows, polytope: _StationaryPolytope,
     diag, blocks = np.arange(n + 1), np.arange(n).reshape(Wr.shape[:2])
     tau, gap = _TAU_START, np.inf
 
-    def newton(z, g):  # the step that also closes A z = b, and its decrement
+    def newton(z, g, hess):  # the step that also closes A z = b, and its decrement
         H[:] = 0.0
-        H[blocks[:, :, None], blocks[:, None, :]] = _cmi_hessian(Wr, z[:n])
+        H[blocks[:, :, None], blocks[:, None, :]] = hess
         H[diag, diag] -= tau / z ** 2
         rhs = np.concatenate([-np.append(g, 0.0) - tau / z, b - A @ z])
         d = np.linalg.solve(K, rhs)[:n + 1]
         return d, -float(d @ H @ d)
 
+    f, g = _cmi_value_grad(Wr, wlogw_rows, z[:n])
     for it in range(config.max_iters):
-        f, g = _cmi_value_grad(Wr, wlogw_rows, z[:n])
-        d, decrement = newton(z, g)
-        # Centred: the decrement is about twice the barrier objective's
-        # distance to its maximum for this tau (B&V 9.5.1).
+        hess = _cmi_hessian(Wr, z[:n])
+        d, decrement = newton(z, g, hess)
+        # The decrement is about twice the barrier objective's distance to
+        # its maximum for this tau (B&V 9.5.1).
         if decrement <= config.tol:
             gap = float(g @ (polytope.lp_max(g)[1] - z[:n]))
             if gap <= config.tol:
                 return z[:n], f, gap, it
-            if (n + 1) * tau > config.tol:
-                tau /= _TAU_FACTOR
-                d, decrement = newton(z, g)
+        if decrement <= max(config.tol, tau) and (n + 1) * tau > config.tol:
+            tau /= _TAU_FACTOR
+            d, decrement = newton(z, g, hess)
         t = min(1.0, _TO_BOUNDARY * float(np.min(-z[d < 0] / d[d < 0], initial=np.inf)))
         # Halve until the slope along d at y is >= -1/2 of that at z, the
         # decrement: a gain of t/4 of it or more by the trapezoid rule.  Values
         # stall in rounding near the optimum; slope >= 0 halves full steps.
+        # A step of decrement <= tol passes untested: there the slope test
+        # compares rounding against rounding, and the exit still needs the
+        # priced gap.
         for _ in range(_HALVINGS):
             y = z + t * d
-            g_y = _cmi_value_grad(Wr, wlogw_rows, y[:n])[1]
-            if g_y @ d[:n] + tau * np.sum(d / y) >= -decrement / 2:
+            f_y, g_y = _cmi_value_grad(Wr, wlogw_rows, y[:n])
+            if (decrement <= config.tol
+                    or g_y @ d[:n] + tau * np.sum(d / y) >= -decrement / 2):
                 break
             t /= 2
         else:
             break
-        z = z + t * d
+        z, f, g = y, f_y, g_y
     raise ConvergenceError(
         f"log-barrier Newton stopped after {it + 1} steps at gap {gap:.3e}, above "
         f"{config.tol}", gap=gap, iterations=it + 1)

@@ -198,3 +198,24 @@ def seeded_stationary_set():
         out.append((ChannelSpec(ImpulseResponse(tuple(taps)), lambda0, amax, alpha),
                     InputGrid.uniform(amax, grid)))
     return out
+
+
+def random_stationary_set(seed: int = 7, count: int = 48):
+    """count random stationary instances as (ChannelSpec, InputGrid): from
+    default_rng(seed), instance i has k = i mod 3 and draws, in this order,
+    the grid size in {3, 4, 5}, Dirichlet(1) taps, lambda0 in U(0.5, 8),
+    amax in U(10, 80) and u in U(0, 1); alpha cycles with i mod 4 through
+    0, amax, 1e-6 * amax and u * amax, so the edges of the budget range
+    come up as often as the draws inside it."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        grid = int(rng.integers(3, 6))
+        taps = rng.dirichlet(np.ones(i % 3 + 1))
+        lambda0 = rng.uniform(0.5, 8)
+        amax = rng.uniform(10, 80)
+        u = rng.uniform()
+        alpha = (0.0, amax, 1e-6 * amax, u * amax)[i % 4]
+        out.append((ChannelSpec(ImpulseResponse(tuple(taps)), lambda0, amax, alpha),
+                    InputGrid.uniform(amax, grid)))
+    return out

@@ -18,8 +18,8 @@ from ltipc.bounds import (
 )
 from ltipc.channel import DEFAULT_TAIL_EPS
 
-from helpers import (bsc, grid_search_symkl, random_channel, seeded_stationary_set,
-                     symkl_ascent_per_start)
+from helpers import (bsc, grid_search_symkl, random_channel, random_stationary_set,
+                     seeded_stationary_set, symkl_ascent_per_start)
 
 CFG = lp.SolverConfig(tol=1e-8)
 FW_CFG = lp.SolverConfig(tol=1e-7, max_iters=20000)
@@ -192,6 +192,17 @@ class TestStationaryBounds:
         assert both.lower >= float.fromhex(value_hex) - config.tol
         assert both.fw_gap <= config.tol
 
+    @pytest.mark.parametrize("name", [name for name in PINNED_LOWER if name.startswith("sweep")])
+    def test_sweep_lower_newton_steps(self, name):
+        """The alpha-sweep instances take at most 40 Newton steps each: tau
+        is cut once the point is centred to within tau, and the polytope is
+        priced only once it is centred to tol.  Cutting tau only at the
+        priced centre took 52, 53 and 17."""
+        (alpha, m, config), _ = self.PINNED_LOWER[name]
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, alpha)
+        lo = lp.stationary_lower_bound(spec, lp.InputGrid.uniform(40.0, m), config)
+        assert lo.iterations <= 40
+
     def test_seeded_upper_bounds(self):
         """All 24 instances of the seeded set converge, among them instance
         11 (k = 2, grid 4), which Frank-Wolfe could not solve in 200,000
@@ -238,6 +249,24 @@ class TestStationaryBounds:
             if self.SEEDED_LOWER[i] is not None:
                 assert both.lower >= float.fromhex(self.SEEDED_LOWER[i]) - 1e-9, i
 
+    def test_random_lower_bounds(self):
+        """Every instance of random_stationary_set, a quarter of them at
+        alpha = amax and a quarter at alpha = 1e-6 * amax, converges to a
+        law that is strictly positive (but at alpha = 0, where the all-zero
+        window is the only law), stationary and within budget."""
+        for i, (spec, grid) in enumerate(random_stationary_set()):
+            try:
+                lo = lp.stationary_lower_bound(spec, grid)
+            except lp.ConvergenceError as e:
+                pytest.fail(f"instance {i}: {e}")
+            ch = _single_slot_channel(spec, grid, DEFAULT_TAIL_EPS)
+            p, k, m = lo.lower_dist, spec.impulse.order, len(grid.points)
+            assert lo.fw_gap <= 1e-9, i
+            assert p.min() > 0.0 or spec.alpha == 0.0, i
+            assert np.abs(_stationarity_matrix(m, k) @ p).max() <= 1e-12, i
+            assert abs(p.sum() - 1.0) <= 1e-12, i
+            assert p @ ch.cost <= spec.alpha, i
+
     def test_lower_above_frank_wolfe_stop(self):
         """Pairwise Frank-Wolfe emptied 13 prefix groups here and stopped
         after 3 iterations at 0.2332358, 7.5e-3 nats below the optimum."""
@@ -252,7 +281,9 @@ class TestStationaryBounds:
     # iteration 90, line searches returning 0 from rounding, groups dying at
     # the first step, budgets so small that every group but the all-zero
     # one starts near zero, and a group whose mass decayed over 16,000
-    # iterations.
+    # iterations.  The last two stalled the log-barrier method once tau
+    # reached its floor: a Newton step of decrement below 1e-17 failed the
+    # line search's slope test on rounding alone.
     HARD_LOWER = {
         "alpha22-grid3": ((0.7, 0.3), 5.0, 40.0, 22.0, 3),
         "k2-group-dying-late": ((0.4, 0.4, 0.2), 2.0, 50.0, 5.0, 3),
@@ -261,6 +292,8 @@ class TestStationaryBounds:
         "tiny-budget-k1": ((0.7, 0.3), 2.0, 10.0, 1e-8, 3),
         "tiny-budget-k2": ((0.5, 0.3, 0.2), 2.0, 10.0, 1e-8, 3),
         "slow-group-decay": ((0.7, 0.3), 1.0, 20.0, 10.0, 4),
+        "alpha-amax-grid3": ((0.7, 0.3), 5.0, 40.0, 40.0, 3),
+        "memoryless-slack-grid5": ((1.0,), 4.2137, 70.4607, 41.5923, 5),
     }
 
     @pytest.mark.parametrize("name", list(HARD_LOWER))
