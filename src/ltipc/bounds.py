@@ -180,7 +180,10 @@ class _StationaryPolytope:
     inputs) to node t % m^k (its last k).  So the vertices of the polytope
     without the budget are the uniform laws on simple cycles, and lp_max
     solves its linear program with a maximum-mean-cycle oracle (Karp 1978)
-    inside a Lagrangian on the budget; no LP solver is involved.  Karp's two
+    inside a Lagrangian on the budget; no LP solver is involved.  The grid
+    starts at 0 and a window costs its mean input, so window 0's self-loop,
+    the all-zero law, is the only cycle of cost 0: the cheapest cycle, and a
+    feasible point at any alpha >= 0.  Karp's two
     (V+1) x V tables on V = m^k nodes, D (float64) and pred (intp), are
     alive at once, so their bytes together must fit the byte budget of
     DEFAULT_ENTRY_BUDGET float64 entries.
@@ -236,7 +239,7 @@ class _StationaryPolytope:
         With cycle means g(C) and c(C), the maximum is
         min_{mu >= 0} max_C [g(C) - mu c(C)] + mu alpha.  If the best cycle
         at mu = 0 fits the budget it is the answer.  Otherwise it and the
-        cheapest cycle, of cost 0 <= alpha, bracket the budget, and each
+        cheapest cycle, window 0's loop, bracket the budget, and each
         Newton (Dinkelbach) step moves mu to where the two ends' lines meet
         and swaps in the oracle's cycle on its side of alpha, until no cycle
         rises above the lines.  The answer is the mixture of the two ends
@@ -255,7 +258,7 @@ class _StationaryPolytope:
         hi = cycle(g)
         if hi[2] <= self.alpha:
             return (tuple(hi[0].tolist()),), law(hi[0])
-        lo = cycle(-self.cost)
+        lo = np.zeros(1, dtype=np.intp), float(g[0]), float(self.cost[0])
         for _ in range(_CYCLE_STEPS):
             mu = max((hi[1] - lo[1]) / (hi[2] - lo[2]), 0.0)
             line = lo[1] - mu * lo[2]
@@ -276,10 +279,7 @@ class _StationaryPolytope:
 
     def interior_start(self) -> np.ndarray:
         """Feasible point of full support: the uniform law, blended toward
-        tuple 0 until the cost constraint has slack.
-
-        Tuple 0 is the all-zero window: stationary, and of cost 0 <= alpha,
-        so the blend stays in the polytope."""
+        window 0's loop (cost 0) until the cost constraint has slack."""
         p = np.full(self.n, 1.0 / self.n)
         c = float(self.cost @ p)
         if c <= 0.95 * self.alpha:
@@ -379,8 +379,8 @@ def _barrier_lower(Wr, wlogw_rows, polytope: _StationaryPolytope,
             break
         z, f, g = y, f_y, g_y
     raise ConvergenceError(
-        f"log-barrier Newton stopped after {it + 1} steps at gap {gap:.3e}, above "
-        f"{config.tol}", gap=gap, iterations=it + 1)
+        f"log-barrier Newton stopped after {it + 1} steps at tau {tau:.1e} and gap "
+        f"{gap:.3e}, above {config.tol}", gap=gap, iterations=it + 1)
 
 
 def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
@@ -404,7 +404,7 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         cycles.update(dict.fromkeys(new))
         return len(new)
 
-    add(polytope.lp_max(-polytope.cost)[0])
+    add([(0,)])  # window 0's loop, the cheapest cycle
     add(polytope.lp_max(wlogw_rows)[0])
     iterations, gap = 0, np.inf
     for master in range(1, config.max_iters + 1):

@@ -22,21 +22,22 @@ When the optimal law gives some inputs weight 0, that gap decays only like
 O(1/t).  So at iterations 8, 16, 32, ... the loop hands its law to a
 Newton polish: an active-set Newton solve of the KKT system
 
-    D_x(p) − s·c_x = ν on the support,  Σp = 1,  c·p = alpha (when s > 0),
+    D_x(p) − s·c_x = ν on the support,  Σp = 1,  c·p = alpha (budget row),
 
-whose Jacobian is −H with H = W_S·diag(1/q)·W_Sᵀ, bordered by the two
-constraint rows.  The polish starts from the inputs that BA's next update,
-to first order, does not shrink (score D_x − s·c_x at least the mean score)
-and the cheapest input, with their weights tilted to meet the budget.  A
-step that would make a weight negative stops at the boundary and drops that
-input, and the next step reuses its H on the smaller support.  After a full
-step the constraints hold, and the gap splits into the support's part and
-the outside inputs' excess over it; once the outside part is the larger,
-the outside input with the largest D_x − s·c_x enters.  The polished law is
-kept only if s ≥ 0, the same dual gap over all inputs is at most tol, I(p)
-is no lower than BA's last value, and the law meets the budget as computed.
-Otherwise it is discarded and BA goes on from its own iterate: the
-multiplicative update cannot revive an input the polish zeroed.
+whose Jacobian is −H with H = W_S·diag(1/q)·W_Sᵀ, bordered by the
+constraint rows; each step's right-hand side closes them.  The polish starts
+from BA's law, renormalized, on the inputs that BA's next update, to first
+order, does not shrink (score D_x − s·c_x at least the mean score) and the
+cheapest input.  The budget row is in from the start when s > 0, and joins
+when a law with gap at most tol breaks the budget.  A step that would make
+a weight negative stops at the boundary and drops that input, and the next
+step reuses its H on the smaller support.  After a full step the
+constraints hold, and the gap splits into the support's part and the
+outside inputs' excess over it; once the outside part is the larger, the
+outside input with the largest D_x − s·c_x enters.  The polished law is
+kept only if s ≥ 0, its gap is at most tol, I(p) is no lower than BA's last
+value, and it meets the budget as computed.  Otherwise BA goes on from its
+own iterate: its update cannot revive an input the polish zeroed.
 
 Both see the channel only through p ↦ pW, v ↦ Wv, that Gram and the row
 terms Σ_y W log W, all from ``_SlotFactors``: a block channel's slot
@@ -358,20 +359,21 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
     divergences d and multiplier s (see the module docstring).  Returns
     (law, I(law), gap) when the law passes the acceptance test, with floor
     as BA's last I(p_t); otherwise None."""
+    # The constraint rows A p = b: Σp = 1 and, while `budget` is set, c·p =
+    # the middle of _budget_search's window, so the law meets the budget.
     budget = s > 0
-    # Right-hand sides of Σp = 1 and, with a budget, c·p = the middle of
-    # _budget_search's window, so that the law meets the budget as computed.
-    b = np.array([1.0, alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))]
-                 if budget else [1.0])
-    # Start from the inputs that BA's next update, to first order, does not
-    # shrink: those whose score g = d − s·c is at least the mean score p·g.
-    # The cheapest input joins them, at weight _TINY or more, so that their
-    # tilt can meet the budget.
+    A = np.vstack([np.ones(cost.size), cost])
+    b = np.array([1.0, np.nan if alpha is None
+                  else alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))])
+    # Start from BA's law on the inputs that its next update, to first
+    # order, does not shrink (score g = d − s·c at least the mean p·g), and
+    # the cheapest input at weight _TINY or more, so the budget row can hold.
     g = d - s * cost
     on = g >= p @ g
     if alpha is not None:
         on[np.argmin(cost)] = True
-    p = _budget_search(np.where(on, np.log(np.maximum(p, _TINY)), -np.inf), cost, alpha, s)[1]
+    p = np.where(on, np.maximum(p, _TINY), 0.0)
+    p /= p.sum()
     dropped = full = False  # full: the last step was a full Newton step
     for _ in range(W.n + _NEWTON_STEPS):
         q = np.maximum(W.pW(p), _TINY)
@@ -381,9 +383,9 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
         shift = s * alpha if budget else 0.0
         gap = float(g.max()) + shift - f
         if gap <= tol:
-            if s >= 0 and f >= floor and (alpha is None or float(p @ cost) <= alpha):
-                return p, f, gap
-            return None
+            if alpha is None or float(p @ cost) <= alpha:
+                return (p, f, gap) if s >= 0 and f >= floor else None
+            budget = True  # certified but over budget: the budget row joins
         # After a full step p meets the constraints, so the gap is the
         # support's part plus the outside inputs' excess over it.  Once the
         # outside part is the larger, its largest input enters.
@@ -393,14 +395,12 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
         # drops one input, the next step reuses H on the smaller support.
         H = H[np.ix_(on[idx], on[idx])] if dropped else W.gram(on, q)
         idx = np.flatnonzero(on)
-        m = idx.size
-        K = np.zeros((m + b.size, m + b.size))  # H bordered by the constraint rows
+        m, rows = idx.size, 1 + budget
+        K = np.zeros((m + rows, m + rows))  # H bordered by the constraint rows
         K[:m, :m] = H
-        K[m, :m] = 1.0
-        if budget:
-            K[m + 1, :m] = cost[idx]
+        K[m:, :m] = A[:rows, idx]
         K[:m, m:] = K[m:, :m].T
-        rhs = np.concatenate([d[idx], b - K[m:, :m] @ p[idx]])
+        rhs = np.concatenate([d[idx], b[:rows] - K[m:, :m] @ p[idx]])
         try:
             sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:

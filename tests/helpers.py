@@ -219,3 +219,21 @@ def random_stationary_set(seed: int = 7, count: int = 48):
         out.append((ChannelSpec(ImpulseResponse(tuple(taps)), lambda0, amax, alpha),
                     InputGrid.uniform(amax, grid)))
     return out
+
+
+def random_block_set(seed: int = 2026, count: int = 120):
+    """count random block-bound instances as (ChannelSpec, InputGrid): from
+    default_rng(seed), instance i has k = i mod 3 and draws, in this order,
+    the grid size in {3, ..., 7}, Dirichlet(1) taps, lambda0 in U(0.5, 6),
+    amax in U(10, 60) and alpha = U(0.1, 0.9) * amax."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        grid = int(rng.integers(3, 8))
+        taps = rng.dirichlet(np.ones(i % 3 + 1))
+        lambda0 = rng.uniform(0.5, 6)
+        amax = rng.uniform(10, 60)
+        alpha = rng.uniform(0.1, 0.9) * amax
+        out.append((ChannelSpec(ImpulseResponse(tuple(taps)), lambda0, amax, alpha),
+                    InputGrid.uniform(amax, grid)))
+    return out

@@ -1,6 +1,7 @@
 """Bound families: sandwich, stationary, symmetrized-KL."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from ltipc.bounds import (
 )
 from ltipc.channel import DEFAULT_TAIL_EPS
 
-from helpers import (bsc, grid_search_symkl, random_channel, random_stationary_set,
-                     seeded_stationary_set, symkl_ascent_per_start)
+from helpers import (bsc, grid_search_symkl, random_block_set, random_channel,
+                     random_stationary_set, seeded_stationary_set, symkl_ascent_per_start)
 
 CFG = lp.SolverConfig(tol=1e-8)
 FW_CFG = lp.SolverConfig(tol=1e-7, max_iters=20000)
@@ -63,6 +64,18 @@ class TestSandwichBounds:
             b = lp.block_sandwich_bounds(lp.BlockChannelSpec(spec, grid, r=1), CFG)
             gaps.append(b.upper - b.lower)
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_random_block_solves_end_by_second_polish(self):
+        """Every instance of random_block_set at r = 1 is certified by BA
+        iteration 17, the second Newton polish.  Instances 41 and 116 took
+        65,537 and 16,385 iterations while the polish kept the budget row
+        out whenever BA's multiplier was 0 at hand-over: it certified a law
+        over the budget and discarded it."""
+        for i, (spec, grid) in enumerate(random_block_set()):
+            b = lp.block_sandwich_bounds(lp.BlockChannelSpec(spec, grid, r=1))
+            assert b.gap <= 1e-9, i
+            assert b.iterations <= 17, (i, b.iterations)
+            assert b.lower <= b.upper, i
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +154,20 @@ class TestStationaryBounds:
         with pytest.raises(lp.ConvergenceError):
             lp.stationary_upper_bound(spec, grid,
                                       lp.SolverConfig(tol=1e-12, max_iters=3))
+
+    def test_lower_nonconvergence_names_its_phase(self):
+        """The barrier's step cap reports the barrier weight it stopped at;
+        the polytope is not priced before the point is centred to tol, so
+        the gap is still inf."""
+        spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 10.0)
+        with pytest.raises(lp.ConvergenceError) as info:
+            lp.stationary_lower_bound(spec, lp.InputGrid.uniform(40.0, 3),
+                                      lp.SolverConfig(max_iters=3))
+        msg = str(info.value)
+        assert msg.startswith("stationary lower bound: log-barrier Newton stopped after 3 steps")
+        assert re.search(r"at tau \d\.\de[+-]\d+ ", msg), msg
+        assert info.value.iterations == 3
+        assert info.value.gap == math.inf
 
     # (taps, lambda0, amax, alpha, grid points) and the upper bound that
     # pairwise Frank-Wolfe reached on each at gap 1e-9, as float.hex.
