@@ -15,6 +15,16 @@ Python, NumPy and SciPy builds).  They are not assured across platforms:
 `math.exp`, NumPy's SIMD `log`/`logaddexp` and SciPy's `gammaln` may round
 differently in the last bit elsewhere, which can move a draw that sits on a
 boundary.
+
+How the streams are read leaves the draws unchanged.  A draw reads each
+trial's uniforms into its row of a trials x uniforms table, and uses them
+from a cursor per trial.  The first read takes what the trial is certain to
+use: one uniform per inversion slot and the first round of every Atkinson
+group.  The row grows only when the cursor passes its end.  Generators
+handed to `poisson_draw` are read no further than that, so each ends where
+a call of its own leaves it.  The simulator does not build a generator per
+trial: Philox is counter based, so it re-keys one generator to each trial's
+substream at the position that trial has reached, and reads ahead.
 """
 from __future__ import annotations
 
@@ -37,7 +47,7 @@ _ROUND = 16  # fewest proposals in an Atkinson round
 _SMALL = 8
 _BATCH = 64
 _ACCEPT = 0.65
-_TABLE_ENTRIES = 1 << 15  # cap on the Atkinson proposals one pass holds
+_TABLE_ENTRIES = 1 << 18  # uniforms one table holds, about: 2 MB
 
 # Stream tags keep the trial substreams of different operations disjoint.
 _STREAM_P2P = 1
@@ -103,33 +113,91 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Uniforms:
-    """The generator's uniforms, readable ahead: `peek` draws the next n
-    without using them, `take` uses them."""
+class _Generators:
+    """Trial t's uniforms from gens[t], read in order and only as far as the
+    draw is certain to use them, so each generator ends where the draw
+    leaves it."""
 
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self.ahead = np.empty(0)
+    ahead = False
 
-    def peek(self, n: int) -> np.ndarray:
-        if self.ahead.size < n:
-            self.ahead = np.concatenate([self.ahead, self.gen.random(n - self.ahead.size)])
-        return self.ahead[:n]
+    def __init__(self, gens):
+        self.gens = list(gens)
 
-    def take(self, n: int) -> np.ndarray:
-        if not self.ahead.size:
-            return self.gen.random(n)
-        out = self.peek(n)
-        self.ahead = self.ahead[n:]
-        return out
+    def __len__(self):
+        return len(self.gens)
+
+    def read(self, t: int, start: int, out: np.ndarray) -> None:
+        self.gens[t].random(out=out)
+
+    def advance(self, lo: int, used: np.ndarray) -> None:
+        pass
 
 
-def _inversion(lam: float, u: np.ndarray) -> np.ndarray:
-    """Poisson(lam) counts by inversion, one uniform per variate, for one
-    intensity 0 < lam < 30; every element of u (all trials' slots) is
-    found in the same cdf.  The count is the smallest k <= kmax with
-    u <= F(k), F summing p_k = p_{k-1} * lam / k from p_0 = exp(-lam) in
-    order, so it matches a sequential search."""
+class _Keyed:
+    """Trial t's uniforms: the stream of substream(seed, base + t) from
+    position pos[t] on.  Philox is counter based, so one generator serves
+    every trial: re-keyed and set to block p // 4 through its state, it
+    reads on from position p.  The positions belong to this object, so a
+    draw may read ahead of what it uses; `advance` moves them on by what
+    it did use."""
+
+    ahead = True
+
+    def __init__(self, seed: int, base: int, n_trials: int):
+        self.bits = np.random.Philox(key=np.array([seed, base], dtype=np.uint64))
+        self.gen = np.random.Generator(self.bits)
+        self.state = self.bits.state  # counter 0, buffer empty
+        self.base = base
+        self.pos = np.zeros(n_trials, dtype=np.int64)
+
+    def __len__(self):
+        return self.pos.size
+
+    def read(self, t: int, start: int, out: np.ndarray) -> None:
+        p = int(self.pos[t]) + start
+        self.state["state"]["key"][1] = self.base + t
+        self.state["state"]["counter"][0] = p >> 2
+        self.bits.state = self.state
+        if p & 3:
+            self.gen.random(p & 3)
+        self.gen.random(out=out)
+
+    def advance(self, lo: int, used: np.ndarray) -> None:
+        self.pos[lo: lo + used.size] += used
+
+
+class _Table:
+    """The uniforms of trials lo, lo + 1, ...: row r holds trial lo + r's
+    stream from where the draw starts it, read up to column filled[r];
+    cur[r] is the first column the draw has not used."""
+
+    def __init__(self, reader, lo: int, n: int, width: int):
+        self.reader, self.lo = reader, lo
+        self.u = np.empty((n, width))
+        self.filled = np.zeros(n, dtype=np.int64)
+        self.cur = np.zeros(n, dtype=np.int64)
+
+    def fill(self, rows: np.ndarray, need: np.ndarray, to: np.ndarray) -> None:
+        """Make columns up to need[i] of row rows[i] readable: a row filled
+        short of that reads on to to[i]."""
+        short = need > self.filled[rows]
+        if not short.any():
+            return
+        rows, to = rows[short], to[short]
+        width = self.u.shape[1]
+        if to.max() > width:
+            u = np.empty((self.u.shape[0], max(int(to.max()), width + width // 2)))
+            u[:, :width] = self.u
+            self.u = u
+        for r, a, b in zip(rows.tolist(), self.filled[rows].tolist(), to.tolist()):
+            self.reader.read(self.lo + r, a, self.u[r, a:b])
+        self.filled[rows] = to
+
+
+def _inversion_cdf(lam: float) -> np.ndarray:
+    """The cdf F(0), ..., F(kmax) of Poisson(lam), 0 < lam < 30, that
+    inversion searches: F sums p_k = p_{k-1} * lam / k from p_0 = exp(-lam)
+    in order, so a search in it matches a sequential search."""
     # Search depth is bounded: the cdf reaches 1 - 1e-15 well before this cap.
     kmax = int(lam + 40.0 * math.sqrt(lam + 1.0) + 50)
     cdf = np.empty(kmax + 1)
@@ -137,7 +205,14 @@ def _inversion(lam: float, u: np.ndarray) -> np.ndarray:
     np.divide(lam, np.arange(1, kmax + 1), out=cdf[1:])
     np.multiply.accumulate(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
-    return np.minimum(np.searchsorted(cdf, u, side="left"), kmax)
+    return cdf
+
+
+def _inversion(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Counts by inversion, one uniform per variate, every element of u
+    (all trials' slots) found in the same cdf: the smallest k <= kmax with
+    u <= F(k)."""
+    return np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
 
 
 def _atkinson_constants(lam: np.ndarray) -> tuple:
@@ -172,22 +247,28 @@ class _Atkinson:
     draws a group in rounds of max(still needed, _ROUND) proposals, the u of
     a round, then its v, keeping accepted counts in order.
 
-    Groups of size <= _SMALL have their first rounds evaluated ahead, for a
-    run of up to _BATCH such groups at once, while each fills its group:
-    every group still to be drawn uses at least one round, 2 * _ROUND
-    uniforms, and no more than that is read ahead per group, so all that a
-    trial reads ahead gets used.  Its generator therefore ends where drawing
-    each group in turn leaves it.
+    Trial t's uniforms are row t of a _Table, used from its cursor on: each
+    step gathers the u and v of every trial it draws from the table at once,
+    by per-trial cursors.  Every group still to be drawn takes at least its
+    first round, 2 * max(size, _ROUND) uniforms, so a row the cursor runs
+    past reads on through the first rounds of all later groups (rest); a
+    reader that may read ahead also reads 2 * size more for each large
+    group, which covers most trials' later rounds.
 
-    The accept test of those first rounds is evaluated on their heads, then
-    on the rest of a round only where its head leaves the group open:
-    proposals after the last one a group keeps never change its counts.  A
-    head is as many proposals as the pass's smallest group needs at the
-    lowest acceptance rate, _ACCEPT, plus one; one width for the pass keeps
-    the heads one block.
+    Groups of size <= _SMALL have their first rounds evaluated ahead, for a
+    run of up to _BATCH such groups at once, while each fills its group.  A
+    trial stops at its first group whose first round falls short and draws
+    that group in rounds; the first rounds evaluated past it are redone from
+    where those rounds end.
+
+    The accept test of those first rounds is evaluated in stages, each only
+    where the round so far leaves its group open: proposals after the last
+    one a group keeps never change its counts.  A stage ends at the head of
+    a size in the pass, as many proposals as that size needs at the lowest
+    acceptance rate, _ACCEPT, plus one; then at the round's end.
     """
 
-    def __init__(self, start: np.ndarray, size: np.ndarray, lam: np.ndarray):
+    def __init__(self, start: np.ndarray, size: np.ndarray, lam: np.ndarray, ahead: bool):
         self.size = size
         self.start = np.append(start, start[-1] + size[-1])  # and the end
         self.consts = np.array(_atkinson_constants(lam))  # rows alpha, beta, k, log lam
@@ -197,72 +278,93 @@ class _Atkinson:
         nxt = np.minimum.accumulate(np.where(np.append(size <= _SMALL, False), size.size + 1,
                                              g)[::-1])[::-1]
         self.run = np.minimum(nxt - g, _BATCH)
-        # Most proposals one trial holds in one pass.
-        self.width = max(_ROUND * max(1, int(self.run.max())), int(size.max()))
+        # rest[g]: what a row reads for groups g on, 0 at the end.  Reading
+        # ahead adds a round the size of each large group; width is a row's
+        # room for that.
+        first = 2 * np.maximum(size, _ROUND)
+        more = first + np.where(size > _SMALL, 2 * size, 0)
+        self.rest = np.append(np.cumsum((more if ahead else first)[::-1])[::-1], 0)
+        self.width = int(more.sum())
 
-    def draw(self, streams: list, counts: np.ndarray) -> None:
-        """Draw every group for each trial: streams[t] supplies trial t's
-        uniforms, its counts go to counts[t] in sorted slot order."""
-        pos = np.zeros(len(streams), dtype=np.int64)  # the group each trial is at
-        short = np.zeros(len(streams), dtype=bool)    # its first round falls short
+    def draw(self, tab: _Table, counts: np.ndarray) -> None:
+        """Draw every group for each trial of the table from its cursor on;
+        row t's counts go to counts[t] in sorted slot order."""
+        pos = np.zeros(len(counts), dtype=np.int64)  # the group each trial is at
+        short = np.zeros(len(counts), dtype=bool)    # its first round falls short
         while True:
             at_small = ((self.run[pos] > 0) & ~short).nonzero()[0]
             if at_small.size:
-                self._first_rounds(streams, counts, at_small, pos, short)
+                self._first_rounds(tab, counts, at_small, pos, short)
             if (pos == self.size.size).all():
                 return
-            self._rounds(streams, counts, pos, short)
+            self._rounds(tab, counts, pos, short)
 
-    def _first_rounds(self, streams, counts, at, pos, short) -> None:
+    def _first_rounds(self, tab, counts, at, pos, short) -> None:
         """One pass over the first rounds of each trial's run of small groups,
         from its current group; a trial stops at its first group whose first
-        round falls short, and is marked to draw it in rounds."""
-        m, p = self.run[pos[at]], pos[at]
-        uv = np.concatenate([streams[t].peek(2 * _ROUND * k)
-                             for t, k in zip(at.tolist(), m.tolist())]).reshape(-1, 2, _ROUND)
+        round falls short, and is marked to draw it in rounds.  Arrays are
+        proposal by group: column i is the i-th group of the pass."""
+        m, p, c = self.run[pos[at]], pos[at], tab.cur[at]
+        tab.fill(at, c + 2 * _ROUND * m, c + self.rest[p])
         first = m.cumsum() - m
-        grp = (p - first).repeat(m) + np.arange(uv.shape[0])  # trial by trial, ascending
+        grp = (p - first).repeat(m) + np.arange(first[-1] + m[-1])  # trial by trial, ascending
+        row = at.repeat(m)
+        # Where each group's first round starts in the flat table: u, then v.
+        u0 = row * tab.u.shape[1] + (c - 2 * _ROUND * p).repeat(m) + 2 * _ROUND * grp
+        flat = tab.u.ravel()
         size = self.size[grp]
-        h = math.ceil(int(size.min()) / _ACCEPT) + 1  # the head of every round
-        n = np.empty((grp.size, _ROUND))
-        accept = np.zeros((grp.size, _ROUND), dtype=bool)
-        n[:, :h], accept[:, :h] = _atkinson_proposals(
-            np.ascontiguousarray(uv[:, 0, :h]), np.ascontiguousarray(uv[:, 1, :h]),
-            *self.consts[:, grp, None])
-        rest = (np.count_nonzero(accept[:, :h], axis=1) < size).nonzero()[0]
-        n[rest, h:], accept[rest, h:] = _atkinson_proposals(
-            uv[rest, 0, h:], uv[rest, 1, h:], *self.consts[:, grp[rest], None])
-        rank = accept.cumsum(axis=1)
-        stop = np.minimum(np.minimum.reduceat(np.where(rank[:, -1] < size, grp, self.size.size),
-                                              first), p + m)
-        keep = accept & (rank <= size[:, None])
-        # A trial's filled groups are consecutive, and so are their slots.
-        for t, a, g0, g1 in zip(at.tolist(), first.tolist(), p.tolist(), stop.tolist()):
-            streams[t].take(2 * _ROUND * (g1 - g0))
-            counts[t, self.start[g0]: self.start[g1]] = n[a: a + g1 - g0][keep[a: a + g1 - g0]]
+        n = np.empty((_ROUND, grp.size))
+        accept = np.zeros((_ROUND, grp.size), dtype=bool)
+        rank = np.empty((_ROUND, grp.size), dtype=np.int8)  # accepted so far
+        got = np.zeros(grp.size, dtype=np.int8)
+        heads = {min(math.ceil(s / _ACCEPT) + 1, _ROUND)
+                 for s in np.flatnonzero(np.bincount(size)).tolist()}
+        cuts = sorted(heads | {0, _ROUND})
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            open_ = np.flatnonzero(got < size) if a else slice(None)  # groups still open
+            ix = u0[open_] + np.arange(a, b)[:, None]
+            n[a:b, open_], accept[a:b, open_] = _atkinson_proposals(
+                flat[ix], flat[ix + _ROUND], *self.consts[:, grp[open_]])
+            for j in range(a, b):
+                got += accept[j]
+                rank[j] = got
+        stop = np.minimum(np.minimum.reduceat(np.where(got < size, grp, self.size.size), first),
+                          p + m)
+        # A trial keeps the counts of its groups before stop.
+        keep = accept & (rank <= size) & (grp < stop.repeat(m))
+        i = np.flatnonzero(keep)
+        r = i % grp.size
+        counts[row[r], self.start[grp[r]] + rank.ravel()[i] - 1] = n.ravel()[i]
+        tab.cur[at] = c + 2 * _ROUND * (stop - p)
         pos[at] = stop
         short[at] = stop < p + m
 
-    def _rounds(self, streams, counts, pos, short) -> None:
+    def _rounds(self, tab, counts, pos, short) -> None:
         """Rounds in lockstep for every trial at a large group or at a small
-        one marked short, until each has reached a small group or the end."""
+        one marked short, until each has reached a small group or the end.
+        Arrays are proposal by trial."""
         t = ((pos < self.size.size) & (short | (self.run[pos] == 0))).nonzero()[0]
         short[t] = False
-        g, d = pos[t], np.zeros(t.size, dtype=np.int64)  # each row's group, counts drawn
+        g, d = pos[t], np.zeros(t.size, dtype=np.int64)  # each trial's group, counts drawn
         while t.size:
             need = self.size[g] - d
             k = np.maximum(need, _ROUND)
-            # Zero-padded rows: a u of 0 is never accepted.
-            uv = np.zeros((2, t.size, int(k.max())))
-            for r, (tr, kr) in enumerate(zip(t.tolist(), k.tolist())):
-                drawn = streams[tr].take(2 * kr)
-                uv[0, r, :kr] = drawn[:kr]
-                uv[1, r, :kr] = drawn[kr:]
-            n, accept = _atkinson_proposals(uv[0], uv[1], *self.consts[:, g, None])
-            rank = accept.cumsum(axis=1)
-            r, c = (accept & (rank <= need[:, None])).nonzero()
-            counts[t[r], self.start[g[r]] + d[r] + rank[r, c] - 1] = n[r, c]
-            d += np.minimum(rank[:, -1], need)
+            end = tab.cur[t] + 2 * k
+            tab.fill(t, end, end + self.rest[g + 1])
+            # Trial i's u are the k[i] uniforms at its cursor, its v the k[i]
+            # after them.  Zero-padded: a u of 0 is never accepted.
+            cols = np.arange(int(k.max()))[:, None]
+            ix = t * tab.u.shape[1] + tab.cur[t] + cols
+            u, v = tab.u.take(ix, mode="clip"), tab.u.take(ix + k, mode="clip")
+            pad = cols >= k
+            u[pad] = v[pad] = 0.0
+            n, accept = _atkinson_proposals(u, v, *self.consts[:, g])
+            rank = accept.cumsum(axis=0)
+            i = np.flatnonzero(accept & (rank <= need))
+            r = i % t.size
+            counts[t[r], self.start[g[r]] + d[r] + rank.ravel()[i] - 1] = n.ravel()[i]
+            tab.cur[t] = end
+            d += np.minimum(rank[-1], need)
             done = d == self.size[g]
             g, d = g + done, np.where(done, 0, d)
             leave = done & ((g == self.size.size) | (self.run[g] > 0))  # the end, or a small group
@@ -277,7 +379,9 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     gen is one generator, or a sequence of T generators, one per trial;
     then the result has shape (T,) + lam.shape and row t equals
     poisson_draw(gen[t], lam), with gen[t] left where that call leaves it.
-    A single generator is the T = 1 case of the same draw.
+    A single generator is the T = 1 case of the same draw.  The simulator
+    passes its keyed trial streams (_Keyed) instead, whose positions move
+    on by what each trial uses.
 
     Each trial takes the draws for the slots of each distinct intensity in
     turn, intensities in ascending order and slots in index order within
@@ -294,7 +398,7 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     if size is not None:
         lam = np.full(size, lam)
     single = isinstance(gen, np.random.Generator)
-    streams = [_Uniforms(g) for g in ([gen] if single else gen)]
+    reader = gen if isinstance(gen, _Keyed) else _Generators([gen] if single else gen)
     # The plan, shared by every trial: sort slots by intensity, stably, so
     # each distinct intensity's slots form one run in index order: zeros,
     # then inversion, then Atkinson.
@@ -303,45 +407,51 @@ def poisson_draw(gen, lam, size: int | None = None) -> np.ndarray:
     starts = np.flatnonzero(np.diff(lam_sorted, prepend=-1.0) != 0)
     ends = np.append(starts[1:], lam_sorted.size)
     values = lam_sorted[starts]
-    counts = np.zeros((len(streams), lam_sorted.size), dtype=np.int64)
+    counts = np.zeros((len(reader), lam_sorted.size), dtype=np.int64)
     low = (values > 0) & (values < _INVERSION_CUTOFF)
-    if low.any():
-        # Each trial's uniforms for all inversion slots, then one cdf per
-        # intensity, searched for every trial's slots at once.
-        a, b = starts[low][0], ends[low][-1]
-        u = np.empty((len(streams), b - a))
-        for t, stream in enumerate(streams):
-            u[t] = stream.take(b - a)
-        for lo, hi, x in zip(starts[low].tolist(), ends[low].tolist(), values[low].tolist()):
-            counts[:, lo:hi] = _inversion(x, u[:, lo - a: hi - a])
+    a, b = (starts[low][0], ends[low][-1]) if low.any() else (0, 0)
     high = values >= _INVERSION_CUTOFF
-    if high.any():
-        atkinson = _Atkinson(starts[high], (ends - starts)[high], values[high])
-        # Trials go in chunks so that one pass holds at most _TABLE_ENTRIES
-        # proposals.
-        chunk = max(1, _TABLE_ENTRIES // atkinson.width)
-        for lo in range(0, len(streams), chunk):
-            atkinson.draw(streams[lo: lo + chunk], counts[lo: lo + chunk])
+    atkinson = (_Atkinson(starts[high], (ends - starts)[high], values[high], reader.ahead)
+                if high.any() else None)
+    # A trial's first read: its inversion slots' uniforms, then what its
+    # reader reads for all Atkinson groups.
+    first = b - a + (atkinson.rest[0] if atkinson else 0)
+    width = b - a + (atkinson.width if atkinson else 0)
+    # Trials go in chunks so that one table holds about _TABLE_ENTRIES uniforms.
+    chunk = max(1, _TABLE_ENTRIES // max(width, 1))
+    cdfs = [(s, e, _inversion_cdf(x))
+            for s, e, x in zip(starts[low].tolist(), ends[low].tolist(), values[low].tolist())]
+    for lo in range(0, len(reader), chunk):
+        rows = np.arange(min(chunk, len(reader) - lo))
+        tab = _Table(reader, lo, rows.size, width)
+        tab.fill(rows, np.full(rows.size, first), np.full(rows.size, first))
+        for s, e, cdf in cdfs:
+            counts[lo: lo + rows.size, s:e] = _inversion(cdf, tab.u[:, s - a: e - a])
+        tab.cur[:] = b - a
+        if atkinson:
+            atkinson.draw(tab, counts[lo: lo + rows.size])
+        reader.advance(lo, tab.cur)
     out = np.empty_like(counts)
     out[:, order] = counts
-    return out.reshape(lam.shape if single else (len(streams),) + lam.shape)
+    return out.reshape(lam.shape if single else (len(reader),) + lam.shape)
 
 
 def _draw_counts(lam: np.ndarray, sim: SimConfig, stream: int) -> np.ndarray:
     """Counts of shape trials x receivers x slots for the intensity rows lam
     (receivers x slots); with one receiver, a view of its draw.  Trial t
     draws from the (seed, (stream << 32) + t) substream, one `poisson_draw`
-    call per receiver, rx 0 first."""
+    call per receiver, rx 0 first, each going on where the last one left
+    the trial's stream."""
     (R, S), T = lam.shape, sim.n_trials
     _check_bytes(T * R * S * np.dtype(np.int64).itemsize,
                  f"the simulated counts need trials x receivers x slots = {T} x {R} x {S} = "
                  f"{T * R * S} int64 entries", "simulate fewer trials or slots (--values)")
-    gens = [substream(sim.seed, (stream << 32) + trial) for trial in range(T)]
+    streams = _Keyed(sim.seed, stream << 32, T)
     if R == 1:
-        return poisson_draw(gens, lam[0])[:, None, :]
+        return poisson_draw(streams, lam[0])[:, None, :]
     outputs = np.empty((T, R, S), dtype=np.int64)
     for j in range(R):
-        outputs[:, j] = poisson_draw(gens, lam[j])
+        outputs[:, j] = poisson_draw(streams, lam[j])
     return outputs
 
 

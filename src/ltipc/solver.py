@@ -57,6 +57,7 @@ _COST_WINDOW = 1e-14  # width of the accepted budget window, relative to max |co
 _ROOT_STEPS = 200  # multiplier-search steps; doubling alone reaches s = 2**199
 _FIRST_POLISH = 8  # BA iteration of the first Newton polish; then every doubling
 _NEWTON_STEPS = 20  # polish steps beyond one ratio-test drop per input
+_ROW_BLOCK = 1 << 16  # entries of W that _wlogw_rows holds a temporary for
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,21 @@ def _log0(a: np.ndarray) -> np.ndarray:
 
 
 def _wlogw_rows(W: np.ndarray) -> np.ndarray:
-    """sum_y W_xy log W_xy for every row x, with 0 log 0 = 0.  One W-sized
-    temporary: 0 * log(_TINY) is 0, so no mask is needed."""
-    t = np.maximum(W, _TINY)
-    np.log(t, out=t)
-    t *= W
-    return t.sum(axis=1)
+    """sum_y W_xy log W_xy for every row x, with 0 log 0 = 0: 0 * log(_TINY)
+    is 0, so no mask is needed.  Rows go in blocks of about _ROW_BLOCK
+    entries through one temporary; each row is summed on its own, as one
+    pass over W would sum it."""
+    rows = max(1, _ROW_BLOCK // max(W.shape[1], 1))
+    out = np.empty(W.shape[0])
+    t = np.empty((min(rows, W.shape[0]), W.shape[1]))
+    for i in range(0, W.shape[0], rows):
+        w = W[i: i + rows]
+        b = t[: w.shape[0]]
+        np.maximum(w, _TINY, out=b)
+        np.log(b, out=b)
+        b *= w
+        b.sum(axis=1, out=out[i: i + rows])
+    return out
 
 
 def _contract(a: np.ndarray, m: np.ndarray, r: int) -> np.ndarray:

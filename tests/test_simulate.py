@@ -12,9 +12,9 @@ from scipy import stats
 import ltipc as lp
 from ltipc.channel import DEFAULT_ENTRY_BUDGET
 import ltipc.simulate
-from ltipc.simulate import (_ROUND, _STREAM_PLUGIN, _TABLE_ENTRIES, _Atkinson,
-                            _atkinson_proposals, _inversion, _plugin_mi_jackknife, poisson_draw,
-                            substream)
+from ltipc.simulate import (_ROUND, _STREAM_NETWORK, _STREAM_P2P, _STREAM_PLUGIN, _Atkinson,
+                            _atkinson_proposals, _draw_counts, _inversion, _inversion_cdf,
+                            _plugin_mi_jackknife, poisson_draw, substream)
 from ltipc.solver import _TINY, _log0
 
 from helpers import poisson_pmf_recurrence
@@ -132,17 +132,18 @@ class TestArrayForm:
     def test_inversion_with_trial_axis_matches_rows(self):
         u = substream(4, 0).random((400, 5, 2))
         for lam, u_lam in zip(np.linspace(29.99, 0.01, 400).tolist(), u):
-            counts = _inversion(lam, u_lam)
+            cdf = _inversion_cdf(lam)
+            counts = _inversion(cdf, u_lam)
             assert counts.shape == u_lam.shape
             for t in range(u_lam.shape[0]):
-                np.testing.assert_array_equal(counts[t], _inversion(lam, u_lam[t]))
+                np.testing.assert_array_equal(counts[t], _inversion(cdf, u_lam[t]))
 
     def test_inversion_takes_smallest_k_with_u_at_most_cdf(self):
         lam = 2.0
         f0 = math.exp(-lam)
         f1 = f0 + f0 * (lam / 1)
         u = np.array([0.0, f0, np.nextafter(f0, 1.0), f1, np.nextafter(f1, 1.0)])
-        np.testing.assert_array_equal(_inversion(lam, u), [0, 0, 1, 1, 2])
+        np.testing.assert_array_equal(_inversion(_inversion_cdf(lam), u), [0, 0, 1, 1, 2])
 
     def test_keeps_shape(self):
         lam = np.array([[1.0, 40.0, 0.0], [40.0, 1.0, 5.0]])
@@ -164,6 +165,17 @@ def assert_list_form_matches(lam, seed, n_trials):
     assert rows.shape == (n_trials,) + lam.shape and rows.dtype == np.int64
     np.testing.assert_array_equal(rows, [poisson_draw(g, lam) for g in gens_b])
     np.testing.assert_array_equal([g.random(8) for g in gens_a], [g.random(8) for g in gens_b])
+
+
+class CountingGenerator:
+    """A generator that counts the reads made of it."""
+
+    def __init__(self, gen):
+        self.gen, self.reads = gen, 0
+
+    def random(self, *args, **kwargs):
+        self.reads += 1
+        return self.gen.random(*args, **kwargs)
 
 
 def benchmark_waveforms():
@@ -200,12 +212,24 @@ class TestTrialBatch:
         assert_list_form_matches(np.array(lam), seed, n_trials)
 
     @pytest.mark.parametrize("lam", [
-        benchmark_waveforms()[0],                      # runs of small groups: 47 trials a chunk
-        np.full(_TABLE_ENTRIES // 4 + 1, 75.0),        # one large group: 3 trials a chunk
+        benchmark_waveforms()[0],    # runs of small groups: 2 trials a table
+        np.full(1025, 75.0),         # one large group: 1 trial a table
     ], ids=["small-groups", "large-group"])
-    def test_chunks_match_single_trials(self, lam):
-        """More trials than one pass of _TABLE_ENTRIES proposals holds."""
+    def test_chunks_match_single_trials(self, lam, monkeypatch):
+        """More trials than one table holds: 100 trials, tables of about
+        4,096 uniforms."""
+        monkeypatch.setattr(ltipc.simulate, "_TABLE_ENTRIES", 1 << 12)
         assert_list_form_matches(lam, 6, 100)
+
+    @pytest.mark.parametrize("case, most", [("iid", 2), ("on-off", 5)])
+    def test_generator_reads_per_trial(self, case, most):
+        """A trial's first read takes every uniform it is certain to use,
+        and a later one all it is then certain to use, so 200 trials make
+        few reads each."""
+        lam = dict(zip(("iid", "on-off"), benchmark_waveforms()))[case]
+        gens = [CountingGenerator(g) for g in trial_generators(11, 200)]
+        poisson_draw(gens, lam)
+        assert sum(g.reads for g in gens) <= most * len(gens)
 
     def test_size_and_shape(self):
         gens = trial_generators(2, 3)
@@ -238,13 +262,13 @@ class TestTrialBatch:
         its end."""
         rounds, sent = _Atkinson._rounds, []
 
-        def checked_rounds(self, streams, counts, pos, short):
+        def checked_rounds(self, tab, counts, pos, short):
             for t in short.nonzero()[0].tolist():
-                # The trial's stream is at the group's first round.
-                uv = streams[t].peek(2 * _ROUND)
+                # The trial's cursor is at the group's first round.
+                uv = tab.u[t, tab.cur[t]: tab.cur[t] + 2 * _ROUND]
                 _, accept = _atkinson_proposals(uv[:_ROUND], uv[_ROUND:], *self.consts[:, pos[t]])
                 sent.append(np.count_nonzero(accept) < self.size[pos[t]])
-            rounds(self, streams, counts, pos, short)
+            rounds(self, tab, counts, pos, short)
 
         monkeypatch.setattr(_Atkinson, "_rounds", checked_rounds)
         gens = trial_generators(13, 40)
@@ -253,6 +277,60 @@ class TestTrialBatch:
             h.update(g.random(8).tobytes())
         assert h.hexdigest() == "ac0c1a032070f9bd9d9f2091894498986c52af1f7b722d82d233e57f51f73cca"
         assert sent and all(sent)
+
+
+def stream_position(gen):
+    """Uniforms a Philox generator has given: its counter counts the blocks
+    of four it has made, its buffer position those used of the last."""
+    state = gen.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+class TestKeyedStreams:
+    """_draw_counts reads trial t's (seed, (stream << 32) + t) substream
+    through one re-keyed Philox: row by row it must equal poisson_draw over
+    the substreams themselves, one call per receiver."""
+
+    @staticmethod
+    def assert_matches_substreams(lam, sim, stream):
+        gens = [substream(sim.seed, (stream << 32) + t) for t in range(sim.n_trials)]
+        expected = np.stack([poisson_draw(gens, lam_rx) for lam_rx in lam], axis=1)
+        np.testing.assert_array_equal(_draw_counts(lam, sim, stream), expected)
+
+    def test_one_receiver(self):
+        lam = benchmark_waveforms()[1][None]
+        self.assert_matches_substreams(lam, lp.SimConfig(seed=5, n_slots=256, n_trials=30),
+                                       _STREAM_P2P)
+
+    def test_second_receiver_goes_on_inside_a_block(self):
+        """rx 1 starts each trial where rx 0 left its stream, for some
+        trials inside one of Philox's blocks of four uniforms."""
+        iid, ook = benchmark_waveforms()
+        lam = np.vstack([iid, ook[:128]])
+        sim = lp.SimConfig(seed=8, n_slots=128, n_trials=40)
+        gens = [substream(8, (_STREAM_NETWORK << 32) + t) for t in range(40)]
+        poisson_draw(gens, lam[0])
+        assert any(stream_position(g) % 4 for g in gens)
+        self.assert_matches_substreams(lam, sim, _STREAM_NETWORK)
+
+    def test_rows_grow(self, monkeypatch):
+        """A group of 9 slots at intensity 30: a trial whose first round
+        falls short reads again, past what it first read ahead."""
+        reads, read = [], ltipc.simulate._Keyed.read
+        monkeypatch.setattr(ltipc.simulate._Keyed, "read",
+                            lambda self, t, start, out: reads.append(t) or read(self, t, start, out))
+        self.assert_matches_substreams(np.full((1, 9), 30.0),
+                                       lp.SimConfig(seed=5, n_slots=9, n_trials=40), _STREAM_P2P)
+        assert len(reads) > 40
+
+    def test_more_trials_than_a_table(self, monkeypatch):
+        """Tables of about 4,096 uniforms: 2 trials of rx 0 a table, 25
+        trials; positions carry over to rx 1 across tables."""
+        monkeypatch.setattr(ltipc.simulate, "_TABLE_ENTRIES", 1 << 12)
+        iid, ook = benchmark_waveforms()
+        self.assert_matches_substreams(np.vstack([iid, ook[128:]]),
+                                       lp.SimConfig(seed=3, n_slots=128, n_trials=25),
+                                       _STREAM_NETWORK)
 
 
 def outputs_digest(trace):

@@ -8,7 +8,7 @@ from scipy.special import rel_entr
 
 import ltipc as lp
 from ltipc.channel import _block_factors
-from ltipc.solver import _SlotFactors
+from ltipc.solver import _TINY, _SlotFactors, _wlogw_rows
 
 from helpers import bsc, grid_search_capacity, small_corpus
 
@@ -311,6 +311,30 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+class TestWlogwRows:
+    @staticmethod
+    def one_pass(W):
+        """The row terms through one W-sized temporary."""
+        t = np.maximum(W, _TINY)
+        np.log(t, out=t)
+        t *= W
+        return t.sum(axis=1)
+
+    @pytest.mark.parametrize("shape", [(16, 59_319), (59_319, 16), (300, 700), (3, 5), (1, 1),
+                                       (0, 4)])
+    def test_rows_sum_as_in_one_pass(self, shape):
+        """Bit for bit: blocking rows keeps each row's summation order."""
+        W = np.random.default_rng(shape[0]).random(shape) ** 4
+        W[W < 0.01] = 0.0
+        np.testing.assert_array_equal(_wlogw_rows(W), self.one_pass(W))
+
+    def test_peak_is_a_block(self):
+        """The shape of the on-off r = 3 block channel, 16 x 59,319: its
+        temporary holds one row, not W."""
+        W = np.random.default_rng(3).random((16, 59_319))
+        assert _traced_peak(lambda: _wlogw_rows(W)) <= 0.1 * W.nbytes
 
 
 def _block_spec(taps, lambda0, amax, alpha, grid, r):
