@@ -35,9 +35,8 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import (_COST_WINDOW, _ROOT_STEPS, _TINY, SolverConfig, _blahut, _capacity,
-                     _check_pmf, _cheapest_inputs, _log0, _SlotFactors,
-                     _wlogw_rows, ba_capacity)
+from .solver import (_TINY, SolverConfig, _blahut, _capacity, _check_pmf, _cheapest_inputs,
+                     _log0, _multiplier, _SlotFactors, _wlogw_rows, ba_capacity)
 
 
 # No bound calls ba_capacity or an LP solver, but perfbench/tracing.py still
@@ -584,59 +583,23 @@ def _project_simplex(V: np.ndarray, cost: np.ndarray, mu: np.ndarray) -> np.ndar
     return np.maximum(V - theta, 0.0)
 
 
-def _projection_slope(P: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """On a fixed support S the cost of the projection of v − mu·c is linear
-    in mu with slope −|S|·Var_S(c); this is |S|·Var_S(c) for each row of P."""
-    on = P > 0
-    size = on.sum(axis=-1)
-    dev = np.where(on, cost - (np.where(on, cost, 0.0).sum(axis=-1) / size)[:, None], 0.0)
-    return np.vecdot(dev, dev)
-
-
 def _project_feasible(V: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarray:
     """Euclidean projection of each row of V (a 1-D V is one row) onto the
     simplex intersected with cost.p <= alpha (alpha >= min cost): the simplex
-    projection p(mu) of v − mu·c at the smallest mu >= 0 that meets the budget.
-
-    Each row gets its own mu, found by the safeguarded Newton search of
-    solver._budget_search, run on the rows still searching: a row whose
-    plain projection meets the budget never enters it, and a row leaves it
-    once its law, as computed, costs within the window [alpha − w, alpha].
-    Blahut-Arimoto keeps its own scalar search, which array bookkeeping
-    would slow on its one-row calls.
+    projection p(mu) of v − mu·c at the smallest mu >= 0 that meets the budget,
+    one mu per row, from solver._multiplier.  On a fixed support S the cost of
+    p(mu) is linear in mu with slope −|S|·Var_S(c).
     """
     rows = V.reshape(-1, V.shape[-1])
-    P = _project_simplex(rows, cost, np.zeros(rows.shape[0]))
-    m = np.vecdot(P, cost)
-    act = np.flatnonzero(m > alpha)
-    if act.size:
-        window = _COST_WINDOW * float(np.max(np.abs(cost)))
-        A, Pa, m = rows[act], P[act], m[act]
-        t, lo, hi = np.zeros(act.size), np.zeros(act.size), np.full(act.size, np.inf)
-        for _ in range(_ROOT_STEPS):
-            under = ~(m > alpha)
-            lo = np.where(under, lo, t)
-            hi = np.where(under, t, hi)
-            P[act[under]] = Pa[under]
-            done = under & ((m >= alpha - window) | (hi - lo <= 4e-16 * hi))
-            if done.any():
-                act, A, Pa, m, t, lo, hi = (x[~done] for x in (act, A, Pa, m, t, lo, hi))
-                if not act.size:
-                    break
-            d = _projection_slope(Pa, cost)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(d > 0, t + (m - alpha + 0.5 * window) / d, np.inf)
-            out = ~((lo < t) & (t < hi))
-            t[out] = np.where(np.isfinite(hi), 0.5 * (lo + hi), np.maximum(2.0 * lo, 1.0))[out]
-            Pa = _project_simplex(A, cost, t)
-            m = np.vecdot(Pa, cost)
-        else:
-            stuck = np.isinf(hi)
-            if stuck.any():
-                r = int(np.argmax(stuck))
-                raise ConvergenceError(
-                    f"no cost multiplier meets the budget alpha={alpha} "
-                    f"(mean cost {m[r]:.6g} at s={t[r]:.3e})", gap=np.inf, iterations=0)
+
+    def slope(P):  # |S|·Var_S(c) for each row of P
+        on = P > 0
+        mean = np.where(on, cost, 0.0).sum(axis=-1) / on.sum(axis=-1)
+        dev = np.where(on, cost - mean[:, None], 0.0)
+        return np.vecdot(dev, dev)
+
+    _, P = _multiplier(lambda i, mu: _project_simplex(rows[i], cost, np.array(mu)), slope,
+                       cost, alpha, [0.0] * len(rows))
     return P.reshape(V.shape)
 
 
@@ -693,7 +656,6 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     """
     keep, alpha = _cheapest_inputs(channel.cost, alpha)
     idx = np.flatnonzero(keep)
-    budget = math.inf if alpha is None else alpha
     cost = channel.cost[idx]
     n = idx.size
     D = _sym_kl_matrix(channel.transition[idx])
@@ -704,7 +666,7 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
             value=value, support=tuple(channel.input_labels[idx[x]] for x in keep),
             masses=tuple(p[keep] / p[keep].sum()), n_starts=n_run)
 
-    i, j, t, pair_best = _best_pair(D, cost, budget)
+    i, j, t, pair_best = _best_pair(D, cost, alpha)
     two_point = np.bincount([i, j], weights=[t, 1.0 - t], minlength=n)
     if math.isinf(pair_best):
         return result(pair_best, two_point, 0)
@@ -720,13 +682,13 @@ def sym_kl_max(channel: DiscreteChannel, alpha: float | None = None,
     rng = np.random.default_rng(seed)
     starts = np.array([np.full(n, 1.0 / n), two_point]
                       + [rng.dirichlet(np.ones(n)) for _ in range(_SYMKL_RANDOM_STARTS)])
-    P = _project_feasible(starts, cost, budget)
+    P = _project_feasible(starts, cost, alpha)
     G = P @ D
     F = 0.5 * np.vecdot(P, G)
     live = np.arange(len(starts))
     P_live, G_live, F_live = P, G, F
     for _ in range(config.max_iters):
-        P_next = _project_feasible(P_live + step * G_live, cost, budget)
+        P_next = _project_feasible(P_live + step * G_live, cost, alpha)
         G_next = P_next @ D
         F_next = 0.5 * np.vecdot(P_next, G_next)
         rise = F_next > F_live

@@ -34,6 +34,7 @@ from .channel import (
     ChannelSpec,
     ImpulseResponse,
     InputGrid,
+    _check_bytes,
     _checked_grid,
     build_block_channel,
     parse_instance,
@@ -81,8 +82,15 @@ def _parse_values(raw: str) -> tuple:
                 step = float(pieces[2])
             else:
                 raise ValueError(f"bad range syntax: {part!r}")
-            if step <= 0 or b < a:
+            # np.arange makes ceil(n) values, each held at once as a float64,
+            # a Python float and its list slot, with the list's earlier
+            # values.  nan ends are bad bounds too.
+            n = (b + step * 0.5 - a) / step if step > 0 and b >= a else np.inf
+            if not np.isfinite(n):
                 raise ValueError(f"bad range bounds: {part!r}")
+            n = len(out) + int(np.ceil(n))
+            _check_bytes(n * (16 + sys.getsizeof(0.0)), f"--values up to range {part!r} holds "
+                         f"{n:,} values", "use a shorter --values range or a larger step")
             out.extend(np.arange(a, b + step * 0.5, step).tolist())
         elif part:
             out.append(float(part))

@@ -6,8 +6,11 @@ Each iteration computes the row divergences D_x = D(W_x || pW) and moves to
     p' ∝ p·exp(D − s·c),
 
 where s ≥ 0 is the smallest multiplier whose update meets the budget
-E_{p'}[c] ≤ alpha: s = 0 without a budget or when it is slack, otherwise a
-safeguarded Newton root warm-started from the previous s.  This is Blahut's
+E_{p'}[c] ≤ alpha: s = 0 without a budget (alpha = inf) or when it is slack,
+otherwise a safeguarded Newton root warm-started from the previous s.  That
+root comes from _multiplier, the package's one budget-multiplier search,
+which also projects the sym-KL ascent's laws onto the budget
+(bounds._project_feasible).  This is Blahut's
 capacity-cost iteration (Blahut 1972; Arimoto 1972).  It is an alternating
 maximization, so every iterate meets the budget and I(p_t) never decreases.
 
@@ -270,74 +273,98 @@ def _tilt(a: np.ndarray, cost: np.ndarray, s: float) -> np.ndarray:
     return w
 
 
-def _budget_search(a: np.ndarray, cost: np.ndarray, alpha: float | None, t: float = 0.0):
-    """Smallest multiplier t >= 0 whose tilt _tilt(a, cost, t) has mean
-    cost <= alpha, and that law.
+def _multiplier(law, slope, cost: np.ndarray, alpha: float, t):
+    """For each law, the smallest multiplier t >= 0 at which its mean cost
+    m(t) is at most alpha, and its law there: (list of multipliers, array of
+    laws), one per warm start in t.
 
-    The tilt's mean cost m(t) is non-increasing in t, and −m'(t) is its
-    cost variance w.(c − m)².  Newton steps from the warm start t aim at the
-    middle of the window [alpha − w, alpha] and are kept inside the bracket
-    [lo, hi] (bisection, or doubling while no t is known to meet the
-    budget).  The returned law is the one at hi, so its mean cost, as
-    computed, is at most alpha.
+    law(rows, t) evaluates the laws numbered in rows at their multipliers t,
+    one row each, and slope(P) gives −m′ at each row of P; m is
+    non-increasing.  A law whose m(0) meets the budget gets 0.  Otherwise
+    Newton steps from its warm start aim at the middle of the window
+    [alpha − w, alpha], w = _COST_WINDOW·max |c|, and are kept inside its
+    bracket [lo, hi] (bisection, or doubling while no t is known to meet the
+    budget), until its cost, as computed, is in the window or the bracket is
+    a few ulps wide.  Brackets, steps and exit tests are Python floats, and
+    the laws still searching share one law and one slope call per step, so
+    one law costs what a scalar search would.  A law is returned at its hi,
+    so its mean cost, as computed, is at most alpha.
     """
-    w = _tilt(a, cost, 0.0)
-    if alpha is None:
-        return 0.0, w
-    m = float(w @ cost)
-    if m <= alpha:
-        return 0.0, w
+    P = law(range(len(t)), [0.0] * len(t))
+    m = np.vecdot(P, cost).tolist()
+    s = [0.0] * len(t)
+    act = [i for i, x in enumerate(m) if x > alpha]
+    if not act:
+        return s, P
     window = _COST_WINDOW * float(np.max(np.abs(cost)))
-    lo, hi, w_hi = 0.0, np.inf, None
-    if t > 0:
-        w = _tilt(a, cost, t)
-        m = float(w @ cost)
+    t = [float(t[i]) for i in act]
+    lo, hi = [0.0] * len(act), [np.inf] * len(act)
+    Pa = law(act, t) if any(t) else P[act]  # a start at 0 is evaluated again
+    m = np.vecdot(Pa, cost).tolist()
     for _ in range(_ROOT_STEPS):
-        if m > alpha:
-            lo = t
-        else:
-            hi, w_hi = t, w
-            if m >= alpha - window or hi - lo <= 4e-16 * hi:
-                return hi, w_hi
-        d = float(w @ (cost - m) ** 2)
-        t = t + (m - alpha + 0.5 * window) / d if d > 0 else np.inf
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi) if np.isfinite(hi) else max(2.0 * lo, 1.0)
-        w = _tilt(a, cost, t)
-        m = float(w @ cost)
-    if w_hi is None:
-        raise ConvergenceError(
-            f"no cost multiplier meets the budget alpha={alpha} "
-            f"(mean cost {m:.6g} at s={t:.3e})", gap=np.inf, iterations=0)
-    return hi, w_hi
+        go = []
+        for j, i in enumerate(act):
+            if m[j] > alpha:
+                lo[j] = t[j]
+            else:
+                hi[j] = s[i] = t[j]
+                P[i] = Pa[j]
+                if m[j] >= alpha - window or hi[j] - lo[j] <= 4e-16 * hi[j]:
+                    continue
+            go.append(j)
+        if not go:
+            return s, P
+        if len(go) < len(act):
+            act, m, t, lo, hi = ([x[j] for j in go] for x in (act, m, t, lo, hi))
+            Pa = Pa[go]
+        for j, d in enumerate(slope(Pa).tolist()):
+            x = t[j] + (m[j] - alpha + 0.5 * window) / d if d > 0 else np.inf
+            if not lo[j] < x < hi[j]:
+                x = 0.5 * (lo[j] + hi[j]) if hi[j] < np.inf else max(2.0 * lo[j], 1.0)
+            t[j] = x
+        Pa = law(act, t)
+        m = np.vecdot(Pa, cost).tolist()
+    if np.inf in hi:
+        j = hi.index(np.inf)
+        raise ConvergenceError(f"no cost multiplier meets the budget alpha={alpha} "
+                               f"(mean cost {m[j]:.6g} at s={t[j]:.3e})", gap=np.inf, iterations=0)
+    return s, P
 
 
 def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
-    """(mask of the inputs a solve may use, the budget it must still meet).
+    """(mask of the inputs a solve may use, the budget it must still meet),
+    with inf, the solver's only "no budget", for alpha=None.
 
     A budget at the cheapest input cost admits only the cheapest inputs, which
     all cost the same, so the budget is dropped; one below it, or nan, is an
     error.
     """
-    if alpha is not None:
-        min_cost = float(np.min(cost))
-        if not alpha >= min_cost - 1e-12:  # also rejects nan
-            raise ValueError(f"alpha={alpha} is not a number at or above the "
-                             f"cheapest input cost {min_cost}")
-        if alpha <= min_cost + 1e-12:
-            return cost <= min_cost + 1e-12, None
+    alpha = np.inf if alpha is None else alpha
+    min_cost = float(np.min(cost))
+    if not alpha >= min_cost - 1e-12:  # also rejects nan
+        raise ValueError(f"alpha={alpha} is not a number at or above the "
+                         f"cheapest input cost {min_cost}")
+    if alpha <= min_cost + 1e-12:
+        return cost <= min_cost + 1e-12, np.inf
     return np.ones(cost.size, dtype=bool), alpha
 
 
-def _blahut(W, cost: np.ndarray, alpha: float | None,
+def _blahut(W, cost: np.ndarray, alpha: float,
             tol: float, max_iters: int, wlogw: np.ndarray | None = None):
-    """Blahut-Arimoto with an optional budget on the rows W (_SlotFactors),
-    from the feasible tilt of the uniform law, on the objective
-    p.wlogw - H(pW), which is I(p) when wlogw is W's own.  Returns
+    """Blahut-Arimoto at budget alpha (inf for none) on the rows W
+    (_SlotFactors), from the feasible tilt of the uniform law, on the
+    objective p.wlogw - H(pW), which is I(p) when wlogw is W's own.  Returns
     (p, iterations, dual gap, history of the objective)."""
     if wlogw is None:
         wlogw = W.wlogw()
-    s, p = _budget_search(np.zeros(W.n), cost, alpha)
+
+    def search(a, s):  # the multiplier of a's tilt, from s, and the tilt (−m′ = Var c)
+        (s,), (p,) = _multiplier(lambda _, t: _tilt(a, cost, t[0])[None],
+                                 lambda P: np.vecdot(P, (cost - np.vecdot(P, cost)[:, None]) ** 2),
+                                 cost, alpha, [s])
+        return s, p
+
+    s, p = search(np.zeros(W.n), 0.0)
     history = []
     gap = np.inf
     next_polish = _FIRST_POLISH
@@ -346,7 +373,7 @@ def _blahut(W, cost: np.ndarray, alpha: float | None,
             d = wlogw - W.Wv(np.log(np.maximum(W.pW(p), _TINY)))
             f = float(p @ d)
             history.append(f)
-            s, p_next = _budget_search(np.log(p) + d, cost, alpha, s)
+            s, p_next = search(np.log(p) + d, s)
             gap = float(np.max(d - s * cost)) + s * alpha - f if s else float(d.max()) - f
             if gap <= tol:
                 return p, it, gap, history
@@ -363,24 +390,23 @@ def _blahut(W, cost: np.ndarray, alpha: float | None,
         f"(last gap {gap:.3e}, cost multiplier {s:.3e})", gap=gap, iterations=max_iters)
 
 
-def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
+def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float,
                 p: np.ndarray, d: np.ndarray, s: float, floor: float, tol: float):
     """Active-set Newton solve of the KKT system from BA's law p, its row
     divergences d and multiplier s (see the module docstring).  Returns
     (law, I(law), gap) when the law passes the acceptance test, with floor
     as BA's last I(p_t); otherwise None."""
     # The constraint rows A p = b: Σp = 1 and, while `budget` is set, c·p =
-    # the middle of _budget_search's window, so the law meets the budget.
+    # the middle of _multiplier's window, so the law meets the budget.
     budget = s > 0
     A = np.vstack([np.ones(cost.size), cost])
-    b = np.array([1.0, np.nan if alpha is None
-                  else alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))])
+    b = np.array([1.0, alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))])
     # Start from BA's law on the inputs that its next update, to first
     # order, does not shrink (score g = d − s·c at least the mean p·g), and
     # the cheapest input at weight _TINY or more, so the budget row can hold.
     g = d - s * cost
     on = g >= p @ g
-    if alpha is not None:
+    if alpha < np.inf:
         on[np.argmin(cost)] = True
     p = np.where(on, np.maximum(p, _TINY), 0.0)
     p /= p.sum()
@@ -393,7 +419,7 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float | None,
         shift = s * alpha if budget else 0.0
         gap = float(g.max()) + shift - f
         if gap <= tol:
-            if alpha is None or float(p @ cost) <= alpha:
+            if float(p @ cost) <= alpha:
                 return (p, f, gap) if s >= 0 and f >= floor else None
             budget = True  # certified but over budget: the budget row joins
         # After a full step p meets the constraints, so the gap is the

@@ -109,11 +109,10 @@ def symkl_ascent_per_start(channel: DiscreteChannel, alpha=None, seed: int = 0,
     starts, step, stopping rule and two-point preference as sym_kl_max."""
     keep, alpha = _cheapest_inputs(channel.cost, alpha)
     idx = np.flatnonzero(keep)
-    budget = math.inf if alpha is None else alpha
     cost = channel.cost[idx]
     n = idx.size
     D = _sym_kl_matrix(channel.transition[idx])
-    i, j, t, pair_best = _best_pair(D, cost, budget)
+    i, j, t, pair_best = _best_pair(D, cost, alpha)
     if math.isinf(pair_best):
         return pair_best
     C = np.eye(n) - 1.0 / n
@@ -123,11 +122,11 @@ def symkl_ascent_per_start(channel: DiscreteChannel, alpha=None, seed: int = 0,
     starts += [rng.dirichlet(np.ones(n)) for _ in range(_SYMKL_RANDOM_STARTS)]
     best_val = -np.inf
     for p in starts:
-        p = _project_feasible(p, cost, budget)
+        p = _project_feasible(p, cost, alpha)
         grad = D @ p
         val = 0.5 * float(p @ grad)
         for _ in range(max_iters):
-            p_next = _project_feasible(p + step * grad, cost, budget)
+            p_next = _project_feasible(p + step * grad, cost, alpha)
             grad_next = D @ p_next
             val_next = 0.5 * float(p_next @ grad_next)
             if not val_next > val:

@@ -11,10 +11,10 @@ import pytest
 
 import ltipc as lp
 import ltipc.cli as cli
-from ltipc import ImpulseResponse, monotonicity_sweep
+from ltipc import ImpulseResponse, channel, monotonicity_sweep
 from ltipc.channel import _block_factors
 from ltipc.cli import _parse_values, main
-from ltipc.errors import ConvergenceError
+from ltipc.errors import BudgetExceededError, ConvergenceError
 from ltipc.report import BOUND_COLUMNS, GRID_UPPER_LABEL
 
 
@@ -57,6 +57,14 @@ class TestParseValues:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             _parse_values("5..1")
+
+    def test_ranges_counted_together(self, monkeypatch):
+        """Each range fits a budget of 200 values; the two together do not,
+        and are refused before the second is expanded."""
+        monkeypatch.setattr(channel, "DEFAULT_ENTRY_BUDGET", 1000)  # 8,000 bytes
+        assert len(_parse_values("0..150")) == 151
+        with pytest.raises(BudgetExceededError, match="302 values.*--values"):
+            _parse_values("0..150,0..150")
 
 
 class TestCapacityCommand:
@@ -245,6 +253,18 @@ class TestSimulateCommand:
         assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
         assert "--values" in err
         assert not os.path.exists(f"{prefix}.outputs.csv")
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "alpha"]])
+    def test_over_budget_values_range_exits_1(self, command, isi_instance, tmp_path, capsys):
+        """0..1e12 holds 10^12 values: exit 1, naming --values, before the
+        range is expanded, and write no file."""
+        rc = main([*command, "--instance", isi_instance, "--out", str(tmp_path / "big"),
+                   "--values", "0..1e12"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:")
+        assert "--values" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["isi.json"]
 
     def test_seed_changes_outputs(self, isi_instance, tmp_path):
         p1, p2 = str(tmp_path / "s1"), str(tmp_path / "s2")

@@ -8,7 +8,7 @@ from scipy.special import rel_entr
 
 import ltipc as lp
 from ltipc.channel import _block_factors
-from ltipc.solver import _TINY, _SlotFactors, _wlogw_rows
+from ltipc.solver import _COST_WINDOW, _TINY, _multiplier, _SlotFactors, _tilt, _wlogw_rows
 
 from helpers import bsc, grid_search_capacity, small_corpus
 
@@ -239,6 +239,55 @@ class TestCapacityCostCurve:
     def test_rejects_unsorted(self, poisson9):
         with pytest.raises(ValueError):
             lp.capacity_cost_curve(poisson9, [5.0, 1.0])
+
+
+def _cost_variance(cost):
+    """slope for _multiplier on tilts: −m′ of a tilt is its cost variance."""
+    return lambda P: np.vecdot(P, (cost - np.vecdot(P, cost)[:, None]) ** 2)
+
+
+class TestMultiplier:
+    """_multiplier on tilt laws, the family Blahut-Arimoto searches; the
+    projection side is tested by test_bounds.py::TestProjectFeasible."""
+
+    def test_batch_rows_match_one_law_searches(self):
+        """240 random tilts in six n-groups with tied integer costs, each
+        group searched as one batch from warm starts of 0 and above: every
+        row equals its own one-law search bit for bit, meets the budget, lands
+        in the window [alpha − w, alpha] when its multiplier is above 0, and
+        has multiplier 0 exactly when its untilted law meets the budget."""
+        rng = np.random.default_rng(30)
+        searched = warmed = 0
+        for n in range(3, 9):
+            cost = (np.arange(n) // 2).astype(np.float64)  # ties in pairs
+            alpha = float(rng.uniform(0.1, 0.6)) * cost.max()
+            window = _COST_WINDOW * np.max(np.abs(cost))
+            A = 3.0 * rng.normal(size=(40, n))
+            warm = np.where(rng.random(40) < 0.5, 0.0, rng.uniform(0.1, 4.0, 40)).tolist()
+            slope = _cost_variance(cost)
+            s, P = _multiplier(
+                lambda rows, t: np.array([_tilt(A[i], cost, x) for i, x in zip(rows, t)]),
+                slope, cost, alpha, warm)
+            assert len(s) == P.shape[0] == len(A)
+            for a, t0, s_i, p in zip(A, warm, s, P):
+                (s_one,), P_one = _multiplier(lambda _, t: _tilt(a, cost, t[0])[None],
+                                              slope, cost, alpha, [t0])
+                assert s_i == s_one and np.array_equal(p, P_one[0])
+                assert p @ cost <= alpha
+                assert (s_i == 0) == (_tilt(a, cost, 0.0) @ cost <= alpha)
+                if s_i > 0:
+                    assert p @ cost >= alpha - window
+                    searched += 1
+                    warmed += t0 > 0
+        assert 0 < warmed < searched < 240
+
+    def test_unreachable_budget_raises(self):
+        """Below the cheapest cost no multiplier meets the budget: the search
+        doubles to its step cap and raises."""
+        cost = np.array([1.0, 2.0, 2.0])
+        with pytest.raises(lp.ConvergenceError, match="no cost multiplier meets the budget"):
+            _multiplier(lambda _, t: _tilt(np.zeros(3), cost, t[0])[None],
+                        _cost_variance(cost), cost, 0.5, [0.0])
 
 
 def _block_channel(taps, lambda0, amax, alpha, grid, r=1):
