@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import SandwichBound, block_sandwich_bounds
+from .bounds import SandwichBound, _stationary, block_sandwich_bounds
 from .channel import (DEFAULT_TAIL_EPS, BlockChannelSpec, ChannelSpec, ImpulseResponse,
                       InputGrid, _checked_grid, _freeze)
 from .solver import SolverConfig
@@ -121,14 +121,16 @@ _AXIS_DIRECTION = {
 
 
 def _sweep(spec: ChannelSpec, axis: str, values, grid_points: int, rs,
-           config: SolverConfig, tail_eps: float = DEFAULT_TAIL_EPS):
-    """The instances with axis set to each value, on a uniform grid spanning
-    each new peak, and their block bounds as columns lower_r<r>, upper_r<r>."""
+           config: SolverConfig, tail_eps: float = DEFAULT_TAIL_EPS, sides=()):
+    """The bounds of the instances with axis set to each value, on a uniform
+    grid spanning each new peak, as columns: the block bounds lower_r<r>,
+    upper_r<r>, then stationary_<side> for each of sides."""
     if axis not in _AXIS_DIRECTION:
         raise ValueError(f"--axis must be one of {', '.join(_AXIS_DIRECTION)}, "
                          f"got {axis!r}")
     points = [replace(spec, **{axis: v}) for v in values]
     columns = {f"{side}_r{r}": [] for r in rs for side in ("lower", "upper")}
+    columns.update({f"stationary_{side}": [] for side in sides})
     for point in points:
         grid = _checked_grid(point, grid_points, tail_eps)
         for r in dict.fromkeys(rs):
@@ -136,7 +138,11 @@ def _sweep(spec: ChannelSpec, axis: str, values, grid_points: int, rs,
                 BlockChannelSpec(point, grid, r=r, tail_eps=tail_eps), config)
             columns[f"lower_r{r}"].append(bound.lower)
             columns[f"upper_r{r}"].append(bound.upper)
-    return points, columns
+        if sides:
+            bound = _stationary(point, grid, config, tail_eps, sides)
+            for side in sides:
+                columns[f"stationary_{side}"].append(getattr(bound, side))
+    return columns
 
 
 def monotonicity_sweep(impulse: ImpulseResponse, axis: str, values,
@@ -152,7 +158,7 @@ def monotonicity_sweep(impulse: ImpulseResponse, axis: str, values,
         raise ValueError("values must be sorted ascending")
     base = ChannelSpec(impulse=impulse, lambda0=base_lambda0, amax=base_amax,
                        alpha=base_alpha)
-    c1 = _sweep(base, axis, values, grid_points, (1,), config)[1]["upper_r1"]
+    c1 = _sweep(base, axis, values, grid_points, (1,), config)["upper_r1"]
     direction = _AXIS_DIRECTION[axis]
     sign = 1.0 if direction == "non-decreasing" else -1.0
     monotone = bool(np.all(sign * np.diff(c1) >= -slack))

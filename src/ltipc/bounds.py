@@ -35,14 +35,15 @@ from .channel import (
     build_block_channel,
 )
 from .errors import ConvergenceError
-from .solver import (_TINY, SolverConfig, _blahut, _capacity, _check_pmf, _cheapest_inputs,
-                     _log0, _multiplier, _SlotFactors, _wlogw_rows, ba_capacity)
+from .solver import (_TINY, SolverConfig, _capacity, _check_pmf, _cheapest_inputs, _log0,
+                     _multiplier, _SlotFactors, _wlogw_rows, ba_capacity)
 
 
-# No bound calls ba_capacity or an LP solver, but perfbench/tracing.py still
-# wraps `ltipc.bounds.ba_capacity` and `ltipc.bounds.linprog`, so both names
+# No bound calls build_block_channel, ba_capacity or an LP solver, but
+# perfbench/tracing.py still wraps `ltipc.bounds.build_block_channel`,
+# `ltipc.bounds.ba_capacity` and `ltipc.bounds.linprog`, so the three names
 # stay.  linprog resolves on first read, so SciPy stays off `import ltipc`;
-# remove both once the tracer stops wrapping them.
+# remove them once the tracer stops wrapping them.
 def __getattr__(name):
     if name == "linprog":
         from scipy.optimize import linprog
@@ -171,8 +172,8 @@ _CYCLE_STEPS = 100
 class _StationaryPolytope:
     """The feasible set of joint laws on grid^(k+1): simplex, equal shifted
     marginals, average intensity at most alpha.  cost is the single-slot
-    channel's cost vector, one entry per window in build_block_channel's
-    order on an m-point grid.
+    channel's cost vector, one entry per window in _block_factors' order on
+    an m-point grid.
 
     A shift-consistent law is a normalized circulation on the de Bruijn
     graph B(m, k): window t is the edge from node t // m (its first k
@@ -388,7 +389,7 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
     corrective simplicial decomposition (Holloway 1974; Lacoste-Julien &
     Jaggi 2015).  The atoms, rows of V, are uniform laws on cycles, first
     the cheapest and the best for wlogw_rows.  On p = lam.V the objective is
-    lam.(V wlogw_rows) - H(lam VW), so _blahut solves the master over lam
+    lam.(V wlogw_rows) - H(lam VW), so _capacity solves the master over lam
     with costs V cost.  polytope.lp_max prices g over the whole polytope and
     both cycles of its vertex join the atoms, until g.(s - p) <= config.tol.
     Returns (p, I(p), gap, master iterations in all); raises
@@ -410,20 +411,17 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         V = np.zeros((len(cycles), polytope.n))
         for j, C in enumerate(cycles):
             V[j, list(C)] = 1.0 / len(C)
-        O, cost = _SlotFactors.rows(V @ W), V @ polytope.cost
-        keep, alpha = _cheapest_inputs(cost, polytope.alpha)
-        keep &= O.reps(cost)
         try:
-            lam, its, _, _ = _blahut(O.take(keep), cost[keep], alpha, config.tol, config.max_iters,
-                                     wlogw=V[keep] @ wlogw_rows)
+            res = _capacity(_SlotFactors.rows(V @ W), V @ polytope.cost, polytope.alpha,
+                            config, wlogw=V @ wlogw_rows)
         except ConvergenceError as e:
             raise ConvergenceError(
                 f"simplicial decomposition's master solve {master} did not reach gap "
                 f"{config.tol} in {e.iterations} Blahut-Arimoto steps (last gap over the "
                 f"polytope {gap:.3e}, {iterations + e.iterations} master steps in all)",
                 gap=gap, iterations=iterations + e.iterations) from e
-        iterations += its
-        p = lam @ V[keep]
+        iterations += res.iterations
+        p = res.input_dist @ V
         f, g = _cmi_value_grad(W[None], wlogw_rows, p)
         found, s = polytope.lp_max(g)
         gap = float(g @ (s - p))
@@ -436,22 +434,17 @@ def _simplicial_upper(W, wlogw_rows, polytope: _StationaryPolytope,
         f"(last gap {gap:.3e}, {len(cycles)} cycles)", gap=gap, iterations=iterations)
 
 
-def _single_slot_channel(spec: ChannelSpec, grid: InputGrid,
-                         tail_eps: float) -> DiscreteChannel:
-    return build_block_channel(BlockChannelSpec(spec, grid, r=1, tail_eps=tail_eps))
-
-
 def _stationary(spec: ChannelSpec, grid: InputGrid, config: SolverConfig,
                 tail_eps: float, sides: tuple) -> StationaryBound:
-    """Solve each of sides on one build of the single-slot channel and
-    polytope: _simplicial_upper for the upper bound, _barrier_lower with
+    """Solve each of sides on one build of the single-slot channel's factors
+    and polytope: _simplicial_upper for the upper bound, _barrier_lower with
     the rows split by their k previous inputs for the lower.  A
     ConvergenceError names the bound."""
-    ch = _single_slot_channel(spec, grid, tail_eps)
+    table, index, tuples = _block_factors(BlockChannelSpec(spec, grid, r=1, tail_eps=tail_eps))
     k, m = spec.impulse.order, len(grid.points)
-    W = ch.transition
+    W = table[index[:, 0]]
     wlogw_rows = _wlogw_rows(W)
-    poly = _StationaryPolytope(ch.cost, m, k, spec.alpha)
+    poly = _StationaryPolytope(tuples.mean(axis=1), m, k, spec.alpha)
     runs = {}
     for side in sides:
         try:
@@ -592,7 +585,7 @@ def _project_feasible(V: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarr
     """
     rows = V.reshape(-1, V.shape[-1])
 
-    def slope(P):  # |S|·Var_S(c) for each row of P
+    def slope(P, _):  # |S|·Var_S(c) for each row of P; its mean is over S alone
         on = P > 0
         mean = np.where(on, cost, 0.0).sum(axis=-1) / on.sum(axis=-1)
         dev = np.where(on, cost - mean[:, None], 0.0)

@@ -4,8 +4,8 @@ conversion into finite discrete channels with per-input costs.
 The physical model: the transmitter releases molecules with intensity x_i in
 slot i, a molecule released in slot i arrives in slot i+j with probability
 taps[j], and the receiver count in slot i is Poisson distributed with
-intensity lambda0 + (x * taps)_i.  All solvers in this package consume the
-finite ``DiscreteChannel`` produced here.
+intensity lambda0 + (x * taps)_i.  The bounds read the block channel's
+factors (``_block_factors``), and ``build_block_channel`` multiplies them out.
 """
 from __future__ import annotations
 
@@ -143,7 +143,9 @@ class DiscreteChannel:
     """Row-stochastic transition matrix (one row per input, outputs are its
     column indices), a per-input cost vector and one label per input.
 
-    The common currency of every solver in this package.  Immutable: the
+    The public input of ba_capacity, capacity_cost_curve, the sym-KL
+    bounds, mutual_information and the plug-in estimator; the bounds read
+    the block channel's factors (_block_factors) instead.  Immutable: the
     arrays are frozen so instances can be shared across threads.
     """
 

@@ -26,7 +26,6 @@ from .analysis import _sweep, capacity_ordering_check
 from .bounds import (
     block_sandwich_bounds,
     poisson_sym_bound_closed_form,
-    stationary_bounds,
     sym_kl_max,
 )
 from .channel import (
@@ -208,11 +207,8 @@ def _cmd_sweep(run: Loaded) -> None:
         raise ValueError("sweep requires --axis")
     if not run.values:
         raise ValueError("sweep requires --values")
-    points, columns = _sweep(run.spec, run.axis, run.values, run.grid_points,
-                             run.rs, run.config, run.tail_eps)
-    st = [stationary_bounds(p, run.grid(p), run.config, run.tail_eps) for p in points]
-    columns["stationary_lower"] = [b.lower for b in st]
-    columns["stationary_upper"] = [b.upper for b in st]
+    columns = _sweep(run.spec, run.axis, run.values, run.grid_points, run.rs, run.config,
+                     run.tail_eps, ("lower", "upper"))
     write_sweep_report(run.out, run.axis, run.values, columns, run.inst_hash,
                        run.config_desc)
 

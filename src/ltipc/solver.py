@@ -279,9 +279,9 @@ def _multiplier(law, slope, cost: np.ndarray, alpha: float, t):
     laws), one per warm start in t.
 
     law(rows, t) evaluates the laws numbered in rows at their multipliers t,
-    one row each, and slope(P) gives −m′ at each row of P; m is
-    non-increasing.  A law whose m(0) meets the budget gets 0.  Otherwise
-    Newton steps from its warm start aim at the middle of the window
+    one row each, and slope(P, m) gives −m′ at the rows of P, of mean costs
+    m; m is non-increasing.  A law whose m(0) meets the budget gets 0.
+    Otherwise Newton steps from its warm start aim at the middle of the window
     [alpha − w, alpha], w = _COST_WINDOW·max |c|, and are kept inside its
     bracket [lo, hi] (bisection, or doubling while no t is known to meet the
     budget), until its cost, as computed, is in the window or the bracket is
@@ -317,7 +317,7 @@ def _multiplier(law, slope, cost: np.ndarray, alpha: float, t):
         if len(go) < len(act):
             act, m, t, lo, hi = ([x[j] for j in go] for x in (act, m, t, lo, hi))
             Pa = Pa[go]
-        for j, d in enumerate(slope(Pa).tolist()):
+        for j, d in enumerate(slope(Pa, np.array(m)).tolist()):
             x = t[j] + (m[j] - alpha + 0.5 * window) / d if d > 0 else np.inf
             if not lo[j] < x < hi[j]:
                 x = 0.5 * (lo[j] + hi[j]) if hi[j] < np.inf else max(2.0 * lo[j], 1.0)
@@ -350,17 +350,15 @@ def _cheapest_inputs(cost: np.ndarray, alpha: float | None):
 
 
 def _blahut(W, cost: np.ndarray, alpha: float,
-            tol: float, max_iters: int, wlogw: np.ndarray | None = None):
+            tol: float, max_iters: int, wlogw: np.ndarray):
     """Blahut-Arimoto at budget alpha (inf for none) on the rows W
     (_SlotFactors), from the feasible tilt of the uniform law, on the
     objective p.wlogw - H(pW), which is I(p) when wlogw is W's own.  Returns
     (p, iterations, dual gap, history of the objective)."""
-    if wlogw is None:
-        wlogw = W.wlogw()
 
     def search(a, s):  # the multiplier of a's tilt, from s, and the tilt (−m′ = Var c)
         (s,), (p,) = _multiplier(lambda _, t: _tilt(a, cost, t[0])[None],
-                                 lambda P: np.vecdot(P, (cost - np.vecdot(P, cost)[:, None]) ** 2),
+                                 lambda P, m: np.vecdot(P, (cost - m[:, None]) ** 2),
                                  cost, alpha, [s])
         return s, p
 
@@ -475,13 +473,15 @@ def ba_capacity(channel: DiscreteChannel, alpha: float | None = None,
 
 
 def _capacity(W, cost: np.ndarray, alpha: float | None,
-              config: SolverConfig) -> CapacityResult:
-    """ba_capacity on the rows W (_SlotFactors)."""
+              config: SolverConfig, wlogw: np.ndarray | None = None) -> CapacityResult:
+    """ba_capacity on the rows W (_SlotFactors), and _blahut's one caller;
+    wlogw, if given, replaces W's own row terms in the objective."""
     keep, alpha = _cheapest_inputs(cost, alpha)
     keep &= W.reps(cost)
+    wlogw = W.wlogw() if wlogw is None else wlogw
     if not keep.all():
-        W, cost = W.take(keep), cost[keep]
-    p, iterations, gap, history = _blahut(W, cost, alpha, config.tol, config.max_iters)
+        W, cost, wlogw = W.take(keep), cost[keep], wlogw[keep]
+    p, iterations, gap, history = _blahut(W, cost, alpha, config.tol, config.max_iters, wlogw)
     p_full = np.zeros(keep.size)
     p_full[keep] = p
     # history[-1] is I(p) of the law whose dual gap the loop tested.
@@ -497,8 +497,9 @@ def _capacity(W, cost: np.ndarray, alpha: float | None,
 
 def capacity_cost_curve(channel: DiscreteChannel, alphas,
                         config: SolverConfig = SolverConfig()) -> list:
-    """ba_capacity along an ascending list of budgets."""
+    """ba_capacity along an ascending list of budgets, on one row view."""
     alphas = list(alphas)
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be sorted ascending")
-    return [ba_capacity(channel, alpha=a, config=config) for a in alphas]
+    W = _SlotFactors.rows(channel.transition)
+    return [_capacity(W, channel.cost, a, config) for a in alphas]

@@ -8,7 +8,6 @@ import pytest
 import ltipc as lp
 from ltipc.bounds import (
     _cmi_value_grad,
-    _single_slot_channel,
     _wlogw_rows,
 )
 
@@ -125,7 +124,7 @@ def test_a06_gradient_finite_differences(isi_instance):
     central finite differences (h=1e-6) at 20 random interior polytope
     points, max relative error below 1e-4."""
     spec, grid = isi_instance
-    ch = _single_slot_channel(spec, grid, 1e-10)
+    ch = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10))
     m = 5
     W = ch.transition
     Wr = W.reshape(m, m, W.shape[1])
@@ -154,7 +153,7 @@ def test_a07_intensity_sufficiency():
     50 random joint laws."""
     spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 5.0, 40.0, 40.0)
     grid = lp.InputGrid.uniform(40.0, 5)
-    ch = _single_slot_channel(spec, grid, 1e-10)
+    ch = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10))
     lam = np.array([5.0 + 0.7 * b + 0.3 * a for (a, b) in ch.input_labels])
     keys = np.round(lam, 9)
     uniq = np.unique(keys)

@@ -11,7 +11,6 @@ import ltipc as lp
 from ltipc.bounds import (
     _cmi_value_grad,
     _project_feasible,
-    _single_slot_channel,
     _StationaryPolytope,
     _stationarity_matrix,
     _sym_kl_matrix,
@@ -118,7 +117,7 @@ class TestStationaryBounds:
         spec = small_isi_spec()
         grid = lp.InputGrid.uniform(10.0, 3)
         up = lp.stationary_upper_bound(spec, grid, FW_CFG)
-        ch = _single_slot_channel(spec, grid, 1e-10)
+        ch = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10))
         mu = np.array([0.6, 0.2, 0.2])  # mean 0.2*5 + 0.2*10 = 3 <= alpha
         joint = np.kron(mu, mu)
         val = lp.mutual_information(ch, joint)
@@ -132,7 +131,7 @@ class TestStationaryBounds:
     def test_certificates_satisfy_constraints(self, small_isi_bounds):
         spec = small_isi_spec()
         grid = lp.InputGrid.uniform(10.0, 3)
-        cost = _single_slot_channel(spec, grid, 1e-10).cost
+        cost = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10)).cost
         poly = _StationaryPolytope(cost, 3, 1, spec.alpha)
         for dist in (small_isi_bounds.upper_dist, small_isi_bounds.lower_dist):
             P = dist.reshape(3, 3)
@@ -143,7 +142,8 @@ class TestStationaryBounds:
             spec = lp.ChannelSpec(lp.ImpulseResponse(taps), lam0, amax, alpha)
             grid = lp.InputGrid.uniform(amax, 3)
             dist = lp.stationary_lower_bound(spec, grid).lower_dist
-            cost = _single_slot_channel(spec, grid, 1e-10).cost
+            cost = lp.build_block_channel(
+                lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10)).cost
             assert np.abs(_stationarity_matrix(3, 2) @ dist).max() <= 1e-9
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert dist @ cost <= alpha + 1e-9
@@ -237,7 +237,8 @@ class TestStationaryBounds:
         information is the reported value."""
         for i, (spec, grid) in enumerate(seeded_stationary_set()):
             up = lp.stationary_upper_bound(spec, grid)
-            ch = _single_slot_channel(spec, grid, DEFAULT_TAIL_EPS)
+            ch = lp.build_block_channel(
+                lp.BlockChannelSpec(spec, grid, r=1, tail_eps=DEFAULT_TAIL_EPS))
             p, k, m = up.upper_dist, spec.impulse.order, len(grid.points)
             assert up.fw_gap <= 1e-9, i
             assert abs(lp.mutual_information(ch, p) - up.upper) <= 1e-12, i
@@ -265,7 +266,8 @@ class TestStationaryBounds:
         less the tolerance."""
         for i, (spec, grid) in enumerate(seeded_stationary_set()):
             both = lp.stationary_bounds(spec, grid)
-            ch = _single_slot_channel(spec, grid, DEFAULT_TAIL_EPS)
+            ch = lp.build_block_channel(
+                lp.BlockChannelSpec(spec, grid, r=1, tail_eps=DEFAULT_TAIL_EPS))
             p, k, m = both.lower_dist, spec.impulse.order, len(grid.points)
             assert both.fw_gap <= 1e-9, i
             assert np.abs(_stationarity_matrix(m, k) @ p).max() <= 1e-12, i
@@ -286,7 +288,8 @@ class TestStationaryBounds:
                 lo = lp.stationary_lower_bound(spec, grid)
             except lp.ConvergenceError as e:
                 pytest.fail(f"instance {i}: {e}")
-            ch = _single_slot_channel(spec, grid, DEFAULT_TAIL_EPS)
+            ch = lp.build_block_channel(
+                lp.BlockChannelSpec(spec, grid, r=1, tail_eps=DEFAULT_TAIL_EPS))
             p, k, m = lo.lower_dist, spec.impulse.order, len(grid.points)
             assert lo.fw_gap <= 1e-9, i
             assert p.min() > 0.0 or spec.alpha == 0.0, i
@@ -381,8 +384,8 @@ class TestStationaryBounds:
 
     def test_both_bounds_build_one_channel(self, monkeypatch):
         calls = []
-        build = lp.bounds.build_block_channel
-        monkeypatch.setattr(lp.bounds, "build_block_channel",
+        build = lp.bounds._block_factors
+        monkeypatch.setattr(lp.bounds, "_block_factors",
                             lambda bspec: calls.append(bspec) or build(bspec))
         lp.stationary_bounds(small_isi_spec(), lp.InputGrid.uniform(10.0, 3))
         assert len(calls) == 1
@@ -398,7 +401,8 @@ class TestCycleOracle:
         amax = 40.0
         taps = (0.5, 0.3, 0.2)[:k + 1]
         spec = lp.ChannelSpec(lp.ImpulseResponse(taps), 5.0, amax, amax)
-        cost = _single_slot_channel(spec, lp.InputGrid.uniform(amax, m), 1e-10).cost
+        cost = lp.build_block_channel(
+            lp.BlockChannelSpec(spec, lp.InputGrid.uniform(amax, m), r=1, tail_eps=1e-10)).cost
         n = cost.size
         S = _stationarity_matrix(m, k)
         A_eq = np.vstack([np.ones((1, n)), S])
@@ -440,7 +444,8 @@ class TestCycleOracle:
         budget that holds one (V+1) x V table but not two is refused."""
         m, k = 3, 1
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.5)), 5.0, 40.0, 10.0)
-        cost = _single_slot_channel(spec, lp.InputGrid.uniform(40.0, m), 1e-10).cost
+        cost = lp.build_block_channel(
+            lp.BlockChannelSpec(spec, lp.InputGrid.uniform(40.0, m), r=1, tail_eps=1e-10)).cost
         V = m ** k
         one_table = (V + 1) * V  # float64 entries
         monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", one_table)
@@ -460,7 +465,7 @@ class TestObjectiveGradients:
         """One prefix group: the objective is I(X; Y)."""
         spec = small_isi_spec(alpha=10.0)
         grid = lp.InputGrid.uniform(10.0, 3)
-        ch = _single_slot_channel(spec, grid, 1e-10)
+        ch = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10))
         W = ch.transition[None]
         d = _wlogw_rows(ch.transition)
         rng = np.random.default_rng(0)
@@ -478,7 +483,7 @@ class TestObjectiveGradients:
     def test_cmi_gradient_finite_difference(self):
         spec = small_isi_spec(alpha=10.0)
         grid = lp.InputGrid.uniform(10.0, 3)
-        ch = _single_slot_channel(spec, grid, 1e-10)
+        ch = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10))
         Wr = ch.transition.reshape(3, 3, ch.n_outputs)
         d = _wlogw_rows(ch.transition)
         rng = np.random.default_rng(1)
@@ -846,7 +851,7 @@ class TestIntensitySufficiency:
         with equal intensity are merged: 50 random joint laws, k=1."""
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.7, 0.3)), 2.0, 10.0, 10.0)
         grid = lp.InputGrid.uniform(10.0, 4)
-        ch = _single_slot_channel(spec, grid, 1e-10)
+        ch = lp.build_block_channel(lp.BlockChannelSpec(spec, grid, r=1, tail_eps=1e-10))
         lam = np.array([2.0 + 0.7 * b + 0.3 * a for (a, b) in ch.input_labels])
         keys = np.round(lam, 9)
         uniq = np.unique(keys)

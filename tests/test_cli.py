@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,17 +188,16 @@ class TestSweepCommand:
         assert np.all(lower <= upper + 1e-12)
 
     def test_one_stationary_build_per_point(self, isi_instance, tmp_path, monkeypatch):
-        """Per point: one channel for each block length and one single-slot
-        channel shared by both stationary bounds.  _block_factors is the one
-        builder under both: the sandwich solves from its factors and
-        build_block_channel multiplies them out."""
+        """Point by point: one channel for each block length, then one
+        single-slot channel shared by both stationary bounds, all solved from
+        _block_factors."""
         calls = []
         for target in ("ltipc.channel._block_factors", "ltipc.bounds._block_factors"):
             monkeypatch.setattr(target, lambda bspec: calls.append(bspec.r) or _block_factors(bspec))
         rc = main(["sweep", "--instance", isi_instance, "--out", str(tmp_path / "s.csv"),
                    "--axis", "alpha", "--values", "2,6", "--r", "1", "--r", "2"])
         assert rc == 0
-        assert calls == [1, 2] * 2 + [1] * 2
+        assert calls == [1, 2, 1] * 2
 
     def test_upper_r1_is_monotonicity_sweeps_c1(self, isi_instance, tmp_path):
         """Both sweeps solve C_1 at the same points, so the report's upper_r1
@@ -210,6 +210,23 @@ class TestSweepCommand:
                                      base_lambda0=2.0, base_amax=10.0, base_alpha=3.0,
                                      grid_points=3)
         assert [float(row["upper_r1"]) for row in rows] == list(verdict.c1)
+
+    @pytest.mark.parametrize("axis, values", [("alpha", (1.0, 2.0, 4.0)),
+                                              ("lambda0", (1.0, 5.0))])
+    def test_stationary_columns_are_stationary_bounds(self, isi_instance, tmp_path,
+                                                      axis, values):
+        """The report's stationary columns are stationary_bounds at each
+        point, on the point's grid, float for float."""
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--instance", isi_instance, "--out", out, "--axis", axis,
+                     "--values", ",".join(map(str, values)), "--r", "1"]) == 0
+        _, rows = read_report(out)
+        base = lp.ChannelSpec(ImpulseResponse((0.7, 0.3)), 2.0, 10.0, 3.0)
+        grid = lp.InputGrid.uniform(10.0, 3)
+        for row, v in zip(rows, values, strict=True):
+            both = lp.stationary_bounds(replace(base, **{axis: v}), grid)
+            assert float(row["stationary_lower"]) == both.lower
+            assert float(row["stationary_upper"]) == both.upper
 
     def test_requires_axis_and_values(self, isi_instance, tmp_path):
         out = str(tmp_path / "x.csv")

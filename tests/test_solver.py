@@ -243,7 +243,7 @@ class TestCapacityCostCurve:
 
 def _cost_variance(cost):
     """slope for _multiplier on tilts: −m′ of a tilt is its cost variance."""
-    return lambda P: np.vecdot(P, (cost - np.vecdot(P, cost)[:, None]) ** 2)
+    return lambda P, m: np.vecdot(P, (cost - m[:, None]) ** 2)
 
 
 class TestMultiplier:
