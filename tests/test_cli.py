@@ -1,11 +1,12 @@
 """Command-line front end: dispatch, CSV contracts, exit codes,
 idempotence."""
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -506,6 +507,182 @@ def test_over_budget_array_exits_1(doc, argv, what, tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith("LTIPC-ERROR invalid-input:")
     assert what in proc.stderr and "--grid" in proc.stderr
+
+
+# The instances of the end-to-end cases below; README's is "readme".
+INSTANCES = {
+    "smoke": {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 40.0, "alpha": 10.0},
+    "onoff": {"impulse": [0.7, 0.3], "lambda0": 1.0, "amax": 10.0, "alpha": 5.0},
+    "faint": {"impulse": [0.41, 0.33, 0.26], "lambda0": 1e-4, "amax": 4e-4, "alpha": 1e-4},
+    "budgetrow": {"impulse": [0.6044, 0.2982, 0.0974], "lambda0": 3.3333,
+                  "amax": 51.295, "alpha": 23.529},
+    "readme": {"impulse": [0.7, 0.3], "lambda0": 5.0, "amax": 40.0, "alpha": 5.0},
+    "half": {"impulse": [0.5], "lambda0": 5.0, "amax": 40.0, "alpha": 5.0},
+    "peak": {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 40.0, "alpha": 40.0},
+}
+
+
+@dataclass(frozen=True)
+class Case:
+    """One CLI run and the checks on what it writes.  A value is addressed
+    as (data row, column) of the report at --out, or is a number."""
+    id: str
+    instance: str
+    argv: tuple
+    exit_code: int = 0
+    rows: int | None = None  # data rows of the report; None for a trace
+    pins: dict = field(default_factory=dict)  # value: (expected, tol), nan pins nan
+    at_most: tuple = ()  # (a, b, slack): a <= b + slack
+    digests: dict = field(default_factory=dict)  # suffix: SHA-256 of the data rows
+
+
+def _lower_at_most_upper(n_pairs):
+    """Sandwich reports: each lower bound row sits just before its upper."""
+    return tuple(((2 * i, "value_nats"), (2 * i + 1, "value_nats"), 0.0)
+                 for i in range(n_pairs))
+
+
+def _stationary_between(n_rows):
+    """Sweep reports: stationary_lower <= stationary_upper <= upper_r1."""
+    return tuple(link for i in range(n_rows) for link in (
+        ((i, "stationary_lower"), (i, "stationary_upper"), 0.0),
+        ((i, "stationary_upper"), (i, "upper_r1"), 1e-6)))
+
+
+CASES = [
+    # Trace digests: a change to the Poisson draws fails here.
+    Case("simulate-smoke", "smoke", ("simulate", "--seed", "7", "--values", "5,10,0,40"),
+         digests={
+             ".outputs.csv": "e375697c133de98e29da38b859064ac0a081ac01d590e5988289b24fc6968800",
+             ".inputs.csv": "2bfd9a8973aba9df90178b1d3430466b0648141cf2c5b15562786e52c356b20e"}),
+    # An on-off waveform: Atkinson groups of 64 slots at intensities 30 and
+    # 42, drawn in lockstep rounds from the uniform table.
+    Case("simulate-onoff", "smoke",
+         ("simulate", "--seed", "7", "--values", ",".join(["0", "40", "40", "0"] * 64)),
+         digests={
+             ".outputs.csv": "cd16457434c3d2359defb4ff0388ea9329f4f0fe29356437484e638debeda065"}),
+    Case("simulate-readme", "readme", ("simulate", "--seed", "7", "--values", "5,10,0,40"),
+         digests={
+             ".outputs.csv": "898a55eff376fcaa335b1bd137e9bd86a593a9c92170c0c87d8ab8a3e1bbad03"}),
+    Case("bounds-smoke", "smoke", ("bounds", "--grid", "3", "--r", "1"), rows=2),
+    # The largest block solved here: 16 x 59,319 on-off keyed at r = 3,
+    # solved from its slot factors.  The pin catches a slot-order bug.
+    Case("bounds-onoff-r3", "onoff", ("bounds", "--grid", "2", "--r", "3"), rows=2,
+         pins={(1, "value_nats"): (0.62518879095813862, 1e-9)},
+         at_most=_lower_at_most_upper(1)),
+    # The one CLI path that solves a materialized matrix: 64 distinct slot
+    # pmfs of 3 counts, so the 64^2 grid of slot-index pairs outsizes the
+    # 256 x 9 block matrix, which is solved as it stands.
+    Case("bounds-faint", "faint", ("bounds", "--grid", "4", "--r", "2"), rows=2,
+         pins={(1, "value_nats"): (6.2541124418934529e-05, 1e-12)},
+         at_most=_lower_at_most_upper(1)),
+    # A slack budget at hand-over whose unconstrained KKT point breaks it:
+    # the polish must bring the budget row in, not leave BA's 1/t tail to
+    # finish (32,769 iterations).
+    Case("bounds-budgetrow", "budgetrow", ("bounds", "--grid", "5", "--r", "1"), rows=2,
+         pins={(1, "value_nats"): (1.2971467013688773, 1e-9)},
+         at_most=(((0, "iterations"), 9, 0), ((1, "iterations"), 9, 0))),
+    # README's bounds command: r = 2 is a 729 x 9,025 block, finished by
+    # the Newton polish.
+    Case("bounds-readme", "readme", ("bounds", "--r", "1", "--r", "2"), rows=4,
+         pins={(0, "value_nats"): (0.42512426555131178, 1e-9),
+               (1, "value_nats"): (0.85024853110262355, 1e-9),
+               (3, "value_nats"): (0.73999869143498687, 1e-9)},
+         at_most=_lower_at_most_upper(2)),
+    Case("capacity-readme", "readme", ("capacity",), rows=1,
+         pins={(0, "value_nats"): (0.85024853110262355, 1e-9)}),
+    Case("capacity-peak", "peak", ("capacity",), rows=1),
+    Case("sweep-smoke", "smoke", ("sweep", "--axis", "alpha", "--values", "4,10",
+                                  "--grid", "3", "--r", "1"),
+         rows=2, at_most=_stationary_between(2)),
+    # Again at the default grid (9 points, 81 windows).
+    Case("sweep-smoke-grid9", "smoke", ("sweep", "--axis", "alpha", "--values", "4,10",
+                                        "--r", "1"),
+         rows=2, at_most=_stationary_between(2)),
+    # Up to alpha = amax, where the stationary lower bound's barrier weight
+    # reaches its floor.
+    Case("peak-sweep", "readme", ("sweep", "--grid", "3", "--axis", "alpha",
+                                  "--values", "5,40"),
+         rows=2, at_most=_stationary_between(2),
+         pins={(0, "stationary_lower"): (0.54238095571564959, 1e-9),
+               (1, "stationary_lower"): (0.86870019170268264, 1e-9),
+               (0, "stationary_upper"): (0.73221739849856771, 1e-9),
+               (1, "stationary_upper"): (1.1365264043796124, 1e-9)}),
+    # README's sweep on two of its points: 1..40 takes over a second.
+    Case("sweep-readme", "readme", ("sweep", "--axis", "alpha", "--values", "5,10"),
+         rows=2, at_most=_stationary_between(2),
+         pins={(0, "stationary_lower"): (0.57815215045406643, 1e-9),
+               (1, "stationary_lower"): (0.79320640464886449, 1e-9),
+               (0, "stationary_upper"): (0.73768567530742568, 1e-9),
+               (1, "stationary_upper"): (1.0083094258726397, 1e-9),
+               (0, "upper_r1"): (0.85024853110262355, 1e-9),
+               (1, "upper_r1"): (1.07225032855203, 1e-9)}),
+    # Rows: the ordering margin, then the sandwiches of p and p'.
+    Case("degrade-smoke", "smoke", ("degrade-check", "--grid", "3",
+                                    "--values", "0.49,0.42,0.09"),
+         rows=5, at_most=((0.0, (0, "value_nats"), 1e-6),)),
+    Case("degrade-smoke-na", "smoke", ("degrade-check", "--grid", "3", "--values", "0.5,0.5"),
+         rows=1, pins={(0, "value_nats"): (math.nan, 0.0)}),
+    Case("degrade-readme", "readme", ("degrade-check", "--values", "0.35,0.5,0.15"), rows=5,
+         pins={(0, "value_nats"): (0.12074644615692554, 1e-9),
+               (2, "value_nats"): (0.98926532487408358, 1e-9),
+               (4, "value_nats"): (0.86851887871715805, 1e-9)}),
+    # Rows: the generic search, then the memoryless closed form.
+    Case("symkl-half", "half", ("symkl", "--grid", "5"), rows=2,
+         at_most=(((0, "value_nats"), (1, "value_nats"), 1e-6),
+                  ((1, "value_nats"), (0, "value_nats"), 1e-6))),
+    # README's instance at the default grid: 81 inputs, all 18 starts in one batch.
+    Case("symkl-readme", "readme", ("symkl",), rows=1,
+         pins={(0, "value_nats"): (9.91345341958679, 1e-9)}),
+]
+CASE = {case.id: case for case in CASES}
+
+
+def check_case(case, tmp_path):
+    """Run one case through main into tmp_path; fail on any check it misses."""
+    instance = tmp_path / f"{case.instance}.json"
+    instance.write_text(json.dumps(INSTANCES[case.instance]))
+    out = tmp_path / "out"
+    assert main([*case.argv, "--instance", str(instance), "--out", str(out)]) == case.exit_code
+    for suffix, digest in case.digests.items():
+        data_rows = (tmp_path / f"out{suffix}").read_bytes().split(b"\n", 2)[2]
+        assert hashlib.sha256(data_rows).hexdigest() == digest, suffix
+    if case.rows is None:
+        return
+    _, rows = read_report(out)
+    assert len(rows) == case.rows
+
+    def value(at):
+        return float(rows[at[0]][at[1]]) if isinstance(at, tuple) else at
+
+    for at, (expected, tol) in case.pins.items():
+        assert np.isclose(value(at), expected, rtol=0.0, atol=tol, equal_nan=True), (at, rows)
+    for a, b, slack in case.at_most:
+        assert value(a) <= value(b) + slack, (a, b, rows)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_case_table(case, tmp_path):
+    """Each command end to end on fixed instances, its pinned values and
+    digests included.  A new pin is one more row of CASES."""
+    check_case(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", [
+    replace(CASE["bounds-faint"], pins={(1, "value_nats"): (6.2541124418934529e-05 + 1e-11,
+                                                            1e-12)}),
+    replace(CASE["degrade-smoke"], pins={(0, "value_nats"): (math.nan, 0.0)}),
+    replace(CASE["simulate-smoke"], digests={
+        ".inputs.csv": "2bfd9a8973aba9df90178b1d3430466b0648141cf2c5b15562786e52c356b20f"}),
+    replace(CASE["bounds-smoke"], rows=3),
+    replace(CASE["bounds-smoke"], argv=(*CASE["bounds-smoke"].argv, "--tol", "nan")),
+    replace(CASE["bounds-budgetrow"], at_most=(((0, "iterations"), 8, 0),)),
+], ids=["pin-moved", "nan-pin-on-a-number", "digest-digit", "rows-off-by-one",
+        "exits-1-not-0", "at-most-tightened"])
+def test_case_table_catches_a_doctored_case(case, tmp_path):
+    """Each kind of check in the table fails when its expectation is wrong."""
+    with pytest.raises(AssertionError):
+        check_case(case, tmp_path)
 
 
 def test_import_leaves_scipy_unloaded():
