@@ -1,6 +1,5 @@
 """Shared oracles and fixtures: brute-force searches and small channels used
 to cross-check the solvers."""
-import itertools
 import math
 
 import numpy as np
@@ -27,24 +26,19 @@ def poisson_pmf_recurrence(lam: float, ymax: int) -> np.ndarray:
     return out
 
 
-def simplex_grid(n: int, step: float):
+def simplex_grid(n: int, step: float) -> np.ndarray:
     """All pmfs on n atoms with coordinates on a uniform grid of the given
-    step (n <= 3 keeps this affordable)."""
-    ticks = int(round(1.0 / step))
+    step, one per row (n <= 3 keeps this affordable)."""
+    if n not in (1, 2, 3):
+        raise ValueError("grid search oracle only supports up to 3 inputs")
     if n == 1:
-        yield np.array([1.0])
-        return
+        return np.ones((1, 1))
+    ticks = int(round(1.0 / step))
+    i = np.arange(ticks + 1)
     if n == 2:
-        for i in range(ticks + 1):
-            yield np.array([i * step, 1.0 - i * step])
-        return
-    if n == 3:
-        for i in range(ticks + 1):
-            rest = ticks - i
-            for j in range(rest + 1):
-                yield np.array([i * step, j * step, (rest - j) * step])
-        return
-    raise ValueError("grid search oracle only supports up to 3 inputs")
+        return np.column_stack([i * step, 1.0 - i * step])
+    i, j = np.nonzero(i[:, None] + i <= ticks)  # i-major, as nested loops
+    return np.column_stack([i * step, j * step, (ticks - i - j) * step])
 
 
 def _mi_batch(W: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -61,7 +55,7 @@ def grid_search_capacity(W: np.ndarray, step: float = 1e-3, cost=None,
                          alpha=None) -> float:
     """Dense grid search over the input simplex; the independent oracle for
     small Blahut-Arimoto runs."""
-    P = np.array(list(simplex_grid(W.shape[0], step)))
+    P = simplex_grid(W.shape[0], step)
     if alpha is not None:
         P = P[P @ np.asarray(cost) <= alpha + 1e-12]
     return float(_mi_batch(W, P).max())
@@ -95,7 +89,7 @@ def grid_search_symkl(W: np.ndarray, step: float = 1e-3, cost=None,
             P[:, i] = tt
             P[:, j] = 1 - tt
             best = max(best, float(_symkl_batch(W, P).max()))
-    P = np.array(list(simplex_grid(n, step)))
+    P = simplex_grid(n, step)
     if alpha is not None:
         P = P[P @ np.asarray(cost) <= alpha + 1e-12]
     best = max(best, float(_symkl_batch(W, P).max()))

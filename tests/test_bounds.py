@@ -766,17 +766,20 @@ class TestPoissonClosedForms:
             lp.poisson_sym_bound_closed_form(40.0, 5.0, 0.0)
 
     def test_matches_two_point_numeric_oracle(self):
-        """Numeric maximization of the covariance over two-point laws."""
+        """Numeric maximization of the covariance over two-point laws, t at
+        x1 and 1 - t at 0, on a 201 x 201 grid; cov_bound_poisson agrees at
+        each budget's best law."""
         amax, lam0 = 40.0, 5.0
+        x1, t = np.linspace(0.0, amax, 201)[:, None], np.linspace(0.0, 1.0, 201)
+        s, log_s = x1 + lam0, np.log(x1 + lam0)
+        cov = (t * s * log_s + (1 - t) * lam0 * math.log(lam0)
+               - (t * s + (1 - t) * lam0) * (t * log_s + (1 - t) * math.log(lam0)))
         for alpha in (5.0, 15.0, 20.0, 30.0):
-            best = 0.0
-            for x1 in np.linspace(0.0, amax, 201):
-                for t in np.linspace(0.0, 1.0, 201):
-                    mean = t * x1
-                    if mean > alpha + 1e-12:
-                        continue
-                    best = max(best, lp.cov_bound_poisson(
-                        [x1, 0.0], [t, 1 - t], lam0))
+            within = np.where(t * x1 > alpha + 1e-12, -np.inf, cov)
+            i, j = np.unravel_index(np.argmax(within), within.shape)
+            best = within[i, j]
+            assert abs(lp.cov_bound_poisson([x1[i, 0], 0.0], [t[j], 1 - t[j]], lam0)
+                       - best) <= 1e-12
             closed = lp.poisson_sym_bound_closed_form(amax, alpha, lam0)
             assert closed >= best - 1e-9
             assert closed - best < 5e-3  # oracle grid resolution

@@ -31,10 +31,8 @@ def memoryless_instance(tmp_path):
 
 @pytest.fixture()
 def isi_instance(tmp_path):
-    doc = {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 10.0, "alpha": 3.0,
-           "grid_points": 3, "tail_eps": 1e-10}
     path = tmp_path / "isi.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(INSTANCES["isi"]))
     return str(path)
 
 
@@ -84,37 +82,8 @@ class TestCapacityCommand:
         assert abs(bits - nats / math.log(2)) < 1e-12
         assert 0 < nats < math.log(4)
 
-    def test_budget_at_peak_solves(self, tmp_path):
-        """alpha = amax leaves the budget slack at every iterate, where plain
-        Blahut-Arimoto's gap decays only like O(1/t)."""
-        doc = {"impulse": [0.7, 0.3], "lambda0": 5.0, "amax": 40.0, "alpha": 40.0}
-        path = tmp_path / "peak.json"
-        path.write_text(json.dumps(doc))
-        out = str(tmp_path / "cap.csv")
-        assert main(["capacity", "--instance", str(path), "--out", out, "--grid", "9"]) == 0
-        _, [row] = read_report(out)
-        assert float(row["gap"]) <= 1e-9
-        assert abs(float(row["value_nats"]) - 1.140663381378) <= 1e-8
-
 
 class TestBoundsCommand:
-    def test_four_rows_ordered(self, isi_instance, tmp_path):
-        """r in {1, 2}: lower(2) >= lower(1), upper(2) <= upper(1)."""
-        out = str(tmp_path / "bounds.csv")
-        rc = main(["bounds", "--instance", isi_instance, "--out", out,
-                   "--r", "1", "--r", "2", "--tol", "1e-8"])
-        assert rc == 0
-        _, rows = read_report(out)
-        assert len(rows) == 4
-        by = {(r["bound_name"], r["r"]): float(r["value_nats"]) for r in rows}
-        lo1 = by[("grid lower bound", "1")]
-        lo2 = by[("grid lower bound", "2")]
-        up1 = by[("grid upper bound of the discretized problem", "1")]
-        up2 = by[("grid upper bound of the discretized problem", "2")]
-        assert lo2 >= lo1 - 1e-6
-        assert up2 <= up1 + 1e-6
-        assert lo1 <= up1 + 1e-12 and lo2 <= up2 + 1e-12
-
     def test_idempotent_modulo_wallclock(self, isi_instance, tmp_path):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         argv = ["bounds", "--instance", isi_instance, "--r", "1", "--tol", "1e-8"]
@@ -292,21 +261,6 @@ class TestSimulateCommand:
 
 
 class TestDegradeCheckCommand:
-    def test_feasible_pair(self, tmp_path):
-        doc = {"impulse": [1.0, 0.0], "lambda0": 2.0, "amax": 10.0,
-               "alpha": 3.0, "grid_points": 3}
-        inst = tmp_path / "base.json"
-        inst.write_text(json.dumps(doc))
-        out = str(tmp_path / "deg.csv")
-        rc = main(["degrade-check", "--instance", str(inst), "--out", out,
-                   "--values", "0.5,0.5", "--tol", "1e-8"])
-        assert rc == 0
-        _, rows = read_report(out)
-        ordering = [r for r in rows if r["bound_name"] == "ordering"]
-        assert len(ordering) == 1
-        assert float(ordering[0]["value_nats"]) >= -1e-6
-        assert len(rows) == 5  # ordering + two sandwich pairs
-
     def test_uses_instance_tail_eps(self, tmp_path):
         """The |p rows are the bounds of the zero-padded p at the instance's
         tail_eps, not at the package default."""
@@ -324,15 +278,6 @@ class TestDegradeCheckCommand:
         [expected] = [r["value_nats"] for r in read_report(bounds)[1]
                       if r["bound_name"] == GRID_UPPER_LABEL]
         assert upper["inst|p"] == expected
-
-    def test_not_applicable_pair(self, isi_instance, tmp_path):
-        out = str(tmp_path / "deg.csv")
-        rc = main(["degrade-check", "--instance", isi_instance, "--out", out,
-                   "--values", "0.5,0.5"])
-        assert rc == 0
-        _, rows = read_report(out)
-        assert len(rows) == 1
-        assert math.isnan(float(rows[0]["value_nats"]))
 
 
 class TestErrorPaths:
@@ -509,7 +454,8 @@ def test_over_budget_array_exits_1(doc, argv, what, tmp_path):
     assert what in proc.stderr and "--grid" in proc.stderr
 
 
-# The instances of the end-to-end cases below; README's is "readme".
+# The instances of the end-to-end cases below; README's is "readme", and the
+# isi_instance fixture writes "isi".
 INSTANCES = {
     "smoke": {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 40.0, "alpha": 10.0},
     "onoff": {"impulse": [0.7, 0.3], "lambda0": 1.0, "amax": 10.0, "alpha": 5.0},
@@ -519,6 +465,11 @@ INSTANCES = {
     "readme": {"impulse": [0.7, 0.3], "lambda0": 5.0, "amax": 40.0, "alpha": 5.0},
     "half": {"impulse": [0.5], "lambda0": 5.0, "amax": 40.0, "alpha": 5.0},
     "peak": {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 40.0, "alpha": 40.0},
+    "readme-peak": {"impulse": [0.7, 0.3], "lambda0": 5.0, "amax": 40.0, "alpha": 40.0},
+    "isi": {"impulse": [0.7, 0.3], "lambda0": 2.0, "amax": 10.0, "alpha": 3.0,
+            "grid_points": 3, "tail_eps": 1e-10},
+    "zero-tap": {"impulse": [1.0, 0.0], "lambda0": 2.0, "amax": 10.0, "alpha": 3.0,
+                 "grid_points": 3},
 }
 
 
@@ -589,9 +540,21 @@ CASES = [
                (1, "value_nats"): (0.85024853110262355, 1e-9),
                (3, "value_nats"): (0.73999869143498687, 1e-9)},
          at_most=_lower_at_most_upper(2)),
+    # Rows: lower and upper at r = 1, then at r = 2; the longer block
+    # tightens both.
+    Case("bounds-isi", "isi", ("bounds", "--r", "1", "--r", "2", "--tol", "1e-8"), rows=4,
+         at_most=(((0, "value_nats"), (2, "value_nats"), 1e-6),
+                  ((3, "value_nats"), (1, "value_nats"), 1e-6),
+                  ((0, "value_nats"), (1, "value_nats"), 1e-12),
+                  ((2, "value_nats"), (3, "value_nats"), 1e-12))),
     Case("capacity-readme", "readme", ("capacity",), rows=1,
          pins={(0, "value_nats"): (0.85024853110262355, 1e-9)}),
     Case("capacity-peak", "peak", ("capacity",), rows=1),
+    # alpha = amax leaves the budget slack at every iterate, where plain
+    # Blahut-Arimoto's gap decays only like O(1/t).
+    Case("capacity-readme-peak", "readme-peak", ("capacity", "--grid", "9"), rows=1,
+         pins={(0, "value_nats"): (1.140663381378, 1e-8)},
+         at_most=(((0, "gap"), 1e-9, 0.0),)),
     Case("sweep-smoke", "smoke", ("sweep", "--axis", "alpha", "--values", "4,10",
                                   "--grid", "3", "--r", "1"),
          rows=2, at_most=_stationary_between(2)),
@@ -621,6 +584,12 @@ CASES = [
     Case("degrade-smoke", "smoke", ("degrade-check", "--grid", "3",
                                     "--values", "0.49,0.42,0.09"),
          rows=5, at_most=((0.0, (0, "value_nats"), 1e-6),)),
+    # p = (1, 0) filtered by (0.5, 0.5) is p' = (0.5, 0.5): a degraded pair.
+    Case("degrade-zero-tap", "zero-tap", ("degrade-check", "--values", "0.5,0.5",
+                                          "--tol", "1e-8"),
+         rows=5, at_most=((0.0, (0, "value_nats"), 1e-6),)),
+    # The taps (0.7, 0.3) cannot degrade to (0.5, 0.5): the NNLS verdict
+    # depends on the taps alone.
     Case("degrade-smoke-na", "smoke", ("degrade-check", "--grid", "3", "--values", "0.5,0.5"),
          rows=1, pins={(0, "value_nats"): (math.nan, 0.0)}),
     Case("degrade-readme", "readme", ("degrade-check", "--values", "0.35,0.5,0.15"), rows=5,

@@ -1,4 +1,5 @@
 """Blahut-Arimoto solver: closed forms, constraints, brute-force oracle."""
+import functools
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ import ltipc as lp
 from ltipc.channel import _block_factors
 from ltipc.solver import _COST_WINDOW, _TINY, _multiplier, _SlotFactors, _tilt, _wlogw_rows
 
-from helpers import bsc, grid_search_capacity, small_corpus
+from helpers import bsc, grid_search_capacity, simplex_grid, small_corpus
 
 
 def h2_bits(p: float) -> float:
@@ -175,35 +176,56 @@ class TestBaCapacity:
         assert res.achieved_cost <= 0.5
 
 
+@functools.cache
+def _oracle_cases():
+    """(channel, budget, solve, grid-search optimum) for each small_corpus()
+    channel and each budget in (None, mean cost): each solve and each oracle
+    runs once, shared by the TestBruteForceOracle checks."""
+    cases = []
+    for ch in small_corpus():
+        for budget in (None, float(np.mean(ch.cost))):
+            res = lp.ba_capacity(ch, alpha=budget,
+                                 config=lp.SolverConfig(tol=1e-10))
+            oracle = grid_search_capacity(ch.transition, step=1e-3,
+                                          cost=ch.cost, alpha=budget)
+            cases.append((ch, budget, res, oracle))
+    return cases
+
+
 class TestBruteForceOracle:
+    def test_simplex_grid(self):
+        """Every pmf on the step-0.25 grid once, none off it; n = 3 at step
+        1e-3, the oracles' grid, has all C(1002, 2) points."""
+        for n, rows in ((1, 1), (2, 5), (3, 15)):
+            P = simplex_grid(n, 0.25)
+            assert P.shape == (rows, n)
+            assert len({tuple(p) for p in P}) == rows and P.min() >= 0.0
+            assert np.array_equal(P / 0.25, np.round(P / 0.25))
+            assert np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-12)
+        assert simplex_grid(3, 1e-3).shape == (501_501, 3)
+        with pytest.raises(ValueError):
+            simplex_grid(4, 0.25)
+
     def test_matches_grid_search_unconstrained(self):
-        for ch in small_corpus():
-            ba = lp.ba_capacity(ch, config=lp.SolverConfig(tol=1e-10)).value
-            oracle = grid_search_capacity(ch.transition, step=1e-3)
-            assert abs(ba - oracle) < 2e-3
+        cases = [c for c in _oracle_cases() if c[1] is None]
+        assert len(cases) == len(small_corpus())
+        for _, _, res, oracle in cases:
+            assert abs(res.value - oracle) < 2e-3
 
     def test_matches_grid_search_constrained(self):
-        for ch in small_corpus():
-            alpha = float(np.mean(ch.cost))
-            ba = lp.ba_capacity(ch, alpha=alpha,
-                                config=lp.SolverConfig(tol=1e-10)).value
-            oracle = grid_search_capacity(ch.transition, step=1e-3,
-                                          cost=ch.cost, alpha=alpha)
-            assert abs(ba - oracle) < 2e-3
+        cases = [c for c in _oracle_cases() if c[1] is not None]
+        assert len(cases) == len(small_corpus())
+        for ch, budget, res, oracle in cases:
+            assert budget == float(np.mean(ch.cost))
+            assert abs(res.value - oracle) < 2e-3
 
     def test_dual_gap_certifies_upper_bound(self):
         """value + gap bounds the grid-search optimum from above, budget or
         not, and the returned law meets the budget with no slack."""
-        for ch in small_corpus():
-            alpha = float(np.mean(ch.cost))
-            for budget in (None, alpha):
-                res = lp.ba_capacity(ch, alpha=budget,
-                                     config=lp.SolverConfig(tol=1e-10))
-                oracle = grid_search_capacity(ch.transition, step=1e-3,
-                                              cost=ch.cost, alpha=budget)
-                assert res.value + res.gap >= oracle - 2e-3
-                if budget is not None:
-                    assert res.achieved_cost <= budget
+        for _, budget, res, oracle in _oracle_cases():
+            assert res.value + res.gap >= oracle - 2e-3
+            if budget is not None:
+                assert res.achieved_cost <= budget
 
 
 class TestCapacityCostCurve:
