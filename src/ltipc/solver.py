@@ -30,7 +30,8 @@ Newton polish: an active-set Newton solve of the KKT system
 whose Jacobian is −H with H = W_S·diag(1/q)·W_Sᵀ, bordered by the
 constraint rows; each step's right-hand side closes them.  The polish starts
 from BA's law, renormalized, on the inputs that BA's next update, to first
-order, does not shrink (score D_x − s·c_x at least the mean score) and the
+order, does not shrink (score D_x − s·c_x at least the mean score), the
+inputs BA weighs at least a tenth of its heaviest (_HEAVY_START), and the
 cheapest input.  The budget row is in from the start when s > 0, and joins
 when a law with gap at most tol breaks the budget.  A step that would make
 a weight negative stops at the boundary and drops that input, and the next
@@ -59,6 +60,7 @@ _TINY = 1e-300  # floor for logarithms; relative BA weights below it become zero
 _COST_WINDOW = 1e-14  # width of the accepted budget window, relative to max |cost|
 _ROOT_STEPS = 200  # multiplier-search steps; doubling alone reaches s = 2**199
 _FIRST_POLISH = 8  # BA iteration of the first Newton polish; then every doubling
+_HEAVY_START = 0.1  # polish also starts on BA weights >= this × max: drops cost less than adds
 _NEWTON_STEPS = 20  # polish steps beyond one ratio-test drop per input
 _ROW_BLOCK = 1 << 16  # entries of W that _wlogw_rows holds a temporary for
 
@@ -400,10 +402,13 @@ def _kkt_polish(W, wlogw: np.ndarray, cost: np.ndarray, alpha: float,
     A = np.vstack([np.ones(cost.size), cost])
     b = np.array([1.0, alpha - 0.5 * _COST_WINDOW * float(np.max(np.abs(cost)))])
     # Start from BA's law on the inputs that its next update, to first
-    # order, does not shrink (score g = d − s·c at least the mean p·g), and
-    # the cheapest input at weight _TINY or more, so the budget row can hold.
+    # order, does not shrink (score g = d − s·c at least the mean p·g) or
+    # that BA weighs heavily, and the cheapest input at weight _TINY or more,
+    # so the budget row can hold.  Near BA's fixed point every support
+    # input's score is about the mean, so the score alone keeps about half
+    # the support and can leave out its heaviest inputs.
     g = d - s * cost
-    on = g >= p @ g
+    on = (g >= p @ g) | (p >= _HEAVY_START * p.max())
     if alpha < np.inf:
         on[np.argmin(cost)] = True
     p = np.where(on, np.maximum(p, _TINY), 0.0)
