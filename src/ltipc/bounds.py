@@ -85,8 +85,7 @@ def block_sandwich_bounds(bspec: BlockChannelSpec,
     within the same byte budget.
     """
     table, index, tuples = _block_factors(bspec)
-    k = bspec.base.impulse.order
-    r = bspec.r
+    k, r = bspec.base.impulse.order, bspec.r
     n_grid, n_dense = table.shape[0] ** r, len(index) * table.shape[1] ** r
     W = (_SlotFactors(table, index) if n_grid <= n_dense
          else _SlotFactors.rows(_kron_rows(table, index)))
@@ -183,17 +182,17 @@ class _StationaryPolytope:
     inside a Lagrangian on the budget; no LP solver is involved.  The grid
     starts at 0 and a window costs its mean input, so window 0's self-loop,
     the all-zero law, is the only cycle of cost 0: the cheapest cycle, and a
-    feasible point at any alpha >= 0.  Karp's two
-    (V+1) x V tables on V = m^k nodes, D (float64) and pred (intp), are
-    alive at once, so their bytes together must fit the byte budget of
-    DEFAULT_ENTRY_BUDGET float64 entries.
+    feasible point at any alpha >= 0.  Karp's search on V = m^k nodes holds
+    two float64 tables at once, its (V+1) x V walk weights D and its V x V
+    gain table, counted at D's size; their bytes together must fit the byte
+    budget of DEFAULT_ENTRY_BUDGET float64 entries.
     """
 
     def __init__(self, cost: np.ndarray, m: int, k: int, alpha: float):
         V = m ** k
-        _check_bytes((V + 1) * V * (np.dtype(np.float64).itemsize + np.dtype(np.intp).itemsize),
+        _check_bytes(2 * (V + 1) * V * np.dtype(np.float64).itemsize,
                      f"the stationary bounds' cycle search needs two {V + 1} x {V} tables "
-                     f"(float64 and intp) at once ({m}-point grid, {k + 1} taps)",
+                     f"of float64 at once ({m}-point grid, {k + 1} taps)",
                      "lower --grid or use fewer taps")
         self.cost = cost
         self.n = cost.size
@@ -214,18 +213,16 @@ class _StationaryPolytope:
         m, V = self.m, self.n_nodes
         weights = w.reshape(m, V)
         D = np.zeros((V + 1, V))
-        pred = np.empty((V + 1, V), dtype=np.intp)
-        cols = np.arange(V)
         for i in range(1, V + 1):
-            cand = D[i - 1][self._src] + weights
-            pred[i] = cand.argmax(axis=0)
-            D[i] = cand[pred[i], cols]
-        v = int(((D[V] - D[:V]) / (V - np.arange(V))[:, None]).min(axis=0).argmax())
-        # Walk back from level V; V + 1 nodes on V repeat before level 0.
+            np.max(D[i - 1][self._src] + weights, axis=0, out=D[i])
+        gain = D[V] - D[:V]
+        gain /= (V - np.arange(V))[:, None]
+        v = int(gain.min(axis=0).argmax())
+        # Walk back from level V by each level's first max; V + 1 nodes on V repeat before 0.
         level, edges, i = {}, [], V
         while v not in level:
             level[v] = i
-            t = int(pred[i, v]) * V + v
+            t = int((D[i - 1][self._src[:, v]] + weights[:, v]).argmax()) * V + v
             edges.append(t)
             v, i = t // m, i - 1
         return np.array(edges[V - level[v]:])

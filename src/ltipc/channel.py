@@ -323,7 +323,7 @@ def convolve(inputs, impulse: ImpulseResponse) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("inputs must be a 1-D sequence")
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise ValueError("inputs must be nonnegative")
     if x.size == 0:
         return np.zeros(0)

@@ -133,6 +133,10 @@ def _load(args) -> Loaded:
     rs = tuple(args.r or (1,))
     if any(r < 1 for r in rs):
         raise ValueError("--r must be >= 1")
+    solves = {"capacity": rs[:1], "degrade-check": rs[:1], "symkl": (1,)}.get(args.command, rs)
+    if rs != solves:
+        raise ValueError(f"{args.command} solves --r {';'.join(map(str, solves))} only, "
+                         f"got --r {';'.join(map(str, rs))}")
     config = SolverConfig() if args.tol is None else SolverConfig(tol=args.tol)
     values = _parse_values(args.values) if args.values else ()
     config_desc = (

@@ -92,8 +92,7 @@ class Trace:
 
     def input_rows(self):
         """CSV rows (trial, slot, tx_id, x); inputs repeat across trials."""
-        n_trials = self.outputs.shape[0]
-        for trial in range(n_trials):
+        for trial in range(self.outputs.shape[0]):
             for tx in range(self.inputs.shape[0]):
                 for slot in range(self.inputs.shape[1]):
                     yield trial, slot, tx, self.inputs[tx, slot]
@@ -465,7 +464,7 @@ def simulate_p2p(spec: ChannelSpec, inputs, sim: SimConfig) -> Trace:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 1 or x.size != sim.n_slots:
         raise ValueError("inputs must be a 1-D sequence of length n_slots")
-    if np.any(x < 0) or np.any(x > spec.amax + 1e-12):
+    if not np.all((x >= 0) & (x <= spec.amax + 1e-12)):
         raise ValueError("inputs must lie in [0, amax]")
     lam = spec.lambda0 + convolve(x, spec.impulse)
     return Trace(inputs=x[None, :], outputs=_draw_counts(lam[None, :], sim, _STREAM_P2P))
@@ -478,7 +477,7 @@ def simulate_network(net: NetworkSpec, inputs, sim: SimConfig) -> Trace:
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape != (net.n_tx, sim.n_slots):
         raise ValueError(f"inputs must have shape ({net.n_tx}, {sim.n_slots})")
-    if np.any(x < 0) or np.any(x > net.amax[:, None] + 1e-12):
+    if not np.all((x >= 0) & (x <= net.amax[:, None] + 1e-12)):
         raise ValueError("inputs must lie in [0, amax] per transmitter")
     lam = np.full((net.n_rx, sim.n_slots), float(net.lambda0))
     for j in range(net.n_rx):

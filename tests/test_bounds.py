@@ -2,6 +2,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,8 +453,9 @@ class TestCycleOracle:
         assert err.value.gap == math.inf and err.value.iterations == 0
 
     def test_budget_counts_both_tables(self, monkeypatch):
-        """Karp's D (float64) and pred (intp) tables are alive at once: a
-        budget that holds one (V+1) x V table but not two is refused."""
+        """Karp's walk weights D, (V+1) x V, and its V x V gain table are
+        alive at once, and the gain table is counted at D's size: a budget
+        that holds one (V+1) x V float64 table but not two is refused."""
         m, k = 3, 1
         spec = lp.ChannelSpec(lp.ImpulseResponse((0.5, 0.5)), 5.0, 40.0, 10.0)
         cost = lp.build_block_channel(
@@ -465,6 +467,26 @@ class TestCycleOracle:
             _StationaryPolytope(cost, m, k, 10.0)
         monkeypatch.setattr(lp.channel, "DEFAULT_ENTRY_BUDGET", 2 * one_table)
         _StationaryPolytope(cost, m, k, 10.0)
+
+    def test_search_peak_within_its_count(self, monkeypatch):
+        """One cycle search at m = 4, k = 4 (V = 256) peaks, as tracemalloc
+        sees it, within 1.1 times the bytes the constructor counts."""
+        m, k = 4, 4
+        counted = []
+        monkeypatch.setattr(lp.bounds, "_check_bytes",
+                            lambda nbytes, needs, hint: counted.append(nbytes))
+        n = m ** (k + 1)
+        poly = _StationaryPolytope(np.arange(n) / n, m, k, 0.5)
+        w = np.random.default_rng(4).normal(size=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            poly._max_mean_cycle(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 1
+        assert peak <= 1.1 * counted[0], (peak, counted[0])
 
 
 class TestObjectiveGradients:

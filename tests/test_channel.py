@@ -86,8 +86,10 @@ class TestConvolve:
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            lp.convolve([-1.0], lp.ImpulseResponse((1.0,)))
+        """NaN is refused too, rather than returned."""
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="inputs must be nonnegative"):
+                lp.convolve([2.0, bad], lp.ImpulseResponse((1.0,)))
 
 
 class TestImpulseResponse:

@@ -1,6 +1,8 @@
 """Command-line front end: dispatch, CSV contracts, exit codes,
 idempotence."""
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -485,6 +487,7 @@ class Case:
     pins: dict = field(default_factory=dict)  # value: (expected, tol), nan pins nan
     at_most: tuple = ()  # (a, b, slack): a <= b + slack
     digests: dict = field(default_factory=dict)  # suffix: SHA-256 of the data rows
+    error: str = ""  # text of the one-line invalid-input message; no file is written
 
 
 def _lower_at_most_upper(n_pairs):
@@ -603,6 +606,17 @@ CASES = [
     # README's instance at the default grid: 81 inputs, all 18 starts in one batch.
     Case("symkl-readme", "readme", ("symkl",), rows=1,
          pins={(0, "value_nats"): (9.91345341958679, 1e-9)}),
+    # Block lengths a command does not solve are refused, not dropped.
+    Case("capacity-two-r", "isi", ("capacity", "--r", "1", "--r", "2"), exit_code=1,
+         error="capacity solves --r 1 only, got --r 1;2"),
+    Case("degrade-two-r", "isi", ("degrade-check", "--values", "0.49,0.42,0.09",
+                                  "--r", "2", "--r", "1"), exit_code=1,
+         error="degrade-check solves --r 2 only, got --r 2;1"),
+    Case("symkl-r2", "isi", ("symkl", "--r", "2"), exit_code=1,
+         error="symkl solves --r 1 only, got --r 2"),
+    # NaN fails both ends of the range check.
+    Case("simulate-nan", "isi", ("simulate", "--values", "5,nan,3"), exit_code=1,
+         error="inputs must lie in [0, amax]"),
 ]
 CASE = {case.id: case for case in CASES}
 
@@ -612,7 +626,13 @@ def check_case(case, tmp_path):
     instance = tmp_path / f"{case.instance}.json"
     instance.write_text(json.dumps(INSTANCES[case.instance]))
     out = tmp_path / "out"
-    assert main([*case.argv, "--instance", str(instance), "--out", str(out)]) == case.exit_code
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert main([*case.argv, "--instance", str(instance), "--out", str(out)]) == case.exit_code
+    if case.error:
+        err = stderr.getvalue()
+        assert err.count("\n") == 1 and err.startswith("LTIPC-ERROR invalid-input:"), err
+        assert case.error in err, err
+        assert [p.name for p in tmp_path.iterdir()] == [instance.name]
     for suffix, digest in case.digests.items():
         data_rows = (tmp_path / f"out{suffix}").read_bytes().split(b"\n", 2)[2]
         assert hashlib.sha256(data_rows).hexdigest() == digest, suffix
@@ -646,8 +666,9 @@ def test_case_table(case, tmp_path):
     replace(CASE["bounds-smoke"], rows=3),
     replace(CASE["bounds-smoke"], argv=(*CASE["bounds-smoke"].argv, "--tol", "nan")),
     replace(CASE["bounds-budgetrow"], at_most=(((0, "iterations"), 8, 0),)),
+    replace(CASE["symkl-r2"], error="symkl solves --r 2 only"),
 ], ids=["pin-moved", "nan-pin-on-a-number", "digest-digit", "rows-off-by-one",
-        "exits-1-not-0", "at-most-tightened"])
+        "exits-1-not-0", "at-most-tightened", "error-text"])
 def test_case_table_catches_a_doctored_case(case, tmp_path):
     """Each kind of check in the table fails when its expectation is wrong."""
     with pytest.raises(AssertionError):

@@ -409,9 +409,11 @@ class TestSimulateP2P:
             assert abs(means[slot] - lam) <= 4 * math.sqrt(lam / n_trials)
 
     def test_rejects_out_of_range_inputs(self):
+        """NaN fails the range check too, rather than reaching the sampler."""
         sim = lp.SimConfig(seed=1, n_slots=2, n_trials=1)
-        with pytest.raises(ValueError):
-            lp.simulate_p2p(self.spec(), np.array([0.0, 41.0]), sim)
+        for bad in (41.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"inputs must lie in \[0, amax\]"):
+                lp.simulate_p2p(self.spec(), np.array([0.0, bad]), sim)
 
 
 class TestThinning:
@@ -502,6 +504,12 @@ class TestSimulateNetwork:
         sim = lp.SimConfig(seed=1, n_slots=4, n_trials=1)
         with pytest.raises(ValueError):
             lp.simulate_network(self.net(), np.zeros((1, 4)), sim)
+
+    def test_rejects_out_of_range_inputs(self):
+        sim = lp.SimConfig(seed=1, n_slots=2, n_trials=1)
+        for bad in (21.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"inputs must lie in \[0, amax\] per"):
+                lp.simulate_network(self.net(), np.array([[0.0, 5.0], [bad, 0.0]]), sim)
 
     def test_output_budget_counts_receivers(self):
         """Trials x receivers x slots above DEFAULT_ENTRY_BUDGET is refused
